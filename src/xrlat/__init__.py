@@ -17,7 +17,7 @@ from .code_tree import (
     propagate_labels,
     tree_stats,
 )
-from .hyperbolic import PoincareEmbeddings, extract_level, poincare_distance, train_poincare
+from .hyperbolic import PoincareEmbeddings, poincare_distance, train_poincare
 from .losses import LossConfig, asl_loss, bce_loss
 from .metrics import (
     MetricsReport,
@@ -31,15 +31,11 @@ from .metrics import (
 )
 from .network import (
     CorrectionLayer,
-    DocumentRepresentation,
     EncoderParams,
     GradcheckConfig,
     HeadParams,
-    classify,
-    encode_document,
     forward_backward,
     gradcheck,
-    label_attention,
 )
 from .textproc import (
     ChunkedDocument,
@@ -75,7 +71,6 @@ __all__ = [
     "CodeTree",
     "CorrectionLayer",
     "Document",
-    "DocumentRepresentation",
     "EncoderParams",
     "GradcheckConfig",
     "HeadParams",
@@ -96,15 +91,11 @@ __all__ = [
     "build_tree",
     "build_vocab",
     "chunk",
-    "classify",
     "clean_text",
     "compute_metrics",
-    "encode_document",
-    "extract_level",
     "forward_backward",
     "gradcheck",
     "inference_mask",
-    "label_attention",
     "macro_f1",
     "macro_micro_auc",
     "micro_f1",

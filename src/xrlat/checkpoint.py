@@ -15,6 +15,7 @@ import struct
 
 import numpy as np
 
+from .hyperbolic import PoincareEmbeddings, flatten_tree
 from .network import BlockParams, CorrectionLayer, EncoderParams, HeadParams
 from .util import ParseError, atomic_write_bytes
 
@@ -167,15 +168,34 @@ def save_embeddings(path: str, emb, extra_metadata: dict | None = None) -> None:
     write_container(path, metadata, tensors)
 
 
-def load_embeddings(path: str):
-    """Returns (metadata, {level: matrix}) for an embedding checkpoint."""
+def load_embeddings(path: str, tree):
+    """Returns (metadata, PoincareEmbeddings) for an embedding checkpoint of ``tree``.
+
+    Rows follow ``flatten_tree(tree)``; the virtual root is not stored and
+    loads at the origin.
+    """
     metadata, tensors = read_container(path)
     if metadata.get("kind") != "poincare":
         raise ParseError(f"{path}: container does not hold embeddings")
-    levels = {}
-    for k in range(1, 5):
+    try:
+        dim = int(metadata["dim"])
+        ball_eps = float(metadata["ball_eps"])
+    except (KeyError, ValueError):
+        raise ParseError(
+            f"{path}: embedding metadata needs an integer 'dim' and a float 'ball_eps'"
+        ) from None
+    flat = flatten_tree(tree)
+    blocks = []
+    for k, rows in enumerate(flat.level_slices, start=1):
         name = f"E{k}"
         if name not in tensors:
             raise ParseError(f"{path}: missing tensor {name}")
-        levels[k] = tensors[name]
-    return metadata, levels
+        want = (rows.stop - rows.start, dim)
+        if tensors[name].shape != want:
+            raise ParseError(
+                f"{path}: tensor {name} has shape {tensors[name].shape}, expected {want} "
+                f"(level {k} nodes of the tree by metadata dim)"
+            )
+        blocks.append(tensors[name])
+    vectors = np.vstack([np.zeros((1, dim))] + blocks)
+    return metadata, PoincareEmbeddings(flat.names, flat.level_slices, vectors, ball_eps)

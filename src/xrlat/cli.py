@@ -189,7 +189,7 @@ def _cmd_train(args) -> int:
         if run.train.bootstrap == "hyperc":
             if not run.embeddings:
                 raise ConfigError("bootstrap=hyperc requires the 'embeddings' config key")
-            _, embeddings = checkpoint.load_embeddings(run.embeddings)
+            _, embeddings = checkpoint.load_embeddings(run.embeddings, tree)
         _, histories = training.train_xr_lat(data, tree, run.train, out_dir=run.out_dir,
                                              embeddings=embeddings)
         history = histories[-1]
@@ -212,9 +212,16 @@ def _read_scores(path: str, doc_ids, n_labels: int) -> np.ndarray:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ParseError(f"{path}:{lineno}: expected 'doc_id<TAB>scores'")
-            values = np.array([float(x) for x in parts[1].split()], dtype=np.float64)
+            if parts[0] in by_id:
+                raise ParseError(f"{path}:{lineno}: duplicate doc_id {parts[0]!r}")
+            try:
+                values = np.array([float(x) for x in parts[1].split()], dtype=np.float64)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
             if values.size != n_labels:
                 raise DataError(f"{path}:{lineno}: expected {n_labels} scores, got {values.size}")
+            if not np.all(np.isfinite(values)):
+                raise ParseError(f"{path}:{lineno}: scores must be finite numbers")
             by_id[parts[0]] = values
     missing = [d for d in doc_ids if d not in by_id]
     if missing:

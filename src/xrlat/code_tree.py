@@ -44,10 +44,6 @@ class IndexingMatrix:
     def rows(self) -> int:
         return int(self.parent_index.shape[0])
 
-    @property
-    def cols(self) -> int:
-        return self.n_cols
-
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.rows, self.n_cols), dtype=np.uint8)
         dense[np.arange(self.rows), self.parent_index] = 1
@@ -91,10 +87,6 @@ class CodeTree:
         lvl = self.level(k)
         n_cols = 1 if k == 1 else self.level(k - 1).size
         return IndexingMatrix(lvl.parents, n_cols)
-
-    @property
-    def T(self) -> tuple[IndexingMatrix, ...]:
-        return tuple(self.indexing_matrix(k) for k in range(1, N_LEVELS + 1))
 
     def leaf_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.level(N_LEVELS).names)}

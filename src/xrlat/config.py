@@ -115,11 +115,7 @@ def resolve_config(path: str | None = None, overrides: dict | None = None,
             train_kwargs[key] = value
     if seed is not None:
         train_kwargs["seed"] = seed
-    try:
-        train = TrainConfig(**train_kwargs)
-    except ConfigError:
-        raise
-    return RunConfig(train=train, **paths)
+    return RunConfig(train=TrainConfig(**train_kwargs), **paths)
 
 
 def parse_overrides(pairs) -> dict:

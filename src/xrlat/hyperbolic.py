@@ -97,11 +97,6 @@ class PoincareEmbeddings:
         return self.vectors[self.level_slices[k - 1]].copy()
 
 
-def extract_level(emb: PoincareEmbeddings, k: int) -> np.ndarray:
-    """The V_k-by-dim embedding matrix for level k, rows in tree node order."""
-    return emb.level(k)
-
-
 def _init_vectors(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     direction = rng.standard_normal((n, dim))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)

@@ -32,10 +32,6 @@ def _gelu_fwd(x):
     return 0.5 * x * (1.0 + t), t
 
 
-def _gelu(x):
-    return _gelu_fwd(x)[0]
-
-
 def _gelu_grad(x, t=None):
     x2 = x * x
     if t is None:
@@ -116,20 +112,9 @@ class CorrectionLayer:
     W: np.ndarray  # (d_emb, h)
     b: np.ndarray  # (h,)
 
-    def apply(self, E: np.ndarray) -> np.ndarray:
-        return E @ self.W + self.b
-
     @classmethod
     def zeros(cls, d_emb: int, h: int) -> "CorrectionLayer":
         return cls(np.zeros((d_emb, h)), np.zeros(h))
-
-
-@dataclass
-class DocumentRepresentation:
-    """Per-token hidden states for a whole document, plus its padding flags."""
-
-    H: np.ndarray  # (z, h)
-    flags: np.ndarray  # (z,) uint8
 
 
 def init_encoder(vocab_size: int, hidden: int, chunk_len: int, n_layers: int,
@@ -233,6 +218,11 @@ def _dropout_mask(shape, p, rng):
 
 def _encode_fwd(doc: ChunkedDocument, enc: EncoderParams, dropout: float = 0.0,
                 rng: Optional[np.random.Generator] = None):
+    """Encode each chunk independently and concatenate to a z-by-h matrix H.
+
+    With zero transformer blocks H degenerates to
+    ``emb[token] + pos[position-within-chunk]``. Returns (H, cache).
+    """
     ids, flags = doc.chunks, doc.flags
     s, c = ids.shape
     if c > enc.chunk_len:
@@ -329,18 +319,13 @@ def _encode_bwd(dH: np.ndarray, cache: dict, enc: EncoderParams, grads: dict) ->
         dx = dx0 + dx_ln1
     if cache["mask0"] is not None:
         dx = dx * cache["mask0"]
-    np.add.at(grads["emb"], cache["ids"], dx)
+    # Sum the rows per distinct token id in a small buffer (np.add.at adds in
+    # token order), then add each id's sum into the V-by-h accumulator once.
+    rows, inverse = np.unique(cache["ids"].reshape(-1), return_inverse=True)
+    demb = np.zeros((rows.size, enc.hidden))
+    np.add.at(demb, inverse, dx.reshape(-1, enc.hidden))
+    grads["emb"][rows] += demb
     grads["pos"][:c] += dx.sum(axis=0)
-
-
-def encode_document(doc: ChunkedDocument, params: EncoderParams) -> DocumentRepresentation:
-    """Encode each chunk independently and concatenate to a z-by-h matrix.
-
-    With zero transformer blocks the representation degenerates to
-    ``emb[token] + pos[position-within-chunk]``.
-    """
-    H, _ = _encode_fwd(doc, params)
-    return DocumentRepresentation(H, doc.flags.reshape(-1).copy())
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +333,12 @@ def encode_document(doc: ChunkedDocument, params: EncoderParams) -> DocumentRepr
 
 
 def _head_fwd(H, flags_flat, W_la_eff, W_cl, b_cl):
+    """Label attention over the real tokens, then per-label sigmoid classifiers.
+
+    d_j = sum_t alpha_jt h_t with alpha_j = softmax(W_la_eff[j] . h_t) over
+    the real tokens only, so padding rows of H never enter the result.
+    Returns (p, cache); the cache holds ``alpha`` (A, r) and ``d`` (A, h).
+    """
     real = np.flatnonzero(flags_flat)
     if real.size == 0:
         raise DataError("cannot attend over a document whose tokens are all padding")
@@ -375,39 +366,9 @@ def _head_bwd(dp, hc, W_la_eff, W_cl):
     return dW_la, dW_cl, db_cl, dHr
 
 
-def label_attention(rep: DocumentRepresentation, W_la: np.ndarray,
-                    return_alpha: bool = False):
-    """Label-specific document vectors d_j = sum_t alpha_jt h_t over real tokens.
-
-    Attention scores are dot products of each label's query row with the token
-    states; padding tokens receive exactly zero attention.
-    """
-    real = np.flatnonzero(rep.flags)
-    if real.size == 0:
-        raise DataError("cannot attend over a document whose tokens are all padding")
-    Hr = rep.H[real]
-    alpha_r = _softmax_last(W_la @ Hr.T)
-    d = alpha_r @ Hr
-    if not return_alpha:
-        return d
-    alpha = np.zeros((W_la.shape[0], rep.H.shape[0]))
-    alpha[:, real] = alpha_r
-    return d, alpha
-
-
-def classify(d: np.ndarray, W_cl: np.ndarray, b_cl: np.ndarray,
-             mask: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-label probabilities sigmoid(d_j . W_cl[j] + b_cl[j]); masked labels score 0."""
-    if d.shape != W_cl.shape:
-        raise DataError(f"shape mismatch: d {d.shape} vs W_cl {W_cl.shape}")
-    p = _sigmoid((d * W_cl).sum(axis=1) + b_cl)
-    if mask is not None:
-        p = np.where(np.asarray(mask).astype(bool), p, 0.0)
-    return p
-
-
 def _effective_w_la(head: HeadParams, corr: Optional[CorrectionLayer],
-                    corr_inputs: Optional[np.ndarray], active: np.ndarray):
+                    corr_inputs: Optional[np.ndarray], active):
+    """Attention queries W_la + E.W + b for the ``active`` rows; returns (W_eff, E_act)."""
     base = head.W_la[active]
     if corr is None:
         return base, None
@@ -437,12 +398,14 @@ def forward_backward(doc: ChunkedDocument, params: EncoderParams, head: HeadPara
                      loss_cfg: LossConfig, corr: Optional[CorrectionLayer] = None,
                      corr_inputs: Optional[np.ndarray] = None,
                      dropout: float = 0.0,
-                     rng: Optional[np.random.Generator] = None):
+                     rng: Optional[np.random.Generator] = None,
+                     grads: Optional[dict] = None):
     """Loss and exact gradients for one document.
 
-    Masked labels are skipped entirely: they contribute no loss and their
-    W_la/W_cl/b_cl gradient rows are exactly zero. Returns (loss, grads) with
-    one gradient array per trainable tensor.
+    Masked labels are skipped entirely: they contribute no loss and add
+    nothing to their W_la/W_cl/b_cl gradient rows. The gradients are added
+    into ``grads`` (one array per trainable tensor, as from zero_grads); when
+    it is omitted a zeroed dict is allocated. Returns (loss, grads).
     """
     L = head.n_labels
     active = np.arange(L) if mask is None else np.flatnonzero(np.asarray(mask))
@@ -464,11 +427,12 @@ def forward_backward(doc: ChunkedDocument, params: EncoderParams, head: HeadPara
                 raise NumericsError(f"non-finite values in {name}", tensor=name)
         raise NumericsError("non-finite loss", tensor="loss")
 
-    grads = zero_grads(params, head, corr)
+    if grads is None:
+        grads = zero_grads(params, head, corr)
     dW_la_act, dW_cl_act, db_cl_act, dHr = _head_bwd(dp, hc, W_eff, W_cl_act)
-    grads["W_la"][active] = dW_la_act
-    grads["W_cl"][active] = dW_cl_act
-    grads["b_cl"][active] = db_cl_act
+    grads["W_la"][active] += dW_la_act
+    grads["W_cl"][active] += dW_cl_act
+    grads["b_cl"][active] += db_cl_act
     if corr is not None:
         grads["corr.W"] += E_act.T @ dW_la_act
         grads["corr.b"] += dW_la_act.sum(axis=0)
@@ -553,10 +517,7 @@ def gradcheck(config: GradcheckConfig, seed: int = 0) -> GradcheckReport:
         grads[config.corrupt_tensor].flat[0] += 1.0
 
     def loss_only():
-        H, _ = _encode_fwd(doc, enc)
-        active = np.arange(config.n_labels)
-        W_eff, _ = _effective_w_la(head, corr, corr_inputs, active)
-        p, _ = _head_fwd(H, doc.flags.reshape(-1), W_eff, head.W_cl, head.b_cl)
+        p = forward_probs(doc, enc, head, corr=corr, corr_inputs=corr_inputs)
         loss, _ = loss_and_grad(p, gold, config.loss)
         return loss
 

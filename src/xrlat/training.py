@@ -10,7 +10,6 @@ that are gold or predicted positive (dynamic negative sampling).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,20 +17,22 @@ import numpy as np
 
 from .code_tree import CodeTree, IndexingMatrix, LabelMatrix, propagate_labels
 from .hyperbolic import PoincareEmbeddings
-from .losses import LossConfig, asl_loss, bce_loss  # re-exported API  # noqa: F401
+from .losses import LossConfig
 from .network import (
     CorrectionLayer,
     EncoderParams,
     HeadParams,
+    _effective_w_la,
     encoder_tensors,
     forward_backward,
     forward_probs,
     head_tensors,
     init_encoder,
     init_head,
+    zero_grads,
 )
 from .textproc import ChunkedDocument, Vocabulary, chunk, clean_text, tokenize
-from .util import ConfigError, DataError, NumericsError, derive_rng, thread_count
+from .util import ConfigError, DataError, NumericsError, derive_rng, keep_freed_memory
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -129,9 +130,7 @@ class LevelModel:
 
     def effective_w_la(self) -> np.ndarray:
         """Attention queries actually used: base W_la plus the correction, if any."""
-        if self.corr is None:
-            return self.head.W_la
-        return self.head.W_la + self.corr.apply(self.corr_inputs)
+        return _effective_w_la(self.head, self.corr, self.corr_inputs, slice(None))[0]
 
 
 def init_level_model(vocab_size: int, level: int, n_labels: int, cfg: TrainConfig,
@@ -318,74 +317,61 @@ def _train_level(docs, label_rows, n_labels: int, masks, model: LevelModel,
     """Run the optimizer for cfg.max_steps over the documents; returns step history.
 
     ``masks`` is either None (all labels active) or one uint8 vector per
-    document. Per-document forward/backward calls may run on worker threads
-    (XRLAT_THREADS); gradients are reduced in fixed document order so results
-    are bitwise identical regardless of thread count.
+    document. Each step adds its documents' gradients, in batch order, into
+    one buffer that is zeroed before the step.
     """
     n_docs = len(docs)
     if n_docs == 0:
         raise DataError("cannot train on an empty dataset")
+    keep_freed_memory()
     data_rng = derive_rng(cfg.seed, "data", level_tag)
     opt = AdamW(model, weight_decay=cfg.weight_decay)
     loss_cfg = cfg.loss_config()
     warmup = cfg.warmup
     history = []
     log_lines = []
-    workers = thread_count()
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    grads = zero_grads(model.enc, model.head, model.corr)
 
-    def run_doc(args):
-        i, rng = args
-        gold = _dense_row(label_rows, i, n_labels)
-        mask = None if masks is None else masks[i]
-        return forward_backward(
-            docs[i], model.enc, model.head, gold, mask, loss_cfg,
-            corr=model.corr, corr_inputs=model.corr_inputs,
-            dropout=cfg.dropout, rng=rng,
-        )
-
-    try:
-        step = 0
-        while step < cfg.max_steps:
-            order = data_rng.permutation(n_docs)
-            for start in range(0, n_docs, cfg.batch_size):
-                if step >= cfg.max_steps:
-                    break
-                batch = order[start : start + cfg.batch_size]
-                step_ss = np.random.SeedSequence([cfg.seed, level_tag, step])
-                rngs = (
-                    [np.random.default_rng(s) for s in step_ss.spawn(len(batch))]
-                    if cfg.dropout > 0.0
-                    else [None] * len(batch)
-                )
-                jobs = list(zip((int(i) for i in batch), rngs))
-                try:
-                    if pool is None:
-                        results = [run_doc(j) for j in jobs]
-                    else:
-                        results = list(pool.map(run_doc, jobs))
-                except NumericsError as exc:
-                    raise NumericsError(
-                        f"{exc} at step {step}", tensor=exc.tensor, step=step
-                    ) from None
-                batch_loss = float(np.mean([r[0] for r in results]))
-                grads = results[0][1]
-                for _, g in results[1:]:
-                    for name in grads:
-                        grads[name] += g[name]
-                inv = 1.0 / len(results)
-                for name in grads:
-                    grads[name] *= inv
-                clip_gradients(grads, cfg.clip_norm)
-                lr = lr_at(step, cfg.learning_rate, warmup, cfg.max_steps)
-                opt.step(model, grads, lr)
-                history.append((step, lr, batch_loss))
-                if (step + 1) % cfg.log_interval == 0 or step + 1 == cfg.max_steps:
-                    log_lines.append(f"{step}\t{lr:.6f}\t{batch_loss:.6f}")
-                step += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    step = 0
+    while step < cfg.max_steps:
+        order = data_rng.permutation(n_docs)
+        for start in range(0, n_docs, cfg.batch_size):
+            if step >= cfg.max_steps:
+                break
+            batch = order[start : start + cfg.batch_size]
+            step_ss = np.random.SeedSequence([cfg.seed, level_tag, step])
+            rngs = (
+                [np.random.default_rng(s) for s in step_ss.spawn(len(batch))]
+                if cfg.dropout > 0.0
+                else [None] * len(batch)
+            )
+            for g in grads.values():
+                g.fill(0.0)
+            losses = []
+            try:
+                for i, rng in zip((int(i) for i in batch), rngs):
+                    loss, _ = forward_backward(
+                        docs[i], model.enc, model.head, _dense_row(label_rows, i, n_labels),
+                        None if masks is None else masks[i], loss_cfg,
+                        corr=model.corr, corr_inputs=model.corr_inputs,
+                        dropout=cfg.dropout, rng=rng, grads=grads,
+                    )
+                    losses.append(loss)
+            except NumericsError as exc:
+                raise NumericsError(
+                    f"{exc} at step {step}", tensor=exc.tensor, step=step
+                ) from None
+            batch_loss = float(np.mean(losses))
+            inv = 1.0 / len(batch)
+            for g in grads.values():
+                g *= inv
+            clip_gradients(grads, cfg.clip_norm)
+            lr = lr_at(step, cfg.learning_rate, warmup, cfg.max_steps)
+            opt.step(model, grads, lr)
+            history.append((step, lr, batch_loss))
+            if (step + 1) % cfg.log_interval == 0 or step + 1 == cfg.max_steps:
+                log_lines.append(f"{step}\t{lr:.6f}\t{batch_loss:.6f}")
+            step += 1
     if log_path is not None:
         from .util import atomic_write_text
 
@@ -430,12 +416,6 @@ def train_xr_lat(data: PreparedDataset, tree: CodeTree, cfg: TrainConfig,
     if cfg.bootstrap == "hyperc" and embeddings is None:
         raise ConfigError("bootstrap=hyperc requires Poincare embeddings")
 
-    def emb_level(k):
-        # accepts a PoincareEmbeddings or a {level: matrix} mapping
-        if hasattr(embeddings, "level"):
-            return embeddings.level(k)
-        return np.asarray(embeddings[k], dtype=np.float64)
-
     level_rows = [None] * 5  # 1-based
     level_rows[4] = data.labels.rows
     label_mat = data.labels
@@ -455,7 +435,7 @@ def train_xr_lat(data: PreparedDataset, tree: CodeTree, cfg: TrainConfig,
         elif cfg.bootstrap == "equal":
             model = bootstrap_equal(prev_model, tree.indexing_matrix(k))
         else:
-            E_k = emb_level(k)
+            E_k = embeddings.level(k)
             if E_k.shape[0] != n_labels:
                 raise ConfigError(
                     f"embeddings for level {k} have {E_k.shape[0]} rows, tree has {n_labels}"
@@ -513,12 +493,8 @@ def predict(models, doc: ChunkedDocument, tree: CodeTree, cfg: TrainConfig) -> n
 
 
 def predict_dataset(models, data: PreparedDataset, tree: CodeTree, cfg: TrainConfig) -> np.ndarray:
-    """Stacked predict() scores, one row per document (threaded via XRLAT_THREADS)."""
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda d: predict(models, d, tree, cfg), data.docs))
-    else:
-        rows = [predict(models, d, tree, cfg) for d in data.docs]
+    """Stacked predict() scores, one row per document."""
+    keep_freed_memory()
+    rows = [predict(models, d, tree, cfg) for d in data.docs]
     n_labels = tree.nodes_per_level[-1]
     return np.stack(rows) if rows else np.zeros((0, n_labels))

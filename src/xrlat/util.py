@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import tempfile
@@ -49,16 +50,27 @@ def derive_rng(*parts) -> np.random.Generator:
     return np.random.default_rng(stable_seed(*parts))
 
 
-def thread_count() -> int:
-    """Worker-thread cap from the XRLAT_THREADS environment variable (default 1)."""
-    raw = os.environ.get("XRLAT_THREADS", "1")
+_M_TRIM_THRESHOLD = -1  # glibc mallopt parameter numbers
+_M_MMAP_THRESHOLD = -3
+
+
+def keep_freed_memory() -> None:
+    """Let the C library keep freed blocks of up to 32 MB in the heap.
+
+    Training and prediction allocate and free the same working set of numpy
+    temporaries for every document. With glibc's defaults, blocks from 128 KB
+    up are unmapped when freed and the free top of the heap is returned to the
+    system, so each document page-faults its working set back in (with glibc
+    2.36: about 450k minor faults in a 30-step, 2-block, h=64 training run on
+    the demo tree, and none with these settings). Freed memory above 256 MB is
+    still returned. Does nothing where the C library has no ``mallopt``.
+    """
     try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"XRLAT_THREADS must be an integer >= 1, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"XRLAT_THREADS must be >= 1, got {n}")
-    return n
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

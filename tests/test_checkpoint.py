@@ -110,11 +110,33 @@ class TestEmbeddingCheckpoint:
         emb = train_poincare(demo_tree, dim=6, epochs=2, lr=0.1, seed=4)
         path = str(tmp_path / "emb.ckpt")
         save_embeddings(path, emb, {"seed": 4})
-        meta, levels = load_embeddings(path)
+        meta, loaded = load_embeddings(path, demo_tree)
         assert meta["kind"] == "poincare"
         assert int(meta["dim"]) == 6
+        assert loaded.names == emb.names and loaded.level_slices == emb.level_slices
+        assert np.array_equal(loaded.vectors[0], np.zeros(6))  # root is not stored
         for k in range(1, 5):
-            assert np.array_equal(levels[k], emb.level(k))
+            assert np.array_equal(loaded.level(k), emb.level(k))
+
+    def test_wrong_row_count_names_tensor(self, tmp_path, demo_tree):
+        emb = train_poincare(demo_tree, dim=4, epochs=0, lr=0.1, seed=4)
+        path = str(tmp_path / "emb.ckpt")
+        save_embeddings(path, emb)
+        meta, tensors = read_container(path)
+        tensors["E3"] = tensors["E3"][:-1]
+        write_container(path, meta, tensors)
+        with pytest.raises(ParseError, match="E3"):
+            load_embeddings(path, demo_tree)
+
+    def test_dim_disagreeing_with_metadata_names_tensor(self, tmp_path, demo_tree):
+        emb = train_poincare(demo_tree, dim=4, epochs=0, lr=0.1, seed=4)
+        path = str(tmp_path / "emb.ckpt")
+        save_embeddings(path, emb)
+        meta, tensors = read_container(path)
+        tensors["E2"] = np.zeros((tensors["E2"].shape[0], 5))
+        write_container(path, meta, tensors)
+        with pytest.raises(ParseError, match="E2"):
+            load_embeddings(path, demo_tree)
 
     def test_named_e1_to_e4(self, tmp_path, demo_tree):
         emb = train_poincare(demo_tree, dim=4, epochs=0, lr=0.1, seed=4)

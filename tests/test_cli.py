@@ -105,9 +105,12 @@ class TestEmbedCommand:
                      "--dim", "50", "--epochs", "0"]) == 0
         from xrlat.checkpoint import load_embeddings
 
-        meta, levels = load_embeddings(os.path.join(out, "embeddings.ckpt"))
-        assert levels[4].shape == (81, 50)
-        assert np.linalg.norm(levels[4], axis=1).max() <= 1e-3
+        from xrlat.code_tree import build_tree
+
+        meta, emb = load_embeddings(os.path.join(out, "embeddings.ckpt"),
+                                    build_tree(demo_tree_path))
+        assert emb.level(4).shape == (81, 50)
+        assert np.linalg.norm(emb.level(4), axis=1).max() <= 1e-3
 
 
 class TestTrainCommand:
@@ -239,6 +242,43 @@ class TestEvalCommand:
             name, value = line.split("\t")
             if name != "macro_auc_skipped":
                 assert value == "1.0000", line
+
+    def _eval_scores(self, tmp_path, demo_tree_path, score_lines):
+        """Evaluate a two-document dataset against the given score lines."""
+        from xrlat.code_tree import build_tree
+
+        leaves = build_tree(demo_tree_path).level(4).names
+        ds = str(tmp_path / "two.tsv")
+        with open(ds, "w") as fh:
+            fh.write("# xrlat-dataset v1\n")
+            fh.write(f"doc0\t{leaves[0]}\tfiller text\ndoc1\t{leaves[1]}\tfiller text\n")
+        scores_path = str(tmp_path / "scores.tsv")
+        with open(scores_path, "w") as fh:
+            fh.write("# xrlat-scores v1\n" + "".join(line + "\n" for line in score_lines))
+        return main(["eval", "--scores", scores_path, "--tree", demo_tree_path,
+                     "--dataset", ds])
+
+    def test_duplicate_score_doc_id_rejected(self, tmp_path, demo_tree_path, capsys):
+        row = " ".join(["0.5"] * 81)
+        rc = self._eval_scores(tmp_path, demo_tree_path,
+                               [f"doc0\t{row}", f"doc1\t{row}", f"doc0\t{row}"])
+        assert rc == 1
+        assert "scores.tsv:4: duplicate doc_id 'doc0'" in capsys.readouterr().err
+
+    def test_non_numeric_score_rejected(self, tmp_path, demo_tree_path, capsys):
+        row = " ".join(["0.5"] * 81)
+        rc = self._eval_scores(tmp_path, demo_tree_path,
+                               [f"doc0\t{row}", "doc1\t" + " ".join(["0.5"] * 80 + ["high"])])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "scores.tsv:3:" in err and "'high'" in err
+
+    def test_nan_score_rejected(self, tmp_path, demo_tree_path, capsys):
+        row = " ".join(["0.5"] * 81)
+        rc = self._eval_scores(tmp_path, demo_tree_path,
+                               ["doc0\t" + " ".join(["nan"] + ["0.5"] * 80), f"doc1\t{row}"])
+        assert rc == 1
+        assert "scores.tsv:2: scores must be finite" in capsys.readouterr().err
 
     def test_vocab_mismatch_rejected(self, tmp_path, demo_tree_path, small_dataset):
         run = self._trained_run(tmp_path, demo_tree_path, small_dataset)

@@ -5,7 +5,6 @@ import pytest
 from xrlat.hyperbolic import (
     _edge_loss_and_grads,
     edge_set,
-    extract_level,
     flatten_tree,
     poincare_distance,
     train_poincare,
@@ -106,8 +105,8 @@ class TestTraining:
     def test_realistic_scale_shapes(self):
         tree = parse_hierarchy(sized_hierarchy_lines((36, 279, 1167, 8929)))
         emb = train_poincare(tree, dim=50, epochs=0, lr=0.1, seed=1)
-        assert extract_level(emb, 4).shape == (8929, 50)
-        assert extract_level(emb, 1).shape == (36, 50)
+        assert emb.level(4).shape == (8929, 50)
+        assert emb.level(1).shape == (36, 50)
 
 
 class TestExtractLevel:
@@ -115,23 +114,23 @@ class TestExtractLevel:
         emb = train_poincare(demo_tree, dim=6, epochs=0, lr=0.1, seed=2)
         flat = flatten_tree(demo_tree)
         for k in range(1, 5):
-            level = extract_level(emb, k)
+            level = emb.level(k)
             sl = flat.level_slices[k - 1]
             assert np.array_equal(level, emb.vectors[sl])
             assert level.shape[0] == demo_tree.nodes_per_level[k - 1]
 
     def test_extraction_is_pure(self, demo_tree):
         emb = train_poincare(demo_tree, dim=6, epochs=0, lr=0.1, seed=2)
-        first = extract_level(emb, 3)
-        second = extract_level(emb, 3)
+        first = emb.level(3)
+        second = emb.level(3)
         assert np.array_equal(first, second)
         first[0, 0] += 1.0  # mutating the copy must not touch the table
-        assert not np.array_equal(first, extract_level(emb, 3))
+        assert not np.array_equal(first, emb.level(3))
 
     def test_bad_level(self, demo_tree):
         emb = train_poincare(demo_tree, dim=4, epochs=0, lr=0.1, seed=2)
         with pytest.raises(DataError):
-            extract_level(emb, 5)
+            emb.level(5)
 
 
 class TestRiemannianGradient:

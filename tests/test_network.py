@@ -3,16 +3,15 @@ import pytest
 
 from xrlat.losses import LossConfig
 from xrlat.network import (
-    DocumentRepresentation,
     GradcheckConfig,
-    classify,
-    encode_document,
+    _encode_fwd,
+    _head_fwd,
     forward_backward,
     forward_probs,
     gradcheck,
     init_encoder,
     init_head,
-    label_attention,
+    zero_grads,
 )
 from xrlat.textproc import chunk
 from xrlat.util import DataError, derive_rng
@@ -23,22 +22,40 @@ def make_doc(rng, vocab_size, c, s, t=None):
     return chunk(rng.integers(2, vocab_size, size=t), c, s)
 
 
+def encode(doc, enc):
+    return _encode_fwd(doc, enc)[0]
+
+
+def attend(H, flags, W_la):
+    """The trained head's label vectors d and real-token weights alpha for queries W_la."""
+    A, h = W_la.shape
+    _, cache = _head_fwd(H, np.asarray(flags, dtype=np.uint8), W_la, np.zeros((A, h)),
+                         np.zeros(A))
+    return cache["d"], cache["alpha"]
+
+
+def classify(d, W_cl, b_cl):
+    """The trained head's probabilities when every label vector is d: H holds d as one token."""
+    p, cache = _head_fwd(d[:1], np.ones(1, dtype=np.uint8), np.zeros_like(W_cl), W_cl, b_cl)
+    assert np.array_equal(cache["d"], np.broadcast_to(d[:1], W_cl.shape))
+    return p
+
+
 class TestEncoder:
     def test_degenerate_formula_no_layers(self):
         rng = derive_rng(1)
         enc = init_encoder(30, 4, 3, 0, rng)
         doc = chunk([5, 6, 7, 8, 9], c=3, s=2)
-        rep = encode_document(doc, enc)
+        H = encode(doc, enc)
         for i, tok in enumerate([5, 6, 7, 8, 9]):
             expected = enc.emb[tok] + enc.pos[i % 3]
-            assert np.allclose(rep.H[i], expected, atol=0)
+            assert np.allclose(H[i], expected, atol=0)
 
     def test_output_shape(self):
         rng = derive_rng(2)
         enc = init_encoder(30, 4, 3, 1, rng)
         doc = make_doc(rng, 30, c=3, s=2, t=6)
-        rep = encode_document(doc, enc)
-        assert rep.H.shape == (6, 4)
+        assert encode(doc, enc).shape == (6, 4)
 
     def test_chunk_locality(self):
         """Swapping tokens across a chunk boundary only changes those chunks' rows."""
@@ -49,8 +66,8 @@ class TestEncoder:
         swapped = ids.copy()
         swapped[0], swapped[4] = swapped[4], swapped[0]  # chunk 0 <-> chunk 1
         doc_b = chunk(swapped, c=4, s=3)
-        ha = encode_document(doc_a, enc).H
-        hb = encode_document(doc_b, enc).H
+        ha = encode(doc_a, enc)
+        hb = encode(doc_b, enc)
         assert not np.array_equal(ha[:8], hb[:8])
         assert np.array_equal(ha[8:], hb[8:])  # chunk 2 rows bit-identical
 
@@ -58,61 +75,61 @@ class TestEncoder:
         rng = derive_rng(4)
         enc = init_encoder(10, 4, 4, 0, rng)
         with pytest.raises(DataError):
-            encode_document(chunk([11], 4, 1), enc)
+            encode(chunk([11], 4, 1), enc)
 
     def test_padding_cannot_influence_real_tokens(self):
         rng = derive_rng(5)
         enc = init_encoder(30, 8, 4, 1, rng)
         short = chunk([3, 4, 5], c=4, s=1)  # one pad slot
         other = chunk([3, 4, 5, 9], c=4, s=1)
-        h_short = encode_document(short, enc).H
+        h_short = encode(short, enc)
         # recompute with a different id in the padded slot: real rows unchanged
         tampered = chunk([3, 4, 5], c=4, s=1)
         tampered.chunks[0, 3] = 7
-        h_tampered = encode_document(tampered, enc).H
+        h_tampered = encode(tampered, enc)
         assert np.array_equal(h_short[:3], h_tampered[:3])
-        assert not np.array_equal(h_short[:3], encode_document(other, enc).H[:3])
+        assert not np.array_equal(h_short[:3], encode(other, enc)[:3])
 
 
 class TestLabelAttention:
     def test_two_token_hand_example(self):
         H = np.array([[1.0], [3.0]])
-        rep = DocumentRepresentation(H, np.array([1, 1], dtype=np.uint8))
-        W_la = np.array([[1.0]])
-        d, alpha = label_attention(rep, W_la, return_alpha=True)
+        d, alpha = attend(H, [1, 1], np.array([[1.0]]))
         assert alpha[0] == pytest.approx([0.119203, 0.880797], abs=1e-6)
         assert d[0, 0] == pytest.approx(2.761594, abs=1e-6)
 
     def test_zero_query_gives_mean(self):
         rng = derive_rng(6)
         H = rng.normal(size=(5, 3))
-        flags = np.array([1, 1, 1, 1, 0], dtype=np.uint8)
-        rep = DocumentRepresentation(H, flags)
-        d = label_attention(rep, np.zeros((2, 3)))
+        d, _ = attend(H, [1, 1, 1, 1, 0], np.zeros((2, 3)))
         assert np.allclose(d[0], H[:4].mean(axis=0), atol=1e-12)
         assert np.allclose(d[0], d[1], atol=0)
 
     def test_duplicating_tokens_keeps_d(self):
         rng = derive_rng(7)
         H = rng.normal(size=(4, 3))
-        rep1 = DocumentRepresentation(H, np.ones(4, dtype=np.uint8))
-        rep2 = DocumentRepresentation(np.vstack([H, H]), np.ones(8, dtype=np.uint8))
         W_la = rng.normal(size=(3, 3))
-        assert np.allclose(label_attention(rep1, W_la), label_attention(rep2, W_la), atol=1e-12)
+        d1, _ = attend(H, np.ones(4), W_la)
+        d2, _ = attend(np.vstack([H, H]), np.ones(8), W_la)
+        assert np.allclose(d1, d2, atol=1e-12)
 
     def test_weights_sum_to_one_and_zero_on_padding(self):
         rng = derive_rng(8)
         H = rng.normal(size=(6, 4))
         flags = np.array([1, 1, 0, 1, 0, 1], dtype=np.uint8)
-        rep = DocumentRepresentation(H, flags)
-        _, alpha = label_attention(rep, rng.normal(size=(5, 4)), return_alpha=True)
+        W_la = rng.normal(size=(5, 4))
+        d, alpha = attend(H, flags, W_la)
+        assert alpha.shape == (5, 4)  # one weight per real token only
         assert np.all(np.abs(alpha.sum(axis=1) - 1.0) < 1e-12)
-        assert np.all(alpha[:, flags == 0] == 0.0)
+        tampered = H.copy()
+        tampered[flags == 0] = rng.normal(size=(2, 4)) * 100.0
+        d_tampered, alpha_tampered = attend(tampered, flags, W_la)
+        assert np.array_equal(alpha, alpha_tampered)
+        assert np.array_equal(d, d_tampered)
 
     def test_all_padding_rejected(self):
-        rep = DocumentRepresentation(np.zeros((3, 2)), np.zeros(3, dtype=np.uint8))
         with pytest.raises(DataError):
-            label_attention(rep, np.zeros((1, 2)))
+            attend(np.zeros((3, 2)), np.zeros(3), np.zeros((1, 2)))
 
 
 class TestClassify:
@@ -126,14 +143,23 @@ class TestClassify:
 
     def test_full_mask_zeroes_everything(self):
         rng = derive_rng(9)
-        p = classify(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), rng.normal(size=4),
-                     mask=np.zeros(4, dtype=np.uint8))
+        enc = init_encoder(20, 3, 4, 0, rng)
+        head = init_head(4, 3, rng)
+        head.b_cl[:] = rng.normal(size=4)
+        doc = make_doc(rng, 20, c=4, s=2)
+        p = forward_probs(doc, enc, head, mask=np.zeros(4, dtype=np.uint8))
         assert np.all(p == 0.0)
+        mask = np.array([1, 0, 1, 0], dtype=np.uint8)
+        p = forward_probs(doc, enc, head, mask=mask)
+        assert np.all(p[mask == 0] == 0.0)
+        assert np.array_equal(p[mask == 1], forward_probs(doc, enc, head)[mask == 1])
 
     def test_probabilities_in_unit_interval(self):
         rng = derive_rng(10)
-        p = classify(rng.normal(size=(30, 5)) * 10, rng.normal(size=(30, 5)) * 10,
-                     rng.normal(size=30) * 10)
+        p, cache = _head_fwd(rng.normal(size=(6, 5)) * 10, np.ones(6, dtype=np.uint8),
+                             rng.normal(size=(30, 5)), rng.normal(size=(30, 5)) * 10,
+                             rng.normal(size=30) * 10)
+        assert cache["logits"].min() < -30 and cache["logits"].max() > 30
         assert np.all((p >= 0) & (p <= 1))
 
 
@@ -178,6 +204,28 @@ class TestForwardBackward:
         with pytest.raises(DataError):
             forward_backward(doc, enc, head, np.zeros(6), np.zeros(6, dtype=np.uint8),
                              LossConfig())
+
+    def test_accumulator_equals_ordered_sum_of_fresh_calls(self):
+        """grads= adds into the buffer in call order, bit for bit."""
+        rng, enc, head, _ = self._setup(seed=7, n_layers=2)
+        docs = [chunk([3, 4, 5, 3, 9, 4, 3], 4, 2), chunk([4, 4, 9, 11, 3], 4, 2),
+                chunk([9, 3, 12, 4, 4, 4, 7, 3], 4, 2)]
+        masks = [np.array([1, 1, 0, 1, 0, 0], dtype=np.uint8),
+                 np.array([0, 1, 1, 1, 0, 1], dtype=np.uint8), None]
+        golds = [np.array([1, 0, 0, 1, 0, 0.0]), np.array([0, 0, 1, 0, 0, 1.0]),
+                 np.array([0, 1, 0, 0, 1, 0.0])]
+        buf = zero_grads(enc, head)
+        expected = None
+        for i, (doc, mask, gold) in enumerate(zip(docs, masks, golds)):
+            _, g = forward_backward(doc, enc, head, gold, mask, LossConfig(),
+                                    dropout=0.1, rng=derive_rng(70, i))
+            expected = g if expected is None else {n: expected[n] + g[n] for n in g}
+            _, out = forward_backward(doc, enc, head, gold, mask, LossConfig(),
+                                      dropout=0.1, rng=derive_rng(70, i), grads=buf)
+            assert out is buf
+        assert list(buf) == list(expected)
+        for name in expected:
+            assert buf[name].tobytes() == expected[name].tobytes(), name
 
     def test_dropout_deterministic_per_rng(self):
         rng, enc, head, doc = self._setup(seed=6)

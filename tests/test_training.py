@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xrlat.code_tree import LabelMatrix, parse_hierarchy
+from xrlat.hyperbolic import PoincareEmbeddings, flatten_tree
 from xrlat.losses import LossConfig, asl_loss, bce_loss, loss_and_grad
 from xrlat.network import CorrectionLayer, init_encoder, init_head
 from xrlat.textproc import build_vocab, clean_text, synth_corpus
@@ -327,9 +328,9 @@ class TestTrainingLoops:
     def test_xr_lat_hyperc_uses_embeddings(self, demo_tree, tiny_setup):
         data, cfg0 = tiny_setup
         cfg = TrainConfig(**{**cfg0.__dict__, "bootstrap": "hyperc", "max_steps": 5})
-        rng = derive_rng(31)
-        embeddings = {k: rng.normal(0, 0.1, size=(demo_tree.nodes_per_level[k - 1], 6))
-                      for k in range(1, 5)}
+        flat = flatten_tree(demo_tree)
+        vectors = derive_rng(31).normal(0, 0.1, size=(len(flat.names), 6))
+        embeddings = PoincareEmbeddings(flat.names, flat.level_slices, vectors)
         models, _ = train_xr_lat(data, demo_tree, cfg, embeddings=embeddings)
         assert all(m.corr is not None for m in models[1:])
         assert models[0].corr is None

@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 
 from xrlat.textproc import build_vocab, clean_text, synth_corpus
-from xrlat.training import TrainConfig, prepare_dataset, train_flat
-from xrlat.util import (
-    ConfigError,
-    NumericsError,
-    atomic_write_text,
-    derive_rng,
-    stable_seed,
-    thread_count,
-)
+from xrlat.training import TrainConfig, prepare_dataset
+from xrlat.util import NumericsError, atomic_write_text, derive_rng, stable_seed
 
 
 class TestSeeds:
@@ -29,24 +22,6 @@ class TestSeeds:
         assert np.array_equal(a, b)
 
 
-class TestThreadCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("XRLAT_THREADS", raising=False)
-        assert thread_count() == 1
-
-    def test_env_parsed(self, monkeypatch):
-        monkeypatch.setenv("XRLAT_THREADS", "3")
-        assert thread_count() == 3
-
-    def test_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv("XRLAT_THREADS", "zero")
-        with pytest.raises(ConfigError):
-            thread_count()
-        monkeypatch.setenv("XRLAT_THREADS", "0")
-        with pytest.raises(ConfigError):
-            thread_count()
-
-
 class TestAtomicWrite:
     def test_write_and_replace(self, tmp_path):
         path = str(tmp_path / "f.txt")
@@ -54,23 +29,6 @@ class TestAtomicWrite:
         atomic_write_text(path, "two")
         assert open(path).read() == "two"
         assert [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")] == []
-
-
-class TestThreadedTraining:
-    def test_thread_count_does_not_change_results(self, demo_tree, monkeypatch):
-        docs, _ = synth_corpus(demo_tree, 32, codes_per_doc_mean=2.0, doc_len=24, seed=19)
-        vocab = build_vocab((clean_text(d.text) for d in docs), 1)
-        cfg = TrainConfig(max_steps=12, learning_rate=1e-3, c=6, s=4, hidden_size=8,
-                          n_layers=1, batch_size=8, seed=5, log_interval=100)
-        data = prepare_dataset(docs, vocab, demo_tree, cfg.c, cfg.s)
-
-        monkeypatch.setenv("XRLAT_THREADS", "1")
-        m1, h1 = train_flat(data, demo_tree, cfg)
-        monkeypatch.setenv("XRLAT_THREADS", "4")
-        m4, h4 = train_flat(data, demo_tree, cfg)
-        assert h1 == h4
-        for (na, a), (nb, b) in zip(m1.tensors(), m4.tensors()):
-            assert na == nb and a.tobytes() == b.tobytes()
 
 
 class TestNumericsErrors:
