@@ -18,7 +18,7 @@ from .code_tree import (
     tree_stats,
 )
 from .hyperbolic import PoincareEmbeddings, poincare_distance, train_poincare
-from .losses import LossConfig, asl_loss, bce_loss
+from .losses import LossConfig
 from .metrics import (
     MetricsReport,
     PredictionSet,
@@ -39,7 +39,6 @@ from .network import (
 )
 from .textproc import (
     ChunkedDocument,
-    Document,
     Vocabulary,
     build_vocab,
     chunk,
@@ -70,7 +69,6 @@ __all__ = [
     "ChunkedDocument",
     "CodeTree",
     "CorrectionLayer",
-    "Document",
     "EncoderParams",
     "GradcheckConfig",
     "HeadParams",
@@ -83,9 +81,7 @@ __all__ = [
     "PredictionSet",
     "TrainConfig",
     "Vocabulary",
-    "asl_loss",
     "auc",
-    "bce_loss",
     "bootstrap_equal",
     "bootstrap_hyperc",
     "build_tree",

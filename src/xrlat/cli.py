@@ -293,12 +293,11 @@ def _cmd_eval(args) -> int:
         atomic_write_text(os.path.join(args.out, "metrics.txt"), text)
         if args.topk > 0:
             leaf_names = tree.level(4).names
-            idx = np.arange(n_labels)
-            lines = []
-            for i, doc_id in enumerate(doc_ids):
-                top = np.lexsort((idx, -scores[i]))[: args.topk]
-                entry = ";".join(f"{leaf_names[j]}:{scores[i, j]:.4f}" for j in top)
-                lines.append(f"{doc_id}\t{entry}")
+            top = metrics.top_codes(scores, args.topk)
+            lines = [
+                doc_id + "\t" + ";".join(f"{leaf_names[j]}:{scores[i, j]:.4f}" for j in top[i])
+                for i, doc_id in enumerate(doc_ids)
+            ]
             atomic_write_text(os.path.join(args.out, "topk.txt"), "\n".join(lines) + "\n")
     return 0
 

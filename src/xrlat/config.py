@@ -62,8 +62,7 @@ class RunConfig:
 def _known_keys() -> dict:
     keys = {key: str for key in _PATH_KEYS}
     for f in fields(TrainConfig):
-        keys[f.name] = f.type if isinstance(f.type, type) else {"int": int, "float": float,
-                                                                "bool": bool, "str": str}[f.type]
+        keys[f.name] = {"int": int, "float": float, "bool": bool, "str": str}[f.type]
     return keys
 
 

@@ -32,41 +32,13 @@ class LossConfig:
             raise DataError("margin must be in [0, 1)")
 
 
-def _select(p, y, mask):
-    p = np.asarray(p, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if mask is not None:
-        keep = np.asarray(mask).astype(bool)
-        if not keep.any():
-            raise DataError("no unmasked labels to compute a loss over")
-        p, y = p[keep], y[keep]
-    elif p.size == 0:
-        raise DataError("no unmasked labels to compute a loss over")
-    return p, y
-
-
-def bce_loss(p, y, mask=None) -> float:
-    """Mean binary cross-entropy over unmasked labels; p clamped at 1e-12."""
-    p, y = _select(p, y, mask)
-    pc = np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
-    return float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log1p(-pc)))
-
-
-def asl_loss(p, y, mask=None, gamma_pos=1.0, gamma_neg=4.0, margin=0.05) -> float:
-    """Mean asymmetric loss over unmasked labels.
+def _asl_terms(p, y, cfg: LossConfig):
+    """(mean loss, d mean loss / dp) for ASL on already-selected labels.
 
     Positive term (1-p)^g+ * log p; negative term uses the margin-shifted
     probability p_m = max(p - margin, 0): p_m^g- * log(1 - p_m). The
     convention 0^0 = 1 makes (g+=0, g-=0, margin=0) coincide with BCE.
     """
-    cfg = LossConfig("asl", gamma_pos, gamma_neg, margin)
-    p, y = _select(p, y, mask)
-    loss, _ = _asl_terms(p, y, cfg)
-    return float(loss)
-
-
-def _asl_terms(p, y, cfg: LossConfig):
-    """(mean loss, d mean loss / dp) for ASL on already-selected labels."""
     pc = np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
     n = p.size
     gp, gn, m = cfg.gamma_pos, cfg.gamma_neg, cfg.margin

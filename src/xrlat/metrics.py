@@ -44,16 +44,9 @@ def auc(scores, labels) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC is undefined for single-class labels")
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    ranks = np.empty(scores.size, dtype=np.float64)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
+    # 1-based average rank of each tie group: its last rank minus half its width
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
     rank_sum = ranks[labels].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -95,17 +88,21 @@ def macro_micro_auc(pred: PredictionSet):
     the AUC of all N*L cells flattened. Raises if nothing is evaluable.
     """
     n, l = pred.scores.shape
-    values = []
-    skipped = 0
-    for j in range(l):
-        try:
-            values.append(auc(pred.scores[:, j], pred.gold[:, j]))
-        except DataError:
-            skipped += 1
-    if not values:
+    n_pos = pred.gold.astype(bool).sum(axis=0)
+    evaluable = np.flatnonzero((n_pos > 0) & (n_pos < n))
+    if evaluable.size == 0:
         raise DataError("macro AUC: no code has both classes present")
+    values = [auc(pred.scores[:, j], pred.gold[:, j]) for j in evaluable]
     micro = auc(pred.scores.reshape(-1), pred.gold.reshape(-1))
-    return float(np.mean(values)), micro, skipped
+    return float(np.mean(values)), micro, l - evaluable.size
+
+
+def top_codes(scores, k: int) -> np.ndarray:
+    """Indices of the k highest scores along the last axis, highest first.
+
+    Ties go to the lower code index (a stable sort of the negated scores).
+    """
+    return np.argsort(-np.asarray(scores), axis=-1, kind="stable")[..., :k]
 
 
 def precision_at_k(pred: PredictionSet, k: int) -> float:
@@ -115,11 +112,7 @@ def precision_at_k(pred: PredictionSet, k: int) -> float:
         raise DataError(f"k must be >= 1, got {k}")
     if k > l:
         raise DataError(f"k={k} exceeds the number of codes {l}")
-    hits = 0
-    idx = np.arange(l)
-    for i in range(n):
-        top = np.lexsort((idx, -pred.scores[i]))[:k]
-        hits += int(pred.gold[i, top].sum())
+    hits = int(np.take_along_axis(pred.gold, top_codes(pred.scores, k), axis=1).sum())
     # integer accumulation, single division: the exact rational value rounded once
     return hits / (n * k) if n else 0.0
 

@@ -11,7 +11,7 @@ import io
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,13 +120,6 @@ def build_vocab(texts, min_frequency: int = 1) -> Vocabulary:
 def tokenize(text: str, vocab: Vocabulary) -> np.ndarray:
     """Token ids for a cleaned text; out-of-vocabulary words map to UNK, never PAD."""
     return np.array([vocab.id_for(w) for w in words(text)], dtype=np.int64)
-
-
-@dataclass
-class Document:
-    doc_id: str
-    token_ids: np.ndarray
-    gold_codes: np.ndarray  # sorted leaf-code indices
 
 
 @dataclass
@@ -256,10 +249,12 @@ def write_dataset(path: str, docs, tree: CodeTree) -> None:
 def read_dataset(path: str, tree: CodeTree) -> list[RawDocument]:
     """Parse a dataset file, resolving code names through the tree's leaves.
 
-    Every document must carry at least one known leaf code.
+    Every document must carry at least one known leaf code and a doc_id that
+    no earlier line used.
     """
     leaf_of = tree.leaf_index()
     docs = []
+    seen = set()
     with io.open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -271,6 +266,9 @@ def read_dataset(path: str, tree: CodeTree) -> list[RawDocument]:
                     f"{path}:{lineno}: expected 'doc_id<TAB>codes<TAB>text', got {len(parts)} fields"
                 )
             doc_id, codes_field, text = parts
+            if doc_id in seen:
+                raise ParseError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
+            seen.add(doc_id)
             names = [c for c in codes_field.split(";") if c]
             if not names:
                 raise DataError(f"{path}:{lineno}: document {doc_id!r} has no codes")

@@ -9,6 +9,7 @@ that are gold or predicted positive (dynamic negative sampling).
 
 from __future__ import annotations
 
+import copy
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -144,16 +145,6 @@ def init_level_model(vocab_size: int, level: int, n_labels: int, cfg: TrainConfi
 # bootstrapping
 
 
-def _copy_encoder(enc: EncoderParams) -> EncoderParams:
-    from .network import BlockParams
-
-    blocks = [
-        BlockParams(**{f: getattr(b, f).copy() for f in BlockParams.FIELDS})
-        for b in enc.blocks
-    ]
-    return EncoderParams(enc.emb.copy(), enc.pos.copy(), blocks)
-
-
 def bootstrap_equal(parent: LevelModel, T: IndexingMatrix) -> LevelModel:
     """Child init: encoder copied verbatim, head rows gathered from each parent row."""
     if T.n_cols != parent.n_labels:
@@ -167,7 +158,7 @@ def bootstrap_equal(parent: LevelModel, T: IndexingMatrix) -> LevelModel:
         W_cl=parent.head.W_cl[idx].copy(),
         b_cl=parent.head.b_cl[idx].copy(),
     )
-    return LevelModel(_copy_encoder(parent.enc), head, parent.level + 1, "bootstrap-equal")
+    return LevelModel(copy.deepcopy(parent.enc), head, parent.level + 1, "bootstrap-equal")
 
 
 def bootstrap_hyperc(parent: LevelModel, T: IndexingMatrix, E_child: np.ndarray,

@@ -243,20 +243,53 @@ class TestEvalCommand:
             if name != "macro_auc_skipped":
                 assert value == "1.0000", line
 
-    def _eval_scores(self, tmp_path, demo_tree_path, score_lines):
-        """Evaluate a two-document dataset against the given score lines."""
+    def _eval_scores(self, tmp_path, demo_tree_path, score_lines, *extra,
+                     doc_ids=("doc0", "doc1")):
+        """Evaluate a dataset (one document per id) against the given score lines."""
         from xrlat.code_tree import build_tree
 
         leaves = build_tree(demo_tree_path).level(4).names
         ds = str(tmp_path / "two.tsv")
         with open(ds, "w") as fh:
             fh.write("# xrlat-dataset v1\n")
-            fh.write(f"doc0\t{leaves[0]}\tfiller text\ndoc1\t{leaves[1]}\tfiller text\n")
+            fh.writelines(f"{d}\t{leaves[i]}\tfiller text\n" for i, d in enumerate(doc_ids))
         scores_path = str(tmp_path / "scores.tsv")
         with open(scores_path, "w") as fh:
             fh.write("# xrlat-scores v1\n" + "".join(line + "\n" for line in score_lines))
         return main(["eval", "--scores", scores_path, "--tree", demo_tree_path,
-                     "--dataset", ds])
+                     "--dataset", ds, *extra])
+
+    def test_duplicate_dataset_doc_id_rejected(self, tmp_path, demo_tree_path, capsys):
+        row = " ".join(["0.5"] * 81)
+        rc = self._eval_scores(tmp_path, demo_tree_path, [f"doc0\t{row}", f"doc1\t{row}"],
+                               doc_ids=("doc0", "doc1", "doc0"))
+        assert rc == 1
+        assert "two.tsv:4: duplicate doc_id 'doc0'" in capsys.readouterr().err
+
+    def test_topk_ties_toward_lower_code_index(self, tmp_path, demo_tree_path):
+        from xrlat.code_tree import build_tree
+        from xrlat.metrics import PredictionSet, precision_at_k, top_codes
+
+        leaves = build_tree(demo_tree_path).level(4).names
+        scores = np.full((2, 81), 0.5)
+        scores[0, 7] = 0.9  # one clear winner, then ties among all the rest
+        scores[1, :] = 0.1
+        scores[1, [60, 5, 3, 2]] = 0.8  # four tied winners for three slots
+        lines = [f"doc{i}\t" + " ".join(f"{v:.1f}" for v in row) for i, row in enumerate(scores)]
+        out = str(tmp_path / "ev")
+        assert self._eval_scores(tmp_path, demo_tree_path, lines,
+                                 "--out", out, "--topk", "3") == 0
+        topk = open(os.path.join(out, "topk.txt")).read().splitlines()
+        assert topk == [
+            f"doc0\t{leaves[7]}:0.9000;{leaves[0]}:0.5000;{leaves[1]}:0.5000",
+            f"doc1\t{leaves[2]}:0.8000;{leaves[3]}:0.8000;{leaves[5]}:0.8000",
+        ]
+        listed = [[leaves.index(e.split(":")[0]) for e in line.split("\t")[1].split(";")]
+                  for line in topk]
+        assert listed == top_codes(scores, 3).tolist()
+        gold = np.zeros((2, 81), dtype=int)
+        np.put_along_axis(gold, np.array(listed), 1, axis=1)
+        assert precision_at_k(PredictionSet(scores, gold), 3) == 1.0
 
     def test_duplicate_score_doc_id_rejected(self, tmp_path, demo_tree_path, capsys):
         row = " ".join(["0.5"] * 81)
@@ -300,7 +333,7 @@ class TestGradcheckCommand:
     def test_corrupted_fails(self):
         assert main(["gradcheck", "--layers", "0", "--corrupt", "W_cl"]) == 1
 
-    def test_asl_loss_passes(self):
+    def test_asl_gradcheck_passes(self):
         assert main(["gradcheck", "--layers", "1", "--loss", "asl", "--seed", "2",
                      "--max-coords", "600"]) == 0
 

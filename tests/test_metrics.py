@@ -106,11 +106,26 @@ class TestAuc:
 
 class TestMacroMicroAuc:
     def test_single_evaluable_code(self):
-        scores = np.array([[0.9, 0.5], [0.1, 0.5]])
-        gold = np.array([[1, 1], [0, 1]])  # second code single-class -> skipped
+        scores = np.array([[0.9, 0.5, 0.2], [0.1, 0.5, 0.7]])
+        gold = np.array([[1, 1, 0], [0, 1, 0]])  # all-positive and all-negative codes skipped
         macro, micro, skipped = macro_micro_auc(PredictionSet(scores, gold))
         assert macro == auc(scores[:, 0], gold[:, 0])
-        assert skipped == 1
+        assert skipped == 2
+
+    def test_skips_and_macro_match_per_code_oracle(self):
+        rng = derive_rng(9)
+        for _ in range(40):
+            n, l = int(rng.integers(2, 12)), int(rng.integers(2, 10))
+            scores = np.round(rng.random((n, l)), 1)
+            gold = (rng.random((n, l)) < 0.4).astype(int)
+            gold[:, rng.random(l) < 0.25] = 1
+            gold[:, rng.random(l) < 0.25] = 0
+            gold[0, 0], gold[1, 0] = 1, 0  # keep one code evaluable
+            values = [brute_force_auc(scores[:, j], gold[:, j])
+                      for j in range(l) if 0 < gold[:, j].sum() < n]
+            macro, _, skipped = macro_micro_auc(PredictionSet(scores, gold))
+            assert skipped == l - len(values)
+            assert macro == pytest.approx(np.mean(values), abs=1e-9)
 
     def test_constant_scores_give_half(self):
         gold = np.array([[1, 0], [0, 1]])
