@@ -32,7 +32,6 @@ from .metrics import (
 from .network import (
     CorrectionLayer,
     EncoderParams,
-    GradcheckConfig,
     HeadParams,
     forward_backward,
     gradcheck,
@@ -70,7 +69,6 @@ __all__ = [
     "CodeTree",
     "CorrectionLayer",
     "EncoderParams",
-    "GradcheckConfig",
     "HeadParams",
     "IndexingMatrix",
     "LabelMatrix",

@@ -125,14 +125,41 @@ def save_model(path: str, model, cfg, vocab_size: int) -> None:
     write_container(path, metadata, dict(model.tensors()))
 
 
+# metadata every model checkpoint carries (save_model writes it), with its parser
+MODEL_KEYS = {"level": int, "n_layers": int, "vocab_size": int, "c": int, "s": int,
+              "negative_sampling": lambda raw: bool(int(raw)), "binary_threshold": float}
+
+
+def model_settings(path: str, metadata: dict) -> dict:
+    """The MODEL_KEYS values of a model checkpoint, parsed.
+
+    Raises ParseError naming the first key that is missing or malformed.
+    """
+    settings = {}
+    for key, parse in MODEL_KEYS.items():
+        if key not in metadata:
+            raise ParseError(f"{path}: metadata key {key!r} is missing")
+        try:
+            settings[key] = parse(metadata[key])
+        except ValueError:
+            raise ParseError(
+                f"{path}: metadata key {key!r} has a malformed value {metadata[key]!r}"
+            ) from None
+    return settings
+
+
 def load_model(path: str):
-    """Rebuild a LevelModel; returns (model, metadata)."""
+    """Rebuild a LevelModel; returns (model, metadata) with the stored strings.
+
+    Raises ParseError for a missing or malformed MODEL_KEYS entry or tensor.
+    """
     from .training import LevelModel
 
     metadata, tensors = read_container(path)
     if metadata.get("kind") != "level-model":
         raise ParseError(f"{path}: container does not hold a model")
-    n_layers = int(metadata["n_layers"])
+    settings = model_settings(path, metadata)
+    n_layers = settings["n_layers"]
     try:
         blocks = []
         for i in range(n_layers):
@@ -151,11 +178,14 @@ def load_model(path: str):
         if corr_inputs is None:
             raise ParseError(f"{path}: correction layer present but corr.E missing")
     model = LevelModel(
-        enc, head, int(metadata["level"]), metadata.get("provenance", "random"),
+        enc, head, settings["level"], metadata.get("provenance", "random"),
         corr=corr, corr_inputs=corr_inputs,
     )
-    if enc.vocab_size != int(metadata["vocab_size"]):
+    if enc.vocab_size != settings["vocab_size"]:
         raise ParseError(f"{path}: embedding rows disagree with vocab_size metadata")
+    unused = sorted(set(tensors) - {name for name, _ in model.tensors()})
+    if unused:
+        raise ParseError(f"{path}: tensors {unused} unused by a model with n_layers={n_layers}")
     return model, metadata
 
 

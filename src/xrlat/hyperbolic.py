@@ -5,7 +5,7 @@ unit ball. Training minimizes, for each parent-child edge, the softmax
 ranking loss of the edge distance against the distances to uniformly sampled
 non-neighbor nodes. The Riemannian gradient is the Euclidean gradient scaled
 by ((1 - |theta|^2)^2) / 4, and rows are projected back inside radius
-1 - ball_eps after every update.
+1 - BALL_EPS after every update.
 """
 
 from __future__ import annotations
@@ -104,9 +104,9 @@ def _init_vectors(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     return direction * radius[:, np.newaxis]
 
 
-def _project_row(vectors: np.ndarray, idx: int, ball_eps: float) -> None:
+def _project_row(vectors: np.ndarray, idx: int) -> None:
     norm = np.linalg.norm(vectors[idx])
-    limit = 1.0 - ball_eps
+    limit = 1.0 - BALL_EPS
     if norm >= limit:
         # shave a hair below the limit so rounding cannot push the norm back over it
         vectors[idx] *= limit * (1.0 - 1e-12) / norm
@@ -192,8 +192,7 @@ def _sample_negatives(rng, n_nodes: int, forbidden: set, k: int) -> np.ndarray:
 
 
 def train_poincare(tree: CodeTree, dim: int = 50, epochs: int = 50, lr: float = 0.1,
-                   n_negatives: int = 10, seed: int = 0,
-                   ball_eps: float = BALL_EPS) -> PoincareEmbeddings:
+                   n_negatives: int = 10, seed: int = 0) -> PoincareEmbeddings:
     """Embed every tree node in the Poincare ball; deterministic per seed.
 
     The first 10 epochs run at lr/10 (burn-in). epochs=0 returns the seeded
@@ -205,6 +204,8 @@ def train_poincare(tree: CodeTree, dim: int = 50, epochs: int = 50, lr: float = 
         raise DataError(f"learning rate must be positive, got {lr}")
     if epochs < 0:
         raise DataError(f"epochs must be >= 0, got {epochs}")
+    if n_negatives < 1:
+        raise DataError(f"n_negatives must be >= 1, got {n_negatives}")
     flat = flatten_tree(tree)
     n = len(flat.names)
     rng = derive_rng(seed, "poincare")
@@ -212,7 +213,7 @@ def train_poincare(tree: CodeTree, dim: int = 50, epochs: int = 50, lr: float = 
     edges = edge_set(tree)
     forbidden = [flat.adjacency[i] | {i} for i in range(n)]
 
-    result = PoincareEmbeddings(flat.names, flat.level_slices, vectors, ball_eps)
+    result = PoincareEmbeddings(flat.names, flat.level_slices, vectors)
     for epoch in range(epochs):
         cur_lr = lr / 10.0 if epoch < BURN_IN_EPOCHS else lr
         for e in rng.permutation(len(edges)):
@@ -222,7 +223,7 @@ def train_poincare(tree: CodeTree, dim: int = 50, epochs: int = 50, lr: float = 
             for idx, g in grads.items():
                 scale = (1.0 - vectors[idx] @ vectors[idx]) ** 2 / 4.0
                 vectors[idx] -= cur_lr * scale * g
-                _project_row(vectors, idx, ball_eps)
+                _project_row(vectors, idx)
         result.epoch_max_norms.append(float(np.linalg.norm(vectors, axis=1).max()))
-        assert result.epoch_max_norms[-1] <= 1.0 - ball_eps, "ball invariant violated"
+        assert result.epoch_max_norms[-1] <= 1.0 - BALL_EPS, "ball invariant violated"
     return result

@@ -21,7 +21,6 @@ class LossConfig:
     gamma_pos: float = 1.0
     gamma_neg: float = 4.0
     margin: float = 0.05
-    weight: float = 1.0  # scalar multiplier on the per-instance mean loss
 
     def __post_init__(self):
         if self.kind not in ("bce", "asl"):
@@ -87,13 +86,11 @@ def loss_and_grad(p_active: np.ndarray, y_active: np.ndarray, cfg: LossConfig):
     """Loss value and exact gradient w.r.t. the active probabilities.
 
     Operates on the already-unmasked label subset; the mean runs over that
-    subset and the whole expression scales by ``cfg.weight``.
+    subset.
     """
     if p_active.size == 0:
         raise DataError("no unmasked labels to compute a loss over")
     y_active = np.asarray(y_active, dtype=np.float64)
     if cfg.kind == "bce":
-        loss, dp = _bce_terms(p_active, y_active)
-    else:
-        loss, dp = _asl_terms(p_active, y_active, cfg)
-    return cfg.weight * loss, cfg.weight * dp
+        return _bce_terms(p_active, y_active)
+    return _asl_terms(p_active, y_active, cfg)

@@ -203,6 +203,12 @@ def synth_corpus(
     uniform positions; all other positions hold filler tokens. Deterministic
     for a given seed.
     """
+    if n_docs < 0:
+        raise ConfigError(f"n_docs must be >= 0, got {n_docs}")
+    if not (np.isfinite(codes_per_doc_mean) and codes_per_doc_mean >= 0.0):
+        raise ConfigError(
+            f"codes_per_doc_mean must be a finite number >= 0, got {codes_per_doc_mean}"
+        )
     if not 0.0 <= trigger_prob <= 1.0:
         raise ConfigError(f"trigger_prob must be in [0, 1], got {trigger_prob}")
     if filler_vocab < 1 or doc_len < 1:

@@ -38,6 +38,7 @@ from .util import ConfigError, DataError, NumericsError, derive_rng, keep_freed_
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+CLIP_NORM = 1.0  # global L2 bound on each step's averaged gradient
 
 BOOTSTRAP_MODES = ("none", "equal", "hyperc")
 
@@ -48,14 +49,12 @@ class TrainConfig:
     learning_rate: float = 5e-5
     weight_decay: float = 0.1
     dropout: float = 0.1
-    warmup_steps: int = -1  # -1: 5% of max_steps
     max_steps: int = 1000
     seed: int = 2022
     loss: str = "bce"
     asl_gamma_pos: float = 1.0
     asl_gamma_neg: float = 4.0
     asl_margin: float = 0.05
-    loss_weight: float = 1.0
     bootstrap: str = "equal"
     negative_sampling: bool = True
     c: int = 16
@@ -66,7 +65,6 @@ class TrainConfig:
     n_layers: int = 1
     min_frequency: int = 1
     log_interval: int = 50
-    clip_norm: float = 1.0  # 0 disables clipping
 
     def __post_init__(self):
         if self.loss not in ("bce", "asl"):
@@ -81,15 +79,11 @@ class TrainConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.batch_size < 1 or self.max_steps < 0:
             raise ConfigError("batch_size must be >= 1 and max_steps >= 0")
-        if self.warmup_steps > self.max_steps:
-            raise ConfigError("warmup_steps must not exceed max_steps")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 
     @property
     def warmup(self) -> int:
-        if self.warmup_steps >= 0:
-            return self.warmup_steps
         return round(0.05 * self.max_steps)
 
     def loss_config(self) -> LossConfig:
@@ -98,7 +92,6 @@ class TrainConfig:
             gamma_pos=self.asl_gamma_pos,
             gamma_neg=self.asl_gamma_neg,
             margin=self.asl_margin,
-            weight=self.loss_weight,
         )
 
 
@@ -259,7 +252,7 @@ def lr_at(step: int, peak: float, warmup: int, max_steps: int) -> float:
 def clip_gradients(grads: dict, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm; returns the norm."""
     total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if max_norm > 0 and total > max_norm:
+    if total > max_norm:
         factor = max_norm / total
         for g in grads.values():
             g *= factor
@@ -356,7 +349,7 @@ def _train_level(docs, label_rows, n_labels: int, masks, model: LevelModel,
             inv = 1.0 / len(batch)
             for g in grads.values():
                 g *= inv
-            clip_gradients(grads, cfg.clip_norm)
+            clip_gradients(grads, CLIP_NORM)
             lr = lr_at(step, cfg.learning_rate, warmup, cfg.max_steps)
             opt.step(model, grads, lr)
             history.append((step, lr, batch_loss))

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from xrlat import network
 from xrlat.code_tree import build_tree, parse_hierarchy
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -44,3 +45,16 @@ def random_tree(rng, max_per_level=(4, 8, 16, 32)):
         a = parents[1][b]
         lines.append(f"{names[0][a]}/{names[1][b]}/{names[2][c]}/{names[3][i]}")
     return parse_hierarchy(lines)
+
+
+def corrupt_head_dW_cl(monkeypatch):
+    """Make network._head_bwd return dW_cl with 1.0 added at row 0, column 0."""
+    head_bwd = network._head_bwd
+
+    def corrupted(*args):
+        dW_la, dW_cl, db_cl, dHr = head_bwd(*args)
+        dW_cl = dW_cl.copy()
+        dW_cl[0, 0] += 1.0
+        return dW_la, dW_cl, db_cl, dHr
+
+    monkeypatch.setattr(network, "_head_bwd", corrupted)

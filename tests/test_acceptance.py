@@ -25,7 +25,7 @@ from xrlat.metrics import (
     micro_f1,
     precision_at_k,
 )
-from xrlat.network import CorrectionLayer, GradcheckConfig, gradcheck, init_encoder, init_head
+from xrlat.network import CorrectionLayer, gradcheck, init_encoder, init_head
 from xrlat.textproc import build_vocab, clean_text, synth_corpus
 from xrlat.training import (
     LevelModel,
@@ -63,12 +63,8 @@ def test_criterion_1_gradient_correctness(n_layers, loss_kind):
         if loss_kind == "bce"
         else LossConfig(kind="asl", gamma_pos=1.0, gamma_neg=2.0, margin=0.0)
     )
-    cfg = GradcheckConfig(
-        n_layers=n_layers, hidden=8, vocab_size=50, c=8, s=2, n_labels=20,
-        loss=loss, epsilon=1e-4,
-    )
     started = time.time()
-    rep = gradcheck(cfg, seed=2022)
+    rep = gradcheck(n_layers=n_layers, loss=loss, seed=2022)
     elapsed = time.time() - started
     report(
         1,

@@ -98,6 +98,18 @@ class TestModelCheckpoint:
         with pytest.raises(ParseError, match="blk1.ff1"):
             load_model(path)
 
+    @pytest.mark.parametrize("n_layers", ["1", "0", "-1"])
+    def test_blocks_beyond_n_layers_rejected(self, tmp_path, n_layers):
+        model = self._model(n_layers=2)
+        cfg = TrainConfig(c=4, s=2, hidden_size=8, n_layers=2, seed=5)
+        path = str(tmp_path / "m.ckpt")
+        save_model(path, model, cfg, vocab_size=20)
+        meta, tensors = read_container(path)
+        meta["n_layers"] = n_layers
+        write_container(path, meta, tensors)
+        with pytest.raises(ParseError, match="blk1.ff1"):
+            load_model(path)
+
     def test_wrong_kind_rejected(self, tmp_path):
         path = str(tmp_path / "w.ckpt")
         write_container(path, {"kind": "poincare"}, {"E1": np.zeros((2, 2))})

@@ -8,6 +8,8 @@ from xrlat.cli import main
 from xrlat.config import resolve_config
 from xrlat.util import ConfigError
 
+from conftest import corrupt_head_dW_cl
+
 
 def sha(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
@@ -75,6 +77,15 @@ class TestDataCommand:
                      "--n-docs", "0"]) == 0
         assert open(out).read().startswith("#")
 
+    @pytest.mark.parametrize("flag,value", [("--n-docs", "-3"),
+                                            ("--codes-per-doc-mean", "-1")])
+    def test_synth_bad_count_exit_1(self, tmp_path, demo_tree_path, capsys, flag, value):
+        out = str(tmp_path / "bad.tsv")
+        args = ["data", "synth", "--tree", demo_tree_path, "--out", out, "--n-docs", "5"]
+        assert main(args + [flag, value]) == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_clean_removes_surrogates(self, tmp_path):
         src = tmp_path / "raw.txt"
         src.write_text("seen on [**2151-7-16**] at [**Hospital 1807**]\nab==cd\n")
@@ -98,6 +109,13 @@ class TestEmbedCommand:
                          "--dim", "6", "--epochs", "2", "--seed", "5"]) == 0
             outs.append(os.path.join(out, "embeddings.ckpt"))
         assert sha(outs[0]) == sha(outs[1])
+
+    def test_negative_negatives_exit_1(self, tmp_path, demo_tree_path, capsys):
+        out = str(tmp_path / "e")
+        assert main(["embed", "--tree", demo_tree_path, "--out", out, "--dim", "4",
+                     "--epochs", "1", "--negatives", "-1"]) == 1
+        assert "n_negatives" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_epochs_zero_init_only(self, tmp_path, demo_tree_path):
         out = str(tmp_path / "e0")
@@ -313,6 +331,29 @@ class TestEvalCommand:
         assert rc == 1
         assert "scores.tsv:2: scores must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("level", None), ("n_layers", None), ("vocab_size", None), ("c", None), ("s", None),
+        ("negative_sampling", None), ("binary_threshold", None),
+        ("binary_threshold", "abc"), ("n_layers", "one"), ("negative_sampling", "yes"),
+    ])
+    def test_bad_checkpoint_metadata_exit_1(self, tmp_path, demo_tree_path, small_dataset,
+                                            capsys, key, value):
+        from xrlat.checkpoint import read_container, write_container
+
+        run = self._trained_run(tmp_path, demo_tree_path, small_dataset, max_steps=1)
+        path = os.path.join(run, "flat.ckpt")
+        meta, tensors = read_container(path)
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        write_container(path, meta, tensors)
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", path, "--tree", demo_tree_path,
+                     "--dataset", small_dataset,
+                     "--vocab", os.path.join(run, "vocab.txt")]) == 1
+        assert f"flat.ckpt: metadata key '{key}'" in capsys.readouterr().err
+
     def test_vocab_mismatch_rejected(self, tmp_path, demo_tree_path, small_dataset):
         run = self._trained_run(tmp_path, demo_tree_path, small_dataset)
         bad_vocab = str(tmp_path / "bad_vocab.txt")
@@ -330,12 +371,19 @@ class TestGradcheckCommand:
         assert "max relative error" in out
         assert "worst_coord" in out
 
-    def test_corrupted_fails(self):
-        assert main(["gradcheck", "--layers", "0", "--corrupt", "W_cl"]) == 1
+    def test_corrupted_fails(self, monkeypatch, capsys):
+        corrupt_head_dW_cl(monkeypatch)
+        assert main(["gradcheck", "--layers", "0"]) == 1
+        assert "(tensor W_cl)" in capsys.readouterr().out
 
     def test_asl_gradcheck_passes(self):
-        assert main(["gradcheck", "--layers", "1", "--loss", "asl", "--seed", "2",
-                     "--max-coords", "600"]) == 0
+        assert main(["gradcheck", "--layers", "1", "--loss", "asl", "--seed", "2"]) == 0
+
+    @pytest.mark.parametrize("flag", ["--hidden", "--vocab-size", "--chunk-len", "--chunks",
+                                      "--labels", "--max-coords", "--corrupt"])
+    def test_removed_flag_exit_1(self, flag, capsys):
+        assert main(["gradcheck", "--layers", "0", flag, "2"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestDeterminism:

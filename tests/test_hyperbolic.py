@@ -79,6 +79,11 @@ class TestTraining:
         with pytest.raises(DataError):
             train_poincare(demo_tree, dim=8, epochs=-1, lr=0.1)
 
+    @pytest.mark.parametrize("n_negatives", [0, -1])
+    def test_bad_negatives(self, demo_tree, n_negatives):
+        with pytest.raises(DataError, match="n_negatives"):
+            train_poincare(demo_tree, dim=4, epochs=1, lr=0.1, n_negatives=n_negatives)
+
     def test_bad_dim_and_lr(self, demo_tree):
         with pytest.raises(DataError):
             train_poincare(demo_tree, dim=1, epochs=1, lr=0.1)

@@ -3,7 +3,7 @@ import pytest
 
 from xrlat.losses import LossConfig
 from xrlat.network import (
-    GradcheckConfig,
+    CorrectionLayer,
     _encode_fwd,
     _head_fwd,
     forward_backward,
@@ -15,6 +15,8 @@ from xrlat.network import (
 )
 from xrlat.textproc import chunk
 from xrlat.util import DataError, derive_rng
+
+from conftest import corrupt_head_dW_cl
 
 
 def make_doc(rng, vocab_size, c, s, t=None):
@@ -178,13 +180,20 @@ class TestForwardBackward:
         loss, grads = forward_backward(doc, enc, head, p.copy(), None, LossConfig())
         assert np.allclose(grads["b_cl"], 0.0, atol=1e-15)
 
-    def test_loss_weight_scales_gradients(self):
-        rng, enc, head, doc = self._setup(seed=3)
+    def test_no_mask_equals_all_ones_mask(self):
+        """Unmasked calls (views of every head row) match an all-ones mask bit for bit."""
+        rng, enc, head, doc = self._setup(seed=8, n_layers=2)
         gold = (rng.random(6) < 0.5).astype(float)
-        _, g1 = forward_backward(doc, enc, head, gold, None, LossConfig(weight=1.0))
-        _, g2 = forward_backward(doc, enc, head, gold, None, LossConfig(weight=2.0))
+        ones = np.ones(6, dtype=np.uint8)
+        kw = dict(corr=CorrectionLayer(rng.normal(size=(3, 8)), rng.normal(size=8)),
+                  corr_inputs=rng.normal(size=(6, 3)))
+        l1, g1 = forward_backward(doc, enc, head, gold, None, LossConfig(), **kw)
+        l2, g2 = forward_backward(doc, enc, head, gold, ones, LossConfig(), **kw)
+        assert l1 == l2
         for name in g1:
-            assert np.allclose(2.0 * g1[name], g2[name], atol=1e-14)
+            assert g1[name].tobytes() == g2[name].tobytes(), name
+        assert (forward_probs(doc, enc, head, None, **kw).tobytes()
+                == forward_probs(doc, enc, head, ones, **kw).tobytes())
 
     def test_masked_rows_have_exact_zero_gradients(self):
         rng, enc, head, doc = self._setup(seed=4)
@@ -245,29 +254,31 @@ class TestForwardBackward:
 class TestGradcheck:
     @pytest.mark.parametrize("n_layers,expect", [(0, 1e-6), (2, 1e-4)])
     def test_within_tolerance(self, n_layers, expect):
-        rep = gradcheck(GradcheckConfig(n_layers=n_layers), seed=1)
+        rep = gradcheck(n_layers, LossConfig(), seed=1)
         assert rep.max_rel_err < expect
 
     def test_deterministic_report(self):
-        a = gradcheck(GradcheckConfig(n_layers=1, max_coords=600), seed=9)
-        b = gradcheck(GradcheckConfig(n_layers=1, max_coords=600), seed=9)
+        a = gradcheck(1, LossConfig(), seed=9)
+        b = gradcheck(1, LossConfig(), seed=9)
         assert a.max_rel_err == b.max_rel_err
         assert a.per_tensor == b.per_tensor
 
     def test_report_has_per_tensor_worst_coordinate(self):
-        rep = gradcheck(GradcheckConfig(n_layers=0), seed=2)
+        rep = gradcheck(0, LossConfig(), seed=2)
         text = rep.to_text()
         for name in ("emb", "pos", "W_la", "W_cl", "b_cl"):
             assert name in rep.per_tensor
             assert name in text
         assert "max relative error" in text
 
-    def test_corruption_hook_is_caught(self):
-        rep = gradcheck(GradcheckConfig(n_layers=0, corrupt_tensor="W_la"), seed=2)
-        assert not rep.ok(1e-4)
-        assert rep.worst_tensor == "W_la"
+    def test_corruption_hook_is_caught(self, monkeypatch):
+        corrupt_head_dW_cl(monkeypatch)
+        rep = gradcheck(0, LossConfig(), seed=2)
+        assert not rep.ok()
+        assert rep.worst_tensor == "W_cl"
+        assert rep.per_tensor["W_cl"][0] == (0, 0)
 
     def test_correction_layer_gradients(self):
-        rep = gradcheck(GradcheckConfig(n_layers=1, with_correction=True), seed=4)
+        rep = gradcheck(1, LossConfig(), with_correction=True, seed=4)
         assert rep.max_rel_err < 1e-4
         assert "corr.W" in rep.per_tensor and "corr.b" in rep.per_tensor

@@ -168,6 +168,15 @@ class TestSynthCorpus:
             synth_corpus(demo_tree, 50, codes_per_doc_mean=30.0, trigger_prob=1.0,
                          doc_len=8, seed=0)
 
+    @pytest.mark.parametrize("kwargs", [dict(n_docs=-3), dict(codes_per_doc_mean=-1.0),
+                                        dict(codes_per_doc_mean=float("nan")),
+                                        dict(codes_per_doc_mean=float("inf"))])
+    def test_bad_counts_rejected(self, demo_tree, kwargs):
+        args = dict(n_docs=5, seed=1)
+        args.update(kwargs)
+        with pytest.raises(ConfigError):
+            synth_corpus(demo_tree, **args)
+
     def test_every_doc_has_a_code(self, demo_tree):
         _, labels = synth_corpus(demo_tree, 50, codes_per_doc_mean=0.01, seed=5)
         assert all(row.size >= 1 for row in labels.rows)

@@ -14,6 +14,7 @@ from xrlat.training import (
     TrainConfig,
     bootstrap_equal,
     bootstrap_hyperc,
+    clip_gradients,
     inference_mask,
     init_level_model,
     lr_at,
@@ -283,7 +284,15 @@ class TestOptimizerAndSchedule:
     def test_warmup_defaults_to_five_percent(self):
         cfg = TrainConfig(max_steps=1000)
         assert cfg.warmup == 50
-        assert TrainConfig(max_steps=1000, warmup_steps=7).warmup == 7
+
+    def test_clip_gradients(self):
+        big = {"a": np.array([3.0, 0.0]), "b": np.array([[4.0]])}  # global norm 5
+        assert clip_gradients(big, 1.0) == 5.0
+        assert np.allclose(big["a"], [0.6, 0.0]) and np.allclose(big["b"], [[0.8]])
+        assert np.sqrt((big["a"] ** 2).sum() + (big["b"] ** 2).sum()) == pytest.approx(1.0)
+        small = {"a": np.array([0.3]), "b": np.array([0.4])}  # global norm 0.5
+        assert clip_gradients(small, 1.0) == pytest.approx(0.5)
+        assert small["a"].tolist() == [0.3] and small["b"].tolist() == [0.4]
 
 
 @pytest.fixture(scope="module")
