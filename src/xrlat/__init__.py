@@ -33,6 +33,7 @@ from .network import (
     CorrectionLayer,
     EncoderParams,
     HeadParams,
+    LevelModel,
     forward_backward,
     gradcheck,
 )
@@ -49,7 +50,6 @@ from .textproc import (
 )
 from .training import (
     AdamW,
-    LevelModel,
     TrainConfig,
     bootstrap_equal,
     bootstrap_hyperc,

@@ -16,7 +16,7 @@ import struct
 import numpy as np
 
 from .hyperbolic import PoincareEmbeddings, flatten_tree
-from .network import BlockParams, CorrectionLayer, EncoderParams, HeadParams
+from .network import LevelModel, level_layout
 from .util import ParseError, atomic_write_bytes
 
 MAGIC = b"XRLT"
@@ -71,14 +71,14 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        return bytes(self.take(self.u32())).decode("utf-8")
 
 
 def read_container(path: str):
     """Parse a container; returns (metadata dict, ordered tensors dict)."""
     with open(path, "rb") as fh:
         data = fh.read()
-    r = _Reader(data, path)
+    r = _Reader(memoryview(data), path)  # take() slices without copying
     if r.take(4) != MAGIC:
         raise ParseError(f"{path}: not a checkpoint container (bad magic)")
     version = r.u32()
@@ -151,41 +151,30 @@ def model_settings(path: str, metadata: dict) -> dict:
 def load_model(path: str):
     """Rebuild a LevelModel; returns (model, metadata) with the stored strings.
 
-    Raises ParseError for a missing or malformed MODEL_KEYS entry or tensor.
+    The tensors must be finite and match network.level_layout for the metadata;
+    raises ParseError naming the first MODEL_KEYS entry or tensor that does not.
     """
-    from .training import LevelModel
-
     metadata, tensors = read_container(path)
     if metadata.get("kind") != "level-model":
         raise ParseError(f"{path}: container does not hold a model")
     settings = model_settings(path, metadata)
     n_layers = settings["n_layers"]
-    try:
-        blocks = []
-        for i in range(n_layers):
-            blocks.append(
-                BlockParams(**{f: tensors[f"blk{i}.{f}"] for f in BlockParams.FIELDS})
+    expected = set()
+    for name, shape in level_layout(tensors, settings["vocab_size"], settings["c"], n_layers):
+        if name not in tensors:
+            raise ParseError(f"{path}: missing tensor {name!r}")
+        if tensors[name].shape != shape:
+            raise ParseError(
+                f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {shape}"
             )
-        enc = EncoderParams(tensors["emb"], tensors["pos"], blocks)
-        head = HeadParams(tensors["W_la"], tensors["W_cl"], tensors["b_cl"])
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing tensor {exc.args[0]!r}") from None
-    corr = None
-    corr_inputs = None
-    if "corr.W" in tensors:
-        corr = CorrectionLayer(tensors["corr.W"], tensors["corr.b"])
-        corr_inputs = tensors.get("corr.E")
-        if corr_inputs is None:
-            raise ParseError(f"{path}: correction layer present but corr.E missing")
-    model = LevelModel(
-        enc, head, settings["level"], metadata.get("provenance", "random"),
-        corr=corr, corr_inputs=corr_inputs,
-    )
-    if enc.vocab_size != settings["vocab_size"]:
-        raise ParseError(f"{path}: embedding rows disagree with vocab_size metadata")
-    unused = sorted(set(tensors) - {name for name, _ in model.tensors()})
+        if not np.all(np.isfinite(tensors[name])):
+            raise ParseError(f"{path}: tensor {name!r} has non-finite values")
+        expected.add(name)
+    unused = sorted(set(tensors) - expected)
     if unused:
         raise ParseError(f"{path}: tensors {unused} unused by a model with n_layers={n_layers}")
+    model = LevelModel.from_tensors(tensors, n_layers, settings["level"],
+                                    metadata.get("provenance", "random"))
     return model, metadata
 
 

@@ -20,8 +20,6 @@ from .losses import LossConfig
 from .network import gradcheck
 from .util import ConfigError, DataError, NumericsError, ParseError, atomic_write_text
 
-SCORES_HEADER = "# xrlat-scores v1"
-
 
 class _Parser(argparse.ArgumentParser):
     # user errors (bad flags) must exit 1, not argparse's default 2
@@ -223,17 +221,11 @@ def _read_scores(path: str, doc_ids, n_labels: int) -> np.ndarray:
 
 def _load_models_for_eval(args, tree):
     """Returns (models, settings): a LevelModel or a 4-chain, and the
-    checkpoint.model_settings of the (last) checkpoint."""
-    if args.ckpt:
-        model, meta = checkpoint.load_model(args.ckpt)
-        if model.n_labels != tree.nodes_per_level[-1]:
-            raise ConfigError(
-                f"checkpoint has {model.n_labels} labels, tree has {tree.nodes_per_level[-1]} codes"
-            )
-        return model, checkpoint.model_settings(args.ckpt, meta)
-    models = []
-    for k in range(1, 5):
-        path = os.path.join(args.chain, f"level{k}.ckpt")
+    checkpoint.model_settings of its first checkpoint."""
+    paths = ([args.ckpt] if args.ckpt else
+             [os.path.join(args.chain, f"level{k}.ckpt") for k in range(1, 5)])
+    models, settings = [], None
+    for k, path in zip(range(5 - len(paths), 5), paths):
         model, meta = checkpoint.load_model(path)
         if model.level != k:
             raise ConfigError(f"{path}: expected level {k}, found {model.level}")
@@ -242,11 +234,22 @@ def _load_models_for_eval(args, tree):
                 f"{path}: {model.n_labels} labels but tree level {k} has "
                 f"{tree.nodes_per_level[k - 1]}"
             )
+        level_settings = checkpoint.model_settings(path, meta)
+        settings = settings or level_settings
+        for key in ("vocab_size", "c", "s", "negative_sampling", "binary_threshold"):
+            if level_settings[key] != settings[key]:
+                raise ConfigError(
+                    f"{path}: {key} is {level_settings[key]} but level1.ckpt has {settings[key]}"
+                )
         models.append(model)
-    return models, checkpoint.model_settings(path, meta)
+    return (models[0] if args.ckpt else models), settings
 
 
 def _cmd_eval(args) -> int:
+    if not 0.0 < args.threshold < 1.0:
+        raise ConfigError(f"--threshold must be in (0, 1), got {args.threshold}")
+    if args.topk < 0:
+        raise ConfigError(f"--topk must be >= 0, got {args.topk}")
     tree = code_tree.build_tree(args.tree)
     raw_docs = textproc.read_dataset(args.dataset, tree)
     n_labels = tree.nodes_per_level[-1]
@@ -269,7 +272,6 @@ def _cmd_eval(args) -> int:
             c=settings["c"], s=settings["s"],
             negative_sampling=settings["negative_sampling"],
             binary_threshold=settings["binary_threshold"],
-            decision_threshold=args.threshold,
         )
         data = training.prepare_dataset(raw_docs, vocab, tree, cfg.c, cfg.s)
         scores = training.predict_dataset(models, data, tree, cfg)

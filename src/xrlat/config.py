@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .training import TrainConfig
-from .util import ConfigError
+from .util import ConfigError, atomic_write_text
 
 
 def _parse_bool(raw: str) -> bool:
@@ -51,8 +51,6 @@ class RunConfig:
 
     def echo(self) -> None:
         """Write the resolved configuration into the output directory."""
-        from .util import atomic_write_text
-
         if not self.out_dir:
             raise ConfigError("out_dir is required")
         os.makedirs(self.out_dir, exist_ok=True)

@@ -32,11 +32,8 @@ def _gelu_fwd(x):
     return 0.5 * x * (1.0 + t), t
 
 
-def _gelu_grad(x, t=None):
-    x2 = x * x
-    if t is None:
-        t = np.tanh(_GELU_C * (x + 0.044715 * x2 * x))
-    du = _GELU_C * (1.0 + 3.0 * 0.044715 * x2)
+def _gelu_grad(x, t):
+    du = _GELU_C * (1.0 + 3.0 * 0.044715 * (x * x))
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 
 
@@ -86,10 +83,6 @@ class EncoderParams:
     @property
     def chunk_len(self) -> int:
         return int(self.pos.shape[0])
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.blocks)
 
 
 @dataclass
@@ -151,28 +144,86 @@ def init_head(n_labels: int, hidden: int, rng: np.random.Generator) -> HeadParam
     )
 
 
-def encoder_tensors(enc: EncoderParams):
-    yield "emb", enc.emb
-    yield "pos", enc.pos
-    for i, blk in enumerate(enc.blocks):
-        for name in BlockParams.FIELDS:
-            yield f"blk{i}.{name}", getattr(blk, name)
+@dataclass
+class LevelModel:
+    """One sub-model of the chain (or the flat model) and its tensor table, tensors(),
+    whose names and order gradients, AdamW, gradcheck and checkpoints follow."""
+
+    enc: EncoderParams
+    head: HeadParams
+    level: int
+    provenance: str = "random"  # random | bootstrap-equal | bootstrap-hyperc
+    corr: Optional[CorrectionLayer] = None
+    corr_inputs: Optional[np.ndarray] = None  # fixed label embeddings fed to corr
+
+    @property
+    def n_labels(self) -> int:
+        return self.head.n_labels
+
+    def trainable(self):
+        """(name, array) of every trained tensor: the table without corr.E."""
+        yield "emb", self.enc.emb
+        yield "pos", self.enc.pos
+        for i, blk in enumerate(self.enc.blocks):
+            for name in BlockParams.FIELDS:
+                yield f"blk{i}.{name}", getattr(blk, name)
+        yield "W_la", self.head.W_la
+        yield "W_cl", self.head.W_cl
+        yield "b_cl", self.head.b_cl
+        if self.corr is not None:
+            yield "corr.W", self.corr.W
+            yield "corr.b", self.corr.b
+
+    def tensors(self):
+        yield from self.trainable()
+        if self.corr_inputs is not None:
+            yield "corr.E", self.corr_inputs
+
+    @classmethod
+    def from_tensors(cls, tensors: dict, n_layers: int, level: int,
+                     provenance: str) -> "LevelModel":
+        """The model whose ``tensors()`` are ``tensors`` (names as in level_layout)."""
+        blocks = [BlockParams(**{f: tensors[f"blk{i}.{f}"] for f in BlockParams.FIELDS})
+                  for i in range(n_layers)]
+        enc = EncoderParams(tensors["emb"], tensors["pos"], blocks)
+        head = HeadParams(tensors["W_la"], tensors["W_cl"], tensors["b_cl"])
+        corr = CorrectionLayer(tensors["corr.W"], tensors["corr.b"]) if "corr.W" in tensors else None
+        return cls(enc, head, level, provenance, corr, tensors.get("corr.E"))
+
+    def effective_w_la(self) -> np.ndarray:
+        """Attention queries actually used: base W_la plus the correction, if any."""
+        return _effective_w_la(self.head, self.corr, self.corr_inputs, slice(None))[0]
 
 
-def head_tensors(head: HeadParams):
-    yield "W_la", head.W_la
-    yield "W_cl", head.W_cl
-    yield "b_cl", head.b_cl
+def level_layout(tensors: dict, vocab_size: int, c: int, n_layers: int):
+    """(name, shape) of every tensor in LevelModel.tensors(), in its order, for a model
+    of these sizes whose widths h, L and d_emb are those of ``tensors``' emb, W_la and
+    corr.W (0 where that tensor is missing or has too few axes; no corr.* without corr.W).
+    """
+
+    def width(name, axis):
+        t = tensors.get(name)
+        return t.shape[axis] if t is not None and t.ndim > axis else 0
+
+    h, n_labels, d_emb = width("emb", 1), width("W_la", 0), width("corr.W", 0)
+    block = {"q": (h, h), "k": (h, h), "v": (h, h), "o": (h, h), "ff1": (h, 4 * h),
+             "ff2": (4 * h, h), "ln1_g": (h,), "ln1_b": (h,), "ln2_g": (h,), "ln2_b": (h,)}
+    yield "emb", (vocab_size, h)
+    yield "pos", (c, h)
+    for i in range(n_layers):
+        yield from ((f"blk{i}.{name}", shape) for name, shape in block.items())
+    yield "W_la", (n_labels, h)
+    yield "W_cl", (n_labels, h)
+    yield "b_cl", (n_labels,)
+    if "corr.W" in tensors:
+        yield "corr.W", (d_emb, h)
+        yield "corr.b", (h,)
+        yield "corr.E", (n_labels, d_emb)
 
 
-def zero_grads(enc: EncoderParams, head: HeadParams,
-               corr: Optional[CorrectionLayer] = None) -> dict:
-    grads = {name: np.zeros_like(t) for name, t in encoder_tensors(enc)}
-    grads.update({name: np.zeros_like(t) for name, t in head_tensors(head)})
-    if corr is not None:
-        grads["corr.W"] = np.zeros_like(corr.W)
-        grads["corr.b"] = np.zeros_like(corr.b)
-    return grads
+def zero_grads(model: LevelModel) -> dict:
+    """One zeroed gradient buffer per trainable tensor, in table order."""
+    return {name: np.zeros_like(t) for name, t in model.trainable()}
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +241,6 @@ def _ln_fwd(x, g, b):
 
 def _ln_bwd(dy, cache, g):
     xhat, inv = cache
-    h = xhat.shape[-1]
     dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
     db = dy.sum(axis=tuple(range(dy.ndim - 1)))
     dxhat = dy * g
@@ -262,9 +312,8 @@ def _encode_fwd(doc: ChunkedDocument, enc: EncoderParams, dropout: float = 0.0,
         f2 = g1 @ blk.ff2
         x_next = x1 + f2
         cache["blocks"].append(
-            {"x": x, "a": a, "q": q, "k": k, "v": v, "p": p_attn, "ctx": ctx,
-             "ln1": ln1c, "ln2": ln2c, "x1": x1, "b2": b2, "f1": f1, "g1": g1,
-             "tanh1": tanh1, "mask_a": mask_a}
+            {"a": a, "q": q, "k": k, "v": v, "p": p_attn, "ctx": ctx, "ln1": ln1c,
+             "ln2": ln2c, "b2": b2, "f1": f1, "g1": g1, "tanh1": tanh1, "mask_a": mask_a}
         )
         x = x_next
     H = x.reshape(s * c, enc.hidden)
@@ -281,7 +330,7 @@ def _encode_bwd(dH: np.ndarray, cache: dict, enc: EncoderParams, grads: dict) ->
     s, c = cache["ids"].shape
     dx = dH.reshape(s, c, enc.hidden)
     scale = 1.0 / np.sqrt(enc.hidden)
-    for i in range(enc.n_layers - 1, -1, -1):
+    for i in range(len(enc.blocks) - 1, -1, -1):
         blk, bc = enc.blocks[i], cache["blocks"][i]
         # feed-forward sublayer
         df2 = dx
@@ -432,7 +481,7 @@ def forward_backward(doc: ChunkedDocument, params: EncoderParams, head: HeadPara
         raise NumericsError("non-finite loss", tensor="loss")
 
     if grads is None:
-        grads = zero_grads(params, head, corr)
+        grads = zero_grads(LevelModel(params, head, 0, corr=corr))
     dW_la_act, dW_cl_act, db_cl_act, dHr = _head_bwd(dp, hc, W_eff, W_cl_act)
     grads["W_la"][active] += dW_la_act
     grads["W_cl"][active] += dW_cl_act
@@ -493,40 +542,33 @@ def gradcheck(n_layers: int, loss: LossConfig, with_correction: bool = False,
     """
     h, n_labels = GRADCHECK_HIDDEN, GRADCHECK_LABELS
     rng = derive_rng(seed, "gradcheck")
-    enc = init_encoder(GRADCHECK_VOCAB, h, GRADCHECK_C, n_layers, rng)
-    head = init_head(n_labels, h, rng)
-    corr = None
-    corr_inputs = None
+    model = LevelModel(init_encoder(GRADCHECK_VOCAB, h, GRADCHECK_C, n_layers, rng),
+                       init_head(n_labels, h, rng), 0)
     if with_correction:
-        corr = CorrectionLayer(
+        model.corr = CorrectionLayer(
             rng.normal(0.0, INIT_STD, size=(GRADCHECK_D_EMB, h)),
             rng.normal(0.0, INIT_STD, size=h),
         )
-        corr_inputs = rng.normal(0.0, 0.1, size=(n_labels, GRADCHECK_D_EMB))
+        model.corr_inputs = rng.normal(0.0, 0.1, size=(n_labels, GRADCHECK_D_EMB))
 
     # leave some padding so the flag path is exercised
     ids = rng.integers(2, GRADCHECK_VOCAB, size=GRADCHECK_C * GRADCHECK_S - 3)
     doc = chunk(ids, GRADCHECK_C, GRADCHECK_S)
     gold = (rng.random(n_labels) < 0.3).astype(np.float64)
 
-    _, grads = forward_backward(doc, enc, head, gold, None, loss,
-                                corr=corr, corr_inputs=corr_inputs)
+    _, grads = forward_backward(doc, model.enc, model.head, gold, None, loss,
+                                corr=model.corr, corr_inputs=model.corr_inputs)
 
     def loss_only():
-        p = forward_probs(doc, enc, head, corr=corr, corr_inputs=corr_inputs)
+        p = forward_probs(doc, model.enc, model.head, corr=model.corr,
+                          corr_inputs=model.corr_inputs)
         value, _ = loss_and_grad(p, gold, loss)
         return value
-
-    tensors = dict(encoder_tensors(enc))
-    tensors.update(dict(head_tensors(head)))
-    if corr is not None:
-        tensors["corr.W"] = corr.W
-        tensors["corr.b"] = corr.b
 
     eps = GRADCHECK_EPS
     per_tensor = {}
     max_rel, worst = 0.0, ""
-    for name, tensor in tensors.items():
+    for name, tensor in model.trainable():
         flat = tensor.reshape(-1)
         best = (0, 0.0, 0.0, 0.0)
         for i in range(flat.size):

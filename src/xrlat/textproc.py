@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code_tree import CodeTree, LabelMatrix
-from .util import ConfigError, DataError, ParseError, derive_rng
+from .util import ConfigError, DataError, ParseError, atomic_write_text, derive_rng
 
 PAD_ID = 0
 UNK_ID = 1
@@ -68,8 +68,6 @@ class Vocabulary:
         return self.token_to_id.get(token, UNK_ID)
 
     def save(self, path: str) -> None:
-        from .util import atomic_write_text
-
         lines = [f"{VOCAB_HEADER} min_frequency={self.min_frequency}"]
         for tok, i in sorted(self.token_to_id.items(), key=lambda kv: kv[1]):
             lines.append(f"{tok}\t{i}")
@@ -203,17 +201,18 @@ def synth_corpus(
     uniform positions; all other positions hold filler tokens. Deterministic
     for a given seed.
     """
+    n_leaves = tree.nodes_per_level[-1]
     if n_docs < 0:
         raise ConfigError(f"n_docs must be >= 0, got {n_docs}")
-    if not (np.isfinite(codes_per_doc_mean) and codes_per_doc_mean >= 0.0):
+    if not 0.0 <= codes_per_doc_mean <= n_leaves:  # also rejects NaN
         raise ConfigError(
-            f"codes_per_doc_mean must be a finite number >= 0, got {codes_per_doc_mean}"
+            f"codes_per_doc_mean must be in [0, {n_leaves}] (the tree's leaf count), "
+            f"got {codes_per_doc_mean}"
         )
     if not 0.0 <= trigger_prob <= 1.0:
         raise ConfigError(f"trigger_prob must be in [0, 1], got {trigger_prob}")
     if filler_vocab < 1 or doc_len < 1:
         raise ConfigError("filler_vocab and doc_len must be >= 1")
-    n_leaves = tree.nodes_per_level[-1]
     rng = derive_rng(seed, "synth")
     docs = []
     rows = []
@@ -242,8 +241,6 @@ def synth_corpus(
 
 def write_dataset(path: str, docs, tree: CodeTree) -> None:
     """Write documents in the dataset file format (see module docstring)."""
-    from .util import atomic_write_text
-
     leaf_names = tree.level(4).names
     lines = [DATASET_HEADER]
     for doc in docs:

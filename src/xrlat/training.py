@@ -16,24 +16,29 @@ from typing import Optional
 
 import numpy as np
 
+from . import checkpoint
 from .code_tree import CodeTree, IndexingMatrix, LabelMatrix, propagate_labels
 from .hyperbolic import PoincareEmbeddings
 from .losses import LossConfig
 from .network import (
     CorrectionLayer,
-    EncoderParams,
     HeadParams,
-    _effective_w_la,
-    encoder_tensors,
+    LevelModel,
     forward_backward,
     forward_probs,
-    head_tensors,
     init_encoder,
     init_head,
     zero_grads,
 )
 from .textproc import ChunkedDocument, Vocabulary, chunk, clean_text, tokenize
-from .util import ConfigError, DataError, NumericsError, derive_rng, keep_freed_memory
+from .util import (
+    ConfigError,
+    DataError,
+    NumericsError,
+    atomic_write_text,
+    derive_rng,
+    keep_freed_memory,
+)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -93,38 +98,6 @@ class TrainConfig:
             gamma_neg=self.asl_gamma_neg,
             margin=self.asl_margin,
         )
-
-
-@dataclass
-class LevelModel:
-    """Trainable parameters of one sub-model in the chain (or the flat model)."""
-
-    enc: EncoderParams
-    head: HeadParams
-    level: int
-    provenance: str = "random"  # random | bootstrap-equal | bootstrap-hyperc
-    corr: Optional[CorrectionLayer] = None
-    corr_inputs: Optional[np.ndarray] = None  # fixed label embeddings fed to corr
-
-    @property
-    def n_labels(self) -> int:
-        return self.head.n_labels
-
-    def trainable(self):
-        yield from encoder_tensors(self.enc)
-        yield from head_tensors(self.head)
-        if self.corr is not None:
-            yield "corr.W", self.corr.W
-            yield "corr.b", self.corr.b
-
-    def tensors(self):
-        yield from self.trainable()
-        if self.corr_inputs is not None:
-            yield "corr.E", self.corr_inputs
-
-    def effective_w_la(self) -> np.ndarray:
-        """Attention queries actually used: base W_la plus the correction, if any."""
-        return _effective_w_la(self.head, self.corr, self.corr_inputs, slice(None))[0]
 
 
 def init_level_model(vocab_size: int, level: int, n_labels: int, cfg: TrainConfig,
@@ -314,7 +287,7 @@ def _train_level(docs, label_rows, n_labels: int, masks, model: LevelModel,
     warmup = cfg.warmup
     history = []
     log_lines = []
-    grads = zero_grads(model.enc, model.head, model.corr)
+    grads = zero_grads(model)
 
     step = 0
     while step < cfg.max_steps:
@@ -357,8 +330,6 @@ def _train_level(docs, label_rows, n_labels: int, masks, model: LevelModel,
                 log_lines.append(f"{step}\t{lr:.6f}\t{batch_loss:.6f}")
             step += 1
     if log_path is not None:
-        from .util import atomic_write_text
-
         atomic_write_text(log_path, "\n".join(log_lines) + ("\n" if log_lines else ""))
     return history
 
@@ -375,9 +346,7 @@ def train_flat(data: PreparedDataset, tree: CodeTree, cfg: TrainConfig,
     log_path = os.path.join(out_dir, "train_flat.log") if out_dir else None
     history = _train_level(data.docs, data.labels.rows, n_labels, None, model, cfg, 4, log_path)
     if out_dir:
-        from .checkpoint import save_model
-
-        save_model(os.path.join(out_dir, "flat.ckpt"), model, cfg, data.vocab.size)
+        checkpoint.save_model(os.path.join(out_dir, "flat.ckpt"), model, cfg, data.vocab.size)
     return model, history
 
 
@@ -439,9 +408,7 @@ def train_xr_lat(data: PreparedDataset, tree: CodeTree, cfg: TrainConfig,
         log_path = os.path.join(out_dir, f"train_level{k}.log") if out_dir else None
         history = _train_level(data.docs, level_rows[k], n_labels, masks, model, cfg, k, log_path)
         if out_dir:
-            from .checkpoint import save_model
-
-            save_model(os.path.join(out_dir, f"level{k}.ckpt"), model, cfg, data.vocab.size)
+            checkpoint.save_model(os.path.join(out_dir, f"level{k}.ckpt"), model, cfg, data.vocab.size)
         models.append(model)
         histories.append(history)
         prev_model, prev_masks = model, masks

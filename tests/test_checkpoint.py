@@ -110,6 +110,28 @@ class TestModelCheckpoint:
         with pytest.raises(ParseError, match="blk1.ff1"):
             load_model(path)
 
+    @pytest.mark.parametrize("edit,named", [
+        (lambda meta, t: t.pop("corr.E"), "missing tensor 'corr.E'"),
+        (lambda meta, t: t.pop("emb"), "missing tensor 'emb'"),
+        (lambda meta, t: t.update(emb=t["emb"][0]), "tensor 'emb' has shape (8,)"),
+        (lambda meta, t: meta.update(vocab_size="21"), "tensor 'emb' has shape (20, 8), "
+                                                       "expected (21, 8)"),
+        (lambda meta, t: meta.update(c="5"), "tensor 'pos'"),
+        (lambda meta, t: t.update(pos=t["pos"] * np.inf), "tensor 'pos' has non-finite"),
+        (lambda meta, t: t.update(ff=t["W_la"]), "tensors ['ff'] unused"),
+    ], ids=["no-corr.E", "no-emb", "emb-1d", "vocab_size", "c", "pos-inf", "unused"])
+    def test_tensor_table_mismatch_names_tensor(self, tmp_path, edit, named):
+        model = self._model(with_corr=True)
+        cfg = TrainConfig(c=4, s=2, hidden_size=8, n_layers=2, seed=5)
+        path = str(tmp_path / "m.ckpt")
+        save_model(path, model, cfg, vocab_size=20)
+        meta, tensors = read_container(path)
+        edit(meta, tensors)
+        write_container(path, meta, tensors)
+        with pytest.raises(ParseError) as exc:
+            load_model(path)
+        assert named in str(exc.value)
+
     def test_wrong_kind_rejected(self, tmp_path):
         path = str(tmp_path / "w.ckpt")
         write_container(path, {"kind": "poincare"}, {"E1": np.zeros((2, 2))})

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -78,7 +79,8 @@ class TestDataCommand:
         assert open(out).read().startswith("#")
 
     @pytest.mark.parametrize("flag,value", [("--n-docs", "-3"),
-                                            ("--codes-per-doc-mean", "-1")])
+                                            ("--codes-per-doc-mean", "-1"),
+                                            ("--codes-per-doc-mean", "1e19")])
     def test_synth_bad_count_exit_1(self, tmp_path, demo_tree_path, capsys, flag, value):
         out = str(tmp_path / "bad.tsv")
         args = ["data", "synth", "--tree", demo_tree_path, "--out", out, "--n-docs", "5"]
@@ -192,11 +194,79 @@ class TestTrainCommand:
         assert model.corr is not None and model.corr_inputs.shape == (81, 5)
 
 
+def _nan_at_first(a):
+    a = a.copy()
+    a.flat[0] = np.nan
+    return a
+
+
 class TestEvalCommand:
     def _trained_run(self, tmp_path, demo_tree_path, small_dataset, mode="plm-icd", **extra):
         cfg = base_config(tmp_path, demo_tree_path, small_dataset, **extra)
         assert main(["train", mode, "--config", cfg]) == 0
         return str(tmp_path / "run")
+
+    @pytest.fixture(scope="class")
+    def hyperc_chain(self, tmp_path_factory, demo_tree_path):
+        """A 1-layer bootstrap-hyperc chain trained for one step; returns (run, dataset)."""
+        root = tmp_path_factory.mktemp("hyperc")
+        ds = str(root / "train.tsv")
+        assert main(["data", "synth", "--tree", demo_tree_path, "--out", ds,
+                     "--n-docs", "12", "--doc-len", "24", "--seed", "3"]) == 0
+        emb_dir = str(root / "emb")
+        assert main(["embed", "--tree", demo_tree_path, "--out", emb_dir,
+                     "--dim", "5", "--epochs", "1", "--seed", "4"]) == 0
+        cfg = base_config(root, demo_tree_path, ds, bootstrap="hyperc", max_steps=1,
+                          embeddings=os.path.join(emb_dir, "embeddings.ckpt"))
+        assert main(["train", "xr-lat", "--config", cfg]) == 0
+        return str(root / "run"), ds
+
+    def _eval_edited_chain(self, tmp_path, hyperc_chain, demo_tree_path, ckpt, edit):
+        """Copy the chain, apply edit(meta, tensors) to one checkpoint, evaluate the copy."""
+        from xrlat.checkpoint import read_container, write_container
+
+        run, ds = hyperc_chain
+        chain = str(tmp_path / "chain")
+        shutil.copytree(run, chain)
+        path = os.path.join(chain, ckpt)
+        meta, tensors = read_container(path)
+        edit(meta, tensors)
+        write_container(path, meta, tensors)
+        return main(["eval", "--chain", chain, "--tree", demo_tree_path, "--dataset", ds,
+                     "--vocab", os.path.join(chain, "vocab.txt")])
+
+    def test_unedited_chain_evaluates(self, tmp_path, hyperc_chain, demo_tree_path):
+        assert self._eval_edited_chain(tmp_path, hyperc_chain, demo_tree_path, "level4.ckpt",
+                                       lambda meta, tensors: None) == 0
+
+    @pytest.mark.parametrize("name,edit", [
+        ("W_cl", lambda a: a[:-1]),
+        ("blk0.q", lambda a: a[:, :-1]),
+        ("b_cl", lambda a: a[:-1]),
+        ("corr.E", lambda a: a[:-1]),
+        ("W_la", _nan_at_first),
+    ], ids=["W_cl-truncated", "blk0.q-narrowed", "b_cl-short", "corr.E-rows", "W_la-nan"])
+    def test_bad_checkpoint_tensor_exit_1(self, tmp_path, hyperc_chain, demo_tree_path,
+                                          capsys, name, edit):
+        def edit_tensor(meta, tensors):
+            tensors[name] = edit(tensors[name])
+
+        capsys.readouterr()
+        assert self._eval_edited_chain(tmp_path, hyperc_chain, demo_tree_path, "level4.ckpt",
+                                       edit_tensor) == 1
+        assert f"level4.ckpt: tensor '{name}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("binary_threshold", "0.3"), ("s", "5"),
+                                           ("negative_sampling", "0")])
+    def test_chain_levels_must_agree(self, tmp_path, hyperc_chain, demo_tree_path, capsys,
+                                     key, value):
+        def edit_meta(meta, tensors):
+            meta[key] = value
+
+        capsys.readouterr()
+        assert self._eval_edited_chain(tmp_path, hyperc_chain, demo_tree_path, "level2.ckpt",
+                                       edit_meta) == 1
+        assert f"level2.ckpt: {key} is " in capsys.readouterr().err
 
     def test_eval_flat_writes_report(self, tmp_path, demo_tree_path, small_dataset, capsys):
         run = self._trained_run(tmp_path, demo_tree_path, small_dataset)
@@ -276,6 +346,18 @@ class TestEvalCommand:
             fh.write("# xrlat-scores v1\n" + "".join(line + "\n" for line in score_lines))
         return main(["eval", "--scores", scores_path, "--tree", demo_tree_path,
                      "--dataset", ds, *extra])
+
+    @pytest.mark.parametrize("flag,value", [("--threshold", "1.5"), ("--threshold", "-2"),
+                                            ("--threshold", "0"), ("--threshold", "1"),
+                                            ("--threshold", "nan"), ("--topk", "-3")])
+    def test_bad_eval_flag_exit_1(self, tmp_path, demo_tree_path, capsys, flag, value):
+        row = " ".join(["0.5"] * 81)
+        out = str(tmp_path / "ev")
+        rc = self._eval_scores(tmp_path, demo_tree_path, [f"doc0\t{row}", f"doc1\t{row}"],
+                               "--out", out, flag, value)
+        assert rc == 1
+        assert flag in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_duplicate_dataset_doc_id_rejected(self, tmp_path, demo_tree_path, capsys):
         row = " ".join(["0.5"] * 81)

@@ -4,6 +4,7 @@ import pytest
 from xrlat.losses import LossConfig
 from xrlat.network import (
     CorrectionLayer,
+    LevelModel,
     _encode_fwd,
     _head_fwd,
     forward_backward,
@@ -11,6 +12,7 @@ from xrlat.network import (
     gradcheck,
     init_encoder,
     init_head,
+    level_layout,
     zero_grads,
 )
 from xrlat.textproc import chunk
@@ -223,7 +225,7 @@ class TestForwardBackward:
                  np.array([0, 1, 1, 1, 0, 1], dtype=np.uint8), None]
         golds = [np.array([1, 0, 0, 1, 0, 0.0]), np.array([0, 0, 1, 0, 0, 1.0]),
                  np.array([0, 1, 0, 0, 1, 0.0])]
-        buf = zero_grads(enc, head)
+        buf = zero_grads(LevelModel(enc, head, 0))
         expected = None
         for i, (doc, mask, gold) in enumerate(zip(docs, masks, golds)):
             _, g = forward_backward(doc, enc, head, gold, mask, LossConfig(),
@@ -282,3 +284,22 @@ class TestGradcheck:
         rep = gradcheck(1, LossConfig(), with_correction=True, seed=4)
         assert rep.max_rel_err < 1e-4
         assert "corr.W" in rep.per_tensor and "corr.b" in rep.per_tensor
+
+
+class TestLevelModel:
+    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    @pytest.mark.parametrize("with_corr", [False, True])
+    def test_layout_and_inverse_follow_the_table(self, n_layers, with_corr):
+        rng = derive_rng(8, n_layers)
+        model = LevelModel(init_encoder(11, 4, 3, n_layers, rng), init_head(7, 4, rng), 2)
+        if with_corr:
+            model.corr = CorrectionLayer(rng.normal(size=(5, 4)), rng.normal(size=4))
+            model.corr_inputs = rng.normal(size=(7, 5))
+        table = list(model.tensors())
+        assert [(name, t.shape) for name, t in table] == list(
+            level_layout(dict(table), 11, 3, n_layers))
+        assert list(zero_grads(model)) == [name for name, _ in model.trainable()]
+        assert [name for name, _ in table][-1] == ("corr.E" if with_corr else "b_cl")
+        rebuilt = LevelModel.from_tensors(dict(table), n_layers, 2, "random")
+        assert [(name, id(t)) for name, t in rebuilt.tensors()] == [
+            (name, id(t)) for name, t in table]

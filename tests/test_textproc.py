@@ -170,7 +170,9 @@ class TestSynthCorpus:
 
     @pytest.mark.parametrize("kwargs", [dict(n_docs=-3), dict(codes_per_doc_mean=-1.0),
                                         dict(codes_per_doc_mean=float("nan")),
-                                        dict(codes_per_doc_mean=float("inf"))])
+                                        dict(codes_per_doc_mean=float("inf")),
+                                        dict(codes_per_doc_mean=82.0),
+                                        dict(codes_per_doc_mean=1e19)])
     def test_bad_counts_rejected(self, demo_tree, kwargs):
         args = dict(n_docs=5, seed=1)
         args.update(kwargs)
