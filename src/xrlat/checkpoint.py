@@ -11,6 +11,7 @@ Metadata keys and values are UTF-8 strings; tensor names are unique.
 from __future__ import annotations
 
 import io
+import math
 import struct
 
 import numpy as np
@@ -71,7 +72,12 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def string(self) -> str:
-        return bytes(self.take(self.u32())).decode("utf-8")
+        start = self.off
+        raw = bytes(self.take(self.u32()))
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"{self.path}: string at byte {start} is not UTF-8") from None
 
 
 def read_container(path: str):
@@ -95,8 +101,7 @@ def read_container(path: str):
             raise ParseError(f"{path}: duplicate tensor name {name!r}")
         rank = r.u32()
         shape = tuple(r.u32() for _ in range(rank))
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = r.take(8 * count)
+        raw = r.take(8 * math.prod(shape))  # Python ints: a huge shape cannot wrap to 0
         tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     if r.off != len(data):
         raise ParseError(f"{path}: {len(data) - r.off} trailing bytes after tensor table")

@@ -65,21 +65,21 @@ class TrainConfig:
     c: int = 16
     s: int = 8
     binary_threshold: float = 0.5
-    decision_threshold: float = 0.5
     hidden_size: int = 32
     n_layers: int = 1
     min_frequency: int = 1
     log_interval: int = 50
+
+    # not a field or config key; perfbench/harness.py reads it (F1 cutoff: eval --threshold)
+    decision_threshold = 0.5
 
     def __post_init__(self):
         if self.loss not in ("bce", "asl"):
             raise ConfigError(f"loss must be 'bce' or 'asl', got {self.loss!r}")
         if self.bootstrap not in BOOTSTRAP_MODES:
             raise ConfigError(f"bootstrap must be one of {BOOTSTRAP_MODES}, got {self.bootstrap!r}")
-        for name in ("binary_threshold", "decision_threshold"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ConfigError(f"{name} must be in (0, 1), got {v}")
+        if not 0.0 < self.binary_threshold < 1.0:
+            raise ConfigError(f"binary_threshold must be in (0, 1), got {self.binary_threshold}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.batch_size < 1 or self.max_steps < 0:
@@ -158,7 +158,7 @@ def bootstrap_hyperc(parent: LevelModel, T: IndexingMatrix, E_child: np.ndarray,
 # dynamic negative sampling
 
 
-def training_mask(p_parent, y_parent, T: IndexingMatrix, threshold: float = 0.5) -> np.ndarray:
+def training_mask(p_parent, y_parent, T: IndexingMatrix, threshold: float) -> np.ndarray:
     """Child labels whose parent is gold or predicted positive: binary(p + y) gathered by T.
 
     binary(x) = 1 iff x >= threshold, so a gold parent (y = 1) always passes.
@@ -173,7 +173,7 @@ def training_mask(p_parent, y_parent, T: IndexingMatrix, threshold: float = 0.5)
     return parent_on[T.parent_index].astype(np.uint8)
 
 
-def inference_mask(p_parent, T: IndexingMatrix, threshold: float = 0.5) -> np.ndarray:
+def inference_mask(p_parent, T: IndexingMatrix, threshold: float) -> np.ndarray:
     """training_mask with the gold term omitted: children of predicted-positive parents."""
     p_parent = np.asarray(p_parent, dtype=np.float64)
     if p_parent.shape[0] != T.n_cols:

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import pytest
 
@@ -58,3 +59,32 @@ def corrupt_head_dW_cl(monkeypatch):
         return dW_la, dW_cl, db_cl, dHr
 
     monkeypatch.setattr(network, "_head_bwd", corrupted)
+
+
+def container_bytes(meta, tensors):
+    """A checkpoint container written field by field, so any field can be malformed.
+
+    ``meta`` holds (key, value) byte strings, ``tensors`` (name bytes, dims, data bytes).
+    """
+    out = [b"XRLT", struct.pack("<II", 1, len(meta))]
+    for field in (f for pair in meta for f in pair):
+        out += [struct.pack("<I", len(field)), field]
+    out.append(struct.pack("<I", len(tensors)))
+    for name, dims, data in tensors:
+        out += [struct.pack("<I", len(name)), name,
+                struct.pack(f"<I{len(dims)}I", len(dims), *dims), data]
+    return b"".join(out)
+
+
+NOT_UTF8 = b"\xff\xfe"
+
+# (meta, tensors, the reader's message after "<path>: ")
+MALFORMED_CONTAINERS = [
+    pytest.param([(NOT_UTF8, b"v")], [], "string at byte 12 is not UTF-8", id="meta-key"),
+    pytest.param([(b"k", NOT_UTF8)], [], "string at byte 17 is not UTF-8", id="meta-value"),
+    pytest.param([], [(NOT_UTF8, (1,), bytes(8))], "string at byte 16 is not UTF-8",
+                 id="tensor-name"),
+    # 2^31 * 2^31 * 4 elements wrap an int64 element count to 0
+    pytest.param([], [(b"t", (2**31, 2**31, 4), bytes(8))], "truncated checkpoint",
+                 id="dims-overflow"),
+]

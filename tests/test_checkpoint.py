@@ -14,6 +14,8 @@ from xrlat.network import CorrectionLayer, init_encoder, init_head
 from xrlat.training import LevelModel, TrainConfig
 from xrlat.util import ParseError, derive_rng
 
+from conftest import MALFORMED_CONTAINERS, container_bytes
+
 
 class TestContainer:
     def test_roundtrip(self, tmp_path):
@@ -23,6 +25,9 @@ class TestContainer:
                    "scalarish": np.array(2.5)}
         meta = {"k1": "v1", "level": "4"}
         write_container(path, meta, tensors)
+        assert open(path, "rb").read() == container_bytes(
+            [(k.encode(), v.encode()) for k, v in meta.items()],
+            [(n.encode(), t.shape, t.astype("<f8").tobytes()) for n, t in tensors.items()])
         meta2, tensors2 = read_container(path)
         assert meta2 == meta
         assert list(tensors2) == list(tensors)
@@ -52,6 +57,14 @@ class TestContainer:
         long.write_bytes(open(path, "rb").read() + b"xx")
         with pytest.raises(ParseError, match="trailing"):
             read_container(str(long))
+
+    @pytest.mark.parametrize("meta,tensors,message", MALFORMED_CONTAINERS)
+    def test_malformed_container_rejected(self, tmp_path, meta, tensors, message):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(container_bytes(meta, tensors))
+        with pytest.raises(ParseError) as exc:
+            read_container(str(path))
+        assert str(exc.value) == f"{path}: {message}"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         rng = derive_rng(1)

@@ -7,9 +7,10 @@ import pytest
 
 from xrlat.cli import main
 from xrlat.config import resolve_config
+from xrlat.training import TrainConfig
 from xrlat.util import ConfigError
 
-from conftest import corrupt_head_dW_cl
+from conftest import MALFORMED_CONTAINERS, container_bytes, corrupt_head_dW_cl
 
 
 def sha(path):
@@ -268,6 +269,18 @@ class TestEvalCommand:
                                        edit_meta) == 1
         assert f"level2.ckpt: {key} is " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("meta,tensors,message", MALFORMED_CONTAINERS)
+    def test_malformed_checkpoint_exit_1(self, tmp_path, demo_tree_path, capsys,
+                                         meta, tensors, message):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(container_bytes(meta, tensors))
+        ds = tmp_path / "one.tsv"
+        ds.write_text("# xrlat-dataset v1\ndoc0\tc0b0g0x0\tfiller text\n")
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(ckpt), "--tree", demo_tree_path,
+                     "--dataset", str(ds), "--vocab", str(tmp_path / "vocab.txt")]) == 1
+        assert f"{ckpt}: {message}" in capsys.readouterr().err
+
     def test_eval_flat_writes_report(self, tmp_path, demo_tree_path, small_dataset, capsys):
         run = self._trained_run(tmp_path, demo_tree_path, small_dataset)
         out = str(tmp_path / "eval")
@@ -489,9 +502,14 @@ class TestDeterminism:
 
 class TestConfigParsing:
     def test_unknown_key_rejected(self, tmp_path):
-        path = write_config(tmp_path / "c.cfg", nonsense=1)
-        with pytest.raises(ConfigError):
-            resolve_config(path)
+        for key in ("nonsense", "decision_threshold"):
+            path = write_config(tmp_path / "c.cfg", **{key: "0.5"})
+            with pytest.raises(ConfigError, match=key):
+                resolve_config(path)
+            with pytest.raises(ConfigError, match=key):
+                resolve_config(overrides={key: "0.5"})
+        with pytest.raises(TypeError):
+            TrainConfig(decision_threshold=0.5)
 
     def test_comments_and_overrides(self, tmp_path):
         path = tmp_path / "c.cfg"

@@ -1,4 +1,4 @@
-"""Every import in the package sits at module top, and the modules import no cycle."""
+"""The package binds no names, every import sits at module top, and the modules import no cycle."""
 
 import ast
 import os
@@ -13,6 +13,11 @@ def _modules():
         if fname.endswith(".py"):
             with open(os.path.join(PACKAGE_DIR, fname), encoding="utf-8") as fh:
                 yield fname[:-3], ast.parse(fh.read(), filename=fname)
+
+
+def test_package_init_binds_no_names():
+    init = dict(_modules())["__init__"]
+    assert ast.get_docstring(init) and len(init.body) == 1
 
 
 def test_no_import_inside_a_function():
