@@ -255,6 +255,7 @@ def _cmd_eval(args) -> int:
     n_labels = tree.nodes_per_level[-1]
     doc_ids = [d.doc_id for d in raw_docs]
     gold = code_tree.LabelMatrix(n_labels, [d.codes for d in raw_docs]).to_dense()
+    metrics.check_defined(gold, args.tree, args.dataset)  # before any score is read
 
     if args.scores:
         scores = _read_scores(args.scores, doc_ids, n_labels)

@@ -81,15 +81,20 @@ def macro_f1(pred: PredictionSet) -> float:
     return float(per_code.mean())
 
 
+def evaluable_codes(gold) -> np.ndarray:
+    """Indices of the codes with both classes present among the (N, L) gold rows."""
+    n_pos = np.asarray(gold).astype(bool).sum(axis=0)
+    return np.flatnonzero((n_pos > 0) & (n_pos < len(gold)))
+
+
 def macro_micro_auc(pred: PredictionSet):
     """(macro AUC, micro AUC, skipped-code count).
 
     Macro averages per-code AUC over codes with both classes present; micro is
     the AUC of all N*L cells flattened. Raises if nothing is evaluable.
     """
-    n, l = pred.scores.shape
-    n_pos = pred.gold.astype(bool).sum(axis=0)
-    evaluable = np.flatnonzero((n_pos > 0) & (n_pos < n))
+    l = pred.scores.shape[1]
+    evaluable = evaluable_codes(pred.gold)
     if evaluable.size == 0:
         raise DataError("macro AUC: no code has both classes present")
     values = [auc(pred.scores[:, j], pred.gold[:, j]) for j in evaluable]
@@ -115,6 +120,25 @@ def precision_at_k(pred: PredictionSet, k: int) -> float:
     hits = int(np.take_along_axis(pred.gold, top_codes(pred.scores, k), axis=1).sum())
     # integer accumulation, single division: the exact rational value rounded once
     return hits / (n * k) if n else 0.0
+
+
+P_AT_K = (5, 8, 15)  # MetricsReport's p5, p8 and p15
+
+
+def check_defined(gold, codes_from: str, docs_from: str) -> None:
+    """Raise DataError unless the report is defined for the (N, L) gold matrix.
+
+    p@k needs k codes for every k in P_AT_K, and macro AUC needs a code with
+    both classes present. ``codes_from`` and ``docs_from`` name the inputs the
+    code set and the documents came from; each error names the one at fault.
+    """
+    n_labels = np.shape(gold)[1]
+    k = max(P_AT_K)
+    if n_labels < k:
+        raise DataError(f"{codes_from}: {n_labels} codes, but the report's p@{k} needs {k}")
+    if evaluable_codes(gold).size == 0:
+        raise DataError(f"{docs_from}: no code has both classes present among the "
+                        f"documents, so macro AUC is undefined")
 
 
 @dataclass
@@ -146,13 +170,14 @@ def compute_metrics(scores, gold, decision_threshold: float = 0.5) -> MetricsRep
     pred = PredictionSet(scores, gold, decision_threshold)
     mac_auc, mic_auc, skipped = macro_micro_auc(pred)
     mic_f1, _, _ = micro_f1(pred)
+    p5, p8, p15 = (precision_at_k(pred, k) for k in P_AT_K)
     return MetricsReport(
         macro_auc=mac_auc,
         micro_auc=mic_auc,
         macro_f1=macro_f1(pred),
         micro_f1=mic_f1,
-        p5=precision_at_k(pred, 5),
-        p8=precision_at_k(pred, 8),
-        p15=precision_at_k(pred, 15),
+        p5=p5,
+        p8=p8,
+        p15=p15,
         macro_auc_skipped=skipped,
     )

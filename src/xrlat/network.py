@@ -368,12 +368,15 @@ def _encode_bwd(dH: np.ndarray, cache: dict, enc: EncoderParams, grads: dict) ->
         dx = dx0 + dx_ln1
     if cache["mask0"] is not None:
         dx = dx * cache["mask0"]
-    # Sum the rows per distinct token id in a small buffer (np.add.at adds in
-    # token order), then add each id's sum into the V-by-h accumulator once.
+    # Sum the rows per distinct token id in a small buffer, then add each id's
+    # sum into the V-by-h accumulator once. bincount adds its weights in input
+    # order, so each (id, column) cell sums its tokens in token order
+    # (np.add.reduceat would sum each run pairwise).
+    h = enc.hidden
     rows, inverse = np.unique(cache["ids"].reshape(-1), return_inverse=True)
-    demb = np.zeros((rows.size, enc.hidden))
-    np.add.at(demb, inverse, dx.reshape(-1, enc.hidden))
-    grads["emb"][rows] += demb
+    cells = (inverse[:, np.newaxis] * h + np.arange(h)).reshape(-1)
+    demb = np.bincount(cells, weights=dx.reshape(-1), minlength=rows.size * h)
+    grads["emb"][rows] += demb.reshape(rows.size, h)
     grads["pos"][:c] += dx.sum(axis=0)
 
 

@@ -274,12 +274,36 @@ class TestEvalCommand:
                                          meta, tensors, message):
         ckpt = tmp_path / "bad.ckpt"
         ckpt.write_bytes(container_bytes(meta, tensors))
-        ds = tmp_path / "one.tsv"
-        ds.write_text("# xrlat-dataset v1\ndoc0\tc0b0g0x0\tfiller text\n")
+        ds = tmp_path / "two.tsv"
+        ds.write_text("# xrlat-dataset v1\ndoc0\tc0b0g0x0\tfiller text\n"
+                      "doc1\tc0b0g0x1\tfiller text\n")
         capsys.readouterr()
         assert main(["eval", "--ckpt", str(ckpt), "--tree", demo_tree_path,
                      "--dataset", str(ds), "--vocab", str(tmp_path / "vocab.txt")]) == 1
         assert f"{ckpt}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["--scores", "--ckpt"])
+    @pytest.mark.parametrize("case", ["tree-under-15-codes", "single-class-dataset"])
+    def test_undefined_report_exit_1_before_scores(self, tmp_path, demo_tree_path, capsys,
+                                                   source, case):
+        """Checked from the tree and gold codes alone: the missing scores file or
+        checkpoint is never opened."""
+        if case == "tree-under-15-codes":
+            tree = tmp_path / "small_tree.txt"
+            tree.write_text("".join(f"a/ab/abc/x{i}\n" for i in range(10)))
+            codes, named = ("x0", "x1"), tree
+        else:
+            tree = demo_tree_path
+            codes, named = ("c0b0g0x0", "c0b0g0x0"), tmp_path / "same.tsv"
+        ds = tmp_path / "same.tsv"
+        ds.write_text("# xrlat-dataset v1\n" + "".join(
+            f"doc{i}\t{code}\tfiller text\n" for i, code in enumerate(codes)))
+        capsys.readouterr()
+        assert main(["eval", source, str(tmp_path / "missing"), "--tree", str(tree),
+                     "--dataset", str(ds), "--vocab", str(tmp_path / "vocab.txt")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {named}: " in err and "missing" not in err
+        assert ("p@15" if case == "tree-under-15-codes" else "macro AUC") in err
 
     def test_eval_flat_writes_report(self, tmp_path, demo_tree_path, small_dataset, capsys):
         run = self._trained_run(tmp_path, demo_tree_path, small_dataset)

@@ -5,6 +5,7 @@ from xrlat.metrics import (
     MetricsReport,
     PredictionSet,
     auc,
+    check_defined,
     compute_metrics,
     macro_f1,
     macro_micro_auc,
@@ -220,6 +221,19 @@ class TestReport:
         for value in (rep.macro_auc, rep.micro_auc, rep.macro_f1, rep.micro_f1,
                       rep.p5, rep.p8, rep.p15):
             assert 0.0 <= value <= 1.0
+
+    def test_check_defined_names_the_input_at_fault(self):
+        gold = np.zeros((3, 15), dtype=int)
+        gold[0, 4] = 1
+        check_defined(gold, "tree.txt", "docs.tsv")  # 15 codes, code 4 has both classes
+        with pytest.raises(DataError, match=r"^tree\.txt: 14 codes, but the report's p@15 needs 15$"):
+            check_defined(gold[:, :14], "tree.txt", "docs.tsv")
+        with pytest.raises(DataError, match=r"^docs\.tsv: no code has both classes"):
+            check_defined(gold[:1], "tree.txt", "docs.tsv")
+        # the same inputs make compute_metrics raise
+        for bad in (gold[:, :14], gold[:1]):
+            with pytest.raises(DataError):
+                compute_metrics(np.zeros(bad.shape), bad)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataError):

@@ -5,6 +5,7 @@ from xrlat.losses import LossConfig
 from xrlat.network import (
     CorrectionLayer,
     LevelModel,
+    _encode_bwd,
     _encode_fwd,
     _head_fwd,
     forward_backward,
@@ -237,6 +238,27 @@ class TestForwardBackward:
         assert list(buf) == list(expected)
         for name in expected:
             assert buf[name].tobytes() == expected[name].tobytes(), name
+
+    def test_embedding_gradient_adds_rows_in_token_order(self):
+        """grads["emb"] equals a loop adding each token's input gradient in token order, bit
+        for bit: an id repeated more than 8 times (np.add.reduceat sums such runs
+        pairwise), dropout zeros (-0.0 entries) and mixed magnitudes, so order shows."""
+        rng = derive_rng(9)
+        enc = init_encoder(12, 16, 5, 0, rng)
+        ids = np.array([3, 7, 3, 3, 9, 7, 3, 11, 3, 7, 2, 3, 3, 9] + [3] * 20)
+        doc = chunk(ids, 5, 7)
+        H, cache = _encode_fwd(doc, enc, dropout=0.2, rng=derive_rng(10))
+        dH = rng.normal(size=H.shape) * 10.0 ** rng.integers(-4, 5, size=H.shape)
+        dH[doc.flags.reshape(-1) == 0] = 0.0
+        grads = zero_grads(LevelModel(enc, init_head(2, 16, rng), 0))
+        _encode_bwd(dH, cache, enc, grads)
+
+        dx = dH * cache["mask0"].reshape(dH.shape)  # no blocks: H = dropout(emb[ids] + pos)
+        assert np.signbit(dx[dx == 0.0]).any()
+        expected = np.zeros_like(enc.emb)
+        for t, token in enumerate(doc.chunks.reshape(-1)):
+            expected[token] += dx[t]
+        assert grads["emb"].tobytes() == expected.tobytes()
 
     def test_dropout_deterministic_per_rng(self):
         rng, enc, head, doc = self._setup(seed=6)

@@ -1,17 +1,26 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xrlat.code_tree import LabelMatrix, parse_hierarchy
+from xrlat.code_tree import LabelMatrix, parse_hierarchy, propagate_labels
+from xrlat import training
 from xrlat.hyperbolic import PoincareEmbeddings, flatten_tree
 from xrlat.losses import LossConfig, loss_and_grad
-from xrlat.network import CorrectionLayer, init_encoder, init_head
+from xrlat.network import CorrectionLayer, forward_backward, init_encoder, init_head, zero_grads
 from xrlat.textproc import build_vocab, clean_text, synth_corpus
 from xrlat.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    CLIP_NORM,
+    HEAD_ROWS,
     AdamW,
     LevelModel,
     TrainConfig,
+    _train_level,
     bootstrap_equal,
     bootstrap_hyperc,
     clip_gradients,
@@ -34,6 +43,67 @@ BCE = LossConfig()
 
 def loss_of(p, y, cfg=BCE):
     return loss_and_grad(np.asarray(p, dtype=np.float64), y, cfg)[0]
+
+
+def gather_up_to(monkeypatch, share):
+    """Make AdamW gather the touched rows until they reach ``share`` of all rows, whatever
+    the weight decay; None keeps the measured switch points."""
+    if share is not None:
+        monkeypatch.setattr(training, "GATHER_MAX_SHARE", share)
+        monkeypatch.setattr(training, "GATHER_MAX_SHARE_DECAY", share)
+
+
+def dense_adamw_step(model, m, v, t, grads, lr, weight_decay):
+    """AdamW over every row of every tensor: what the row-sparse optimizer must equal."""
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    for name, theta in model.trainable():
+        g = grads[name]
+        m[name] *= ADAM_BETA1
+        m[name] += (1.0 - ADAM_BETA1) * g
+        v[name] *= ADAM_BETA2
+        v[name] += (1.0 - ADAM_BETA2) * g * g
+        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + ADAM_EPS)
+        theta -= lr * (update + weight_decay * theta)
+
+
+def dense_train_level(docs, label_rows, n_labels, masks, model, cfg, level_tag):
+    """The training loop with zero, scale, clip and AdamW over every head row; returns
+    the number of steps that clipped."""
+    data_rng = derive_rng(cfg.seed, "data", level_tag)
+    m = {name: np.zeros_like(p) for name, p in model.trainable()}
+    v = {name: np.zeros_like(p) for name, p in model.trainable()}
+    grads = zero_grads(model)
+    clipped = 0
+    step = 0
+    while step < cfg.max_steps:
+        order = data_rng.permutation(len(docs))
+        for start in range(0, len(docs), cfg.batch_size):
+            if step >= cfg.max_steps:
+                break
+            batch = order[start : start + cfg.batch_size]
+            step_ss = np.random.SeedSequence([cfg.seed, level_tag, step])
+            for g in grads.values():
+                g.fill(0.0)
+            for i, seed in zip((int(i) for i in batch), step_ss.spawn(len(batch))):
+                gold = np.zeros(n_labels, dtype=np.uint8)
+                gold[label_rows[i]] = 1
+                forward_backward(docs[i], model.enc, model.head, gold, masks[i],
+                                 cfg.loss_config(), corr=model.corr,
+                                 corr_inputs=model.corr_inputs, dropout=cfg.dropout,
+                                 rng=np.random.default_rng(seed), grads=grads)
+            inv = 1.0 / len(batch)
+            for g in grads.values():
+                g *= inv
+            total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            if total > CLIP_NORM:
+                clipped += 1
+                for g in grads.values():
+                    g *= CLIP_NORM / total
+            lr = lr_at(step, cfg.learning_rate, cfg.warmup, cfg.max_steps)
+            dense_adamw_step(model, m, v, step + 1, grads, lr, cfg.weight_decay)
+            step += 1
+    return clipped
 
 
 class TestBceLoss:
@@ -274,6 +344,50 @@ class TestOptimizerAndSchedule:
         opt.step(model, grads, lr=0.1)
         assert model.head.b_cl[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("share", [None, 1.0])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.5])
+    def test_row_sparse_adamw_equals_dense(self, weight_decay, share, monkeypatch):
+        """Head rows enter late, go quiet with nonzero moments and come back, and at
+        step 7 every row has been touched; every tensor equals a dense AdamW's, bit for
+        bit, after every step. Row 1 holds a -0.0 weight until its first touch. At
+        share 1.0 every step before step 7 gathers the touched rows."""
+        gather_up_to(monkeypatch, share)
+        rng = derive_rng(14)
+        model = LevelModel(init_encoder(5, 3, 2, 0, rng), init_head(6, 3, rng), level=2,
+                           corr=CorrectionLayer(rng.normal(size=(2, 3)), rng.normal(size=3)),
+                           corr_inputs=rng.normal(size=(6, 2)))
+        model.head.W_la[1, 0] = -0.0
+        ref = copy.deepcopy(model)
+        m = {name: np.zeros_like(p) for name, p in ref.trainable()}
+        v = {name: np.zeros_like(p) for name, p in ref.trainable()}
+        opt = AdamW(model, weight_decay=weight_decay)
+        schedule = [[3], [3, 5], [0], [5], [0, 3, 4], [2], [0, 1, 2, 3, 4, 5], [1], [4]]
+        for t, rows in enumerate(schedule, start=1):
+            rows = np.array(rows)
+            grads = {name: rng.normal(size=p.shape) for name, p in model.trainable()}
+            for name in HEAD_ROWS:
+                grads[name][np.setdiff1d(np.arange(6), rows)] = 0.0
+            dense_adamw_step(ref, m, v, t, copy.deepcopy(grads), 0.1 / t, weight_decay)
+            opt.step(model, grads, 0.1 / t, rows)
+            for (name, a), (_, b) in zip(model.trainable(), ref.trainable()):
+                assert a.tobytes() == b.tobytes(), (t, name)
+            if t < 7:
+                assert model.head.W_la[1, 0] == 0.0 and np.signbit(model.head.W_la[1, 0])
+
+    @pytest.mark.parametrize("weight_decay, gathered", [(0.0, [True, True, False, False]),
+                                                        (0.5, [True, False, False, False])])
+    def test_gathers_below_measured_share(self, weight_decay, gathered):
+        """The union of touched rows is gathered under GATHER_MAX_SHARE (0.65) of the rows,
+        or GATHER_MAX_SHARE_DECAY (0.5) at weight_decay != 0, and every row is updated
+        in place from the step it reaches that share on, even if later steps are small."""
+        rng = derive_rng(15)
+        model = LevelModel(init_encoder(5, 3, 2, 0, rng), init_head(10, 3, rng), level=2)
+        opt = AdamW(model, weight_decay=weight_decay)
+        grads = zero_grads(model)
+        for rows, want in zip(([0, 1, 2], [3, 4, 5], [9], [0]), gathered):
+            opt.step(model, grads, 0.1, np.array(rows))
+            assert isinstance(opt.rows, np.ndarray) == want, rows
+
     def test_warmup_then_linear_decay(self):
         peak, warmup, total = 1e-3, 10, 100
         assert lr_at(0, peak, warmup, total) == pytest.approx(peak / 10)
@@ -366,6 +480,42 @@ class TestTrainingLoops:
         empty = type(data)([], [], LabelMatrix(81, []), data.vocab)
         with pytest.raises(DataError):
             train_flat(empty, demo_tree, cfg)
+
+
+class TestRowSparseLevel:
+    @pytest.mark.parametrize("share", [None, 1.0])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+    def test_masked_level_equals_dense_loop(self, demo_tree, tiny_setup, weight_decay, share,
+                                            monkeypatch):
+        """A masked bootstrap-hyperc level (with corr.*) trains to the dense loop's bytes.
+
+        Each document's mask holds one of labels 0-7, so a step's rows change from step
+        to step and label 8 is never touched; at weight_decay 0 its head row keeps its
+        initial bytes. At share 1.0 AdamW gathers the touched rows on every step.
+        """
+        gather_up_to(monkeypatch, share)
+        data, cfg0 = tiny_setup
+        cfg = TrainConfig(**{**cfg0.__dict__, "batch_size": 4, "max_steps": 12,
+                             "weight_decay": weight_decay})
+        labels = data.labels
+        for k in (4, 3):
+            labels = propagate_labels(labels, demo_tree.indexing_matrix(k))
+        parent = init_level_model(data.vocab.size, 1, 3, cfg, derive_rng(cfg.seed, "init", 1))
+        E = derive_rng(42).normal(0.0, 0.1, size=(9, 5))
+        init = bootstrap_hyperc(parent, demo_tree.indexing_matrix(2), E)
+        mask_rng = derive_rng(43)
+        masks = [np.eye(9, dtype=np.uint8)[mask_rng.integers(8)] for _ in data.docs]
+
+        model, ref = copy.deepcopy(init), copy.deepcopy(init)
+        _train_level(data.docs, labels.rows, 9, masks, model, cfg, 2)
+        assert dense_train_level(data.docs, labels.rows, 9, masks, ref, cfg, 2) == 0
+        for (name, a), (_, b) in zip(model.tensors(), ref.tensors()):
+            assert a.tobytes() == b.tobytes(), name
+        if weight_decay == 0.0:
+            for name in HEAD_ROWS:
+                a, b = getattr(model.head, name), getattr(init.head, name)
+                assert a[8].tobytes() == b[8].tobytes(), name
+                assert a[:8].tobytes() != b[:8].tobytes(), name
 
 
 class TestPredict:
