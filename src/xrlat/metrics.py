@@ -105,9 +105,40 @@ def macro_micro_auc(pred: PredictionSet):
 def top_codes(scores, k: int) -> np.ndarray:
     """Indices of the k highest scores along the last axis, highest first.
 
-    Ties go to the lower code index (a stable sort of the negated scores).
+    Ties go to the lower code index, as in a stable sort of the negated
+    scores, where NaN sorts last. For 0 < k < L a row whose first k codes
+    share its best score (an all-zero row of a cascade) takes those. Any
+    other row finds its k-th highest score by a partition; the codes above
+    it and the lowest-index codes tied with it make exactly k, and only those
+    are sorted.
     """
-    return np.argsort(-np.asarray(scores), axis=-1, kind="stable")[..., :k]
+    scores = np.asarray(scores)
+    n_codes = scores.shape[-1]
+    if not 0 < k < n_codes:
+        return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
+    rows = scores.reshape(-1, n_codes)
+    out = np.empty((len(rows), k), dtype=np.intp)
+    leading = np.all(rows[:, :k] == rows.max(axis=1, keepdims=True), axis=1)
+    out[leading] = np.arange(k)
+
+    rest = np.flatnonzero(~leading)
+    neg = -rows[rest]
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
+    top = neg < kth
+    tied = neg == kth
+    nan_kth = np.isnan(kth[:, 0])  # fewer than k numbers: all of them, then NaNs
+    if nan_kth.any():
+        tied[nan_kth] = np.isnan(neg[nan_kth])
+        top[nan_kth] = ~tied[nan_kth]
+    # add each row's lowest-index codes tied at the k-th score, as many as it needs
+    need = k - np.count_nonzero(top, axis=1)
+    n_tied = np.count_nonzero(tied, axis=1)
+    first = (np.cumsum(n_tied) - n_tied)[:, np.newaxis] + np.arange(k)
+    top.flat[np.flatnonzero(tied)[first[np.arange(k) < need[:, np.newaxis]]]] = True
+    cols = (np.flatnonzero(top) % n_codes).reshape(-1, k)  # ascending within each row
+    order = np.argsort(np.take_along_axis(neg, cols, axis=1), axis=1, kind="stable")
+    out[rest] = np.take_along_axis(cols, order, axis=1)
+    return out.reshape(scores.shape[:-1] + (k,))
 
 
 def precision_at_k(pred: PredictionSet, k: int) -> float:

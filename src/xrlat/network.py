@@ -38,12 +38,9 @@ def _gelu_grad(x, t):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)); exp overflows to inf for x < -709, giving exactly 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass
@@ -251,9 +248,11 @@ def _ln_bwd(dy, cache, g):
 
 
 def _softmax_last(scores):
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, in place on ``scores``, which it returns."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def _dropout_mask(shape, p, rng):
@@ -388,34 +387,36 @@ def _head_fwd(H, flags_flat, W_la_eff, W_cl, b_cl):
     """Label attention over the real tokens, then per-label sigmoid classifiers.
 
     d_j = sum_t alpha_jt h_t with alpha_j = softmax(W_la_eff[j] . h_t) over
-    the real tokens only, so padding rows of H never enter the result.
+    the real tokens only, so padding rows of H never enter the result. The
+    softmax runs in place on the (A, r) scores, the forward's only (A, r) array.
     Returns (p, cache); the cache holds ``alpha`` (A, r) and ``d`` (A, h).
     """
     real = np.flatnonzero(flags_flat)
     if real.size == 0:
         raise DataError("cannot attend over a document whose tokens are all padding")
     Hr = H[real]  # (r, h)
-    scores = W_la_eff @ Hr.T  # (A, r)
-    alpha = _softmax_last(scores)
+    alpha = _softmax_last(W_la_eff @ Hr.T)  # (A, r)
     d = alpha @ Hr  # (A, h)
-    logits = (d * W_cl).sum(axis=1) + b_cl
+    logits = np.einsum("ij,ij->i", d, W_cl) + b_cl  # row dots, no (A, h) temporary
     p = _sigmoid(logits)
-    return p, {"real": real, "Hr": Hr, "alpha": alpha, "d": d, "logits": logits,
-               "scores": scores, "p": p}
+    return p, {"real": real, "Hr": Hr, "alpha": alpha, "d": d, "logits": logits, "p": p}
 
 
 def _head_bwd(dp, hc, W_la_eff, W_cl):
+    """Gradients of the head for dL/dp. With dalpha = dd @ Hr.T and d = alpha @ Hr,
+    sum_t alpha_jt dalpha_jt = dd_j . d_j, so the softmax backward needs no
+    (A, r) product of alpha and dalpha."""
     p, d, alpha, Hr = hc["p"], hc["d"], hc["alpha"], hc["Hr"]
     dlogits = dp * p * (1.0 - p)
     dW_cl = dlogits[:, np.newaxis] * d
-    db_cl = dlogits
     dd = dlogits[:, np.newaxis] * W_cl
-    dalpha = dd @ Hr.T
     dHr = alpha.T @ dd
-    dscores = alpha * (dalpha - (dalpha * alpha).sum(axis=-1, keepdims=True))
+    dscores = dd @ Hr.T  # dalpha, then the scores' gradient in place
+    dscores -= np.einsum("ij,ij->i", dd, d)[:, np.newaxis]
+    dscores *= alpha
     dW_la = dscores @ Hr
     dHr += dscores.T @ W_la_eff
-    return dW_la, dW_cl, db_cl, dHr
+    return dW_la, dW_cl, dlogits, dHr
 
 
 def _effective_w_la(head: HeadParams, corr: Optional[CorrectionLayer],
@@ -475,8 +476,10 @@ def forward_backward(doc: ChunkedDocument, params: EncoderParams, head: HeadPara
     p, hc = _head_fwd(H, doc.flags.reshape(-1), W_eff, W_cl_act, b_cl_act)
     loss, dp = loss_and_grad(p, gold[active], loss_cfg)
 
-    if not np.isfinite(loss):
-        for name, t in (("H", H), ("attention_scores", hc["scores"]),
+    # An inf logit saturates p and keeps the loss finite, yet makes NaN gradients.
+    if not (np.isfinite(loss) and np.all(np.isfinite(hc["logits"]))):
+        # the softmax overwrote the scores; only this error path recomputes them
+        for name, t in (("H", H), ("attention_scores", W_eff @ hc["Hr"].T),
                         ("label_vectors", hc["d"]), ("logits", hc["logits"]),
                         ("probabilities", p)):
             if not np.all(np.isfinite(t)):

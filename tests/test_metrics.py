@@ -11,6 +11,7 @@ from xrlat.metrics import (
     macro_micro_auc,
     micro_f1,
     precision_at_k,
+    top_codes,
 )
 from xrlat.util import DataError, derive_rng
 
@@ -188,6 +189,63 @@ class TestPrecisionAtK:
         a = precision_at_k(PredictionSet(scores, gold), 4)
         b = precision_at_k(PredictionSet(scores**3 + 1, gold), 4)
         assert a == b
+
+
+def stable_argsort_top(scores, k, lower_index_first=True):
+    """Oracle for top_codes: a full stable sort of the negated scores. With
+    lower_index_first=False, ties go to the higher code index instead."""
+    if lower_index_first:
+        return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
+    flipped = np.argsort(-scores[..., ::-1], axis=-1, kind="stable")
+    return (scores.shape[-1] - 1 - flipped)[..., :k]
+
+
+class TestTopCodes:
+    def tied_scores(self, rng, n, l):
+        """Few distinct values (most rows tie at their k-th score), an all-equal row,
+        +0.0 and -0.0 (equal under comparison), a cascade row (three positive codes,
+        then zeros), a row whose best score ties only past the leading codes, a row of
+        distinct scores, and rows of NaN with three numbers or none (NaN sorts last)."""
+        scores = rng.integers(-2, 3, size=(n, l)) * 0.25
+        scores[1] = 0.5
+        scores[2] = np.where(rng.random(l) < 0.5, 0.0, -0.0)
+        scores[3] = 0.0
+        scores[3, rng.choice(l, 3, replace=False)] = rng.random(3)
+        scores[4] = rng.random(l) * 0.5
+        scores[4, l - 12 :] = 1.0
+        scores[5] = rng.random(l)
+        scores[6] = np.nan
+        scores[6, rng.choice(l, 3, replace=False)] = [0.5, -1.0, 0.5]
+        scores[7] = np.nan
+        return scores
+
+    @pytest.mark.parametrize("k_of", [lambda l: 1, lambda l: 5, lambda l: 15,
+                                      lambda l: l, lambda l: l + 3],
+                             ids=["1", "5", "15", "L", "L+3"])
+    def test_matches_stable_full_sort(self, k_of):
+        rng = derive_rng(12)
+        for _ in range(30):
+            n, l = int(rng.integers(8, 12)), int(rng.integers(16, 120))
+            scores = self.tied_scores(rng, n, l)
+            assert np.signbit(scores[2]).any() and not np.signbit(scores[2]).all()
+            k = k_of(l)
+            got = top_codes(scores, k)
+            want = stable_argsort_top(scores, k)
+            assert got.shape == want.shape == (n, min(k, l))
+            assert np.array_equal(got, want)
+            assert np.array_equal(top_codes(scores[0], k), want[0])  # one row, 1-D
+
+    def test_data_catches_ties_toward_the_higher_index(self):
+        """The oracle data is tied enough that a higher-index tie-break disagrees."""
+        rng = derive_rng(12)
+        scores = self.tied_scores(rng, 8, 80)
+        for k in (1, 5, 15):
+            high_first = stable_argsort_top(scores, k, lower_index_first=False)
+            assert not np.array_equal(high_first, stable_argsort_top(scores, k))
+            assert not np.array_equal(high_first, top_codes(scores, k))
+
+    def test_no_documents(self):
+        assert top_codes(np.zeros((0, 20)), 5).shape == (0, 5)
 
 
 class TestThresholdMonotonicity:

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from xrlat.network import (
     LevelModel,
     _encode_bwd,
     _encode_fwd,
+    _head_bwd,
     _head_fwd,
     forward_backward,
     forward_probs,
@@ -166,6 +170,91 @@ class TestClassify:
                              rng.normal(size=30) * 10)
         assert cache["logits"].min() < -30 and cache["logits"].max() > 30
         assert np.all((p >= 0) & (p <= 1))
+
+
+def two_pass_head(H, flags, W_la_eff, W_cl, b_cl, dp):
+    """The head as first written, for comparison: a softmax through fresh arrays,
+    (dalpha * alpha).sum in its backward and a sigmoid split by sign.
+    Returns p, dW_la, dW_cl, db_cl, dHr."""
+    Hr = H[np.flatnonzero(flags)]
+    scores = W_la_eff @ Hr.T
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    alpha = e / e.sum(axis=1, keepdims=True)
+    d = alpha @ Hr
+    logits = (d * W_cl).sum(axis=1) + b_cl
+    p = np.empty_like(logits)
+    pos = logits >= 0
+    p[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
+    ex = np.exp(logits[~pos])
+    p[~pos] = ex / (1.0 + ex)
+    dlogits = dp * p * (1.0 - p)
+    dd = dlogits[:, np.newaxis] * W_cl
+    dalpha = dd @ Hr.T
+    dscores = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
+    dHr = alpha.T @ dd + dscores.T @ W_la_eff
+    return p, dscores @ Hr, dlogits[:, np.newaxis] * d, dlogits, dHr
+
+
+class TestHeadKernel:
+    def test_matches_two_pass_head_and_leaves_inputs_alone(self):
+        """Padding, a label mask and a correction layer; every output within 1e-12 of
+        the two-pass formulas, relative to the output's largest entry."""
+        rng = derive_rng(21)
+        n_labels, h, d_emb, z = 300, 16, 5, 70
+        H = rng.normal(size=(z, h))
+        flags = (rng.random(z) < 0.8).astype(np.uint8)
+        head = init_head(n_labels, h, rng)
+        head.W_la *= 40.0  # scores spread over tens, so the max shift matters
+        head.W_cl *= 100.0  # logits of both signs, some far from 0
+        head.b_cl[:] = rng.normal(size=n_labels)
+        corr = CorrectionLayer(rng.normal(size=(d_emb, h)), rng.normal(size=h))
+        E = rng.normal(size=(n_labels, d_emb))
+        active = np.flatnonzero(rng.random(n_labels) < 0.6)
+        W_eff = head.W_la[active] + E[active] @ corr.W + corr.b
+        W_cl, b_cl = head.W_cl[active], head.b_cl[active]
+        dp = rng.normal(size=active.size)
+        before = [t.tobytes() for t in (H, W_eff, W_cl, b_cl)]
+
+        p, hc = _head_fwd(H, flags, W_eff, W_cl, b_cl)
+        got = (p,) + _head_bwd(dp, hc, W_eff, W_cl)
+        assert [t.tobytes() for t in (H, W_eff, W_cl, b_cl)] == before
+        assert hc["logits"].min() < -5.0 and hc["logits"].max() > 5.0
+        want = two_pass_head(H, flags, W_eff, W_cl, b_cl, dp)
+        for name, a, b in zip(("p", "dW_la", "dW_cl", "db_cl", "dHr"), got, want):
+            assert a.shape == b.shape, name
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+    def test_sigmoid_saturates_without_warnings(self):
+        logits_d = np.ones((3, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = classify(logits_d, np.array([[800.0], [-800.0], [0.0]]), np.zeros(3))
+        assert np.all((p >= 0.0) & (p <= 1.0))
+        assert p[0] == 1.0 and p[1] == 0.0 and p[2] == 0.5
+
+    def test_traced_peak_memory_per_document(self):
+        """numpy reports its buffers to tracemalloc, so the peak is a deterministic
+        count: one unmasked training document stays below three (A, r) float64
+        arrays, and one evaluation document below one and a half."""
+        n_labels, h, c, s = 2000, 16, 16, 8
+        rng = derive_rng(22)
+        enc = init_encoder(40, h, c, 1, rng)
+        head = init_head(n_labels, h, rng)
+        doc = make_doc(rng, 40, c, s, t=c * s - 5)
+        gold = (rng.random(n_labels) < 0.01).astype(np.float64)
+        grads = zero_grads(LevelModel(enc, head, 0))
+        scores_bytes = n_labels * int(doc.flags.sum()) * 8
+        peaks = []
+        for call in (lambda: forward_backward(doc, enc, head, gold, None, LossConfig(),
+                                              grads=grads),
+                     lambda: forward_probs(doc, enc, head)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1] / scores_bytes)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 3.0 and peaks[1] < 1.5, peaks
 
 
 class TestForwardBackward:

@@ -49,3 +49,29 @@ class TestNumericsErrors:
         assert exc.value.tensor is not None
         assert exc.value.step == 0
         assert "step 0" in str(exc.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("where,value,tensor", [("W_la", np.inf, "attention_scores"),
+                                                    ("W_cl", np.inf, "logits"),
+                                                    ("W_cl", np.nan, "logits")])
+    def test_nonfinite_head_weights_name_their_tensor(self, where, value, tensor):
+        """The softmax overwrites the scores in place, yet an inf in a W_la row still
+        names the attention scores. A single inf in W_cl names the logits although it
+        only saturates p and leaves the loss finite; a NaN there makes the loss NaN."""
+        from xrlat.losses import LossConfig
+        from xrlat.network import forward_backward, init_encoder, init_head
+        from xrlat.textproc import chunk
+
+        rng = derive_rng(31)
+        enc = init_encoder(20, 8, 4, 1, rng)
+        head = init_head(6, 8, rng)
+        doc = chunk(rng.integers(2, 20, size=7), 4, 2)
+        if where == "W_la":
+            head.W_la[3] = value
+        else:
+            head.W_cl[3, 0] = value
+        gold = np.zeros(6)
+        gold[1] = 1.0
+        with pytest.raises(NumericsError) as exc:
+            forward_backward(doc, enc, head, gold, None, LossConfig())
+        assert exc.value.tensor == tensor
