@@ -112,16 +112,17 @@ def read_container(path: str):
 # model checkpoints
 
 
-def save_model(path: str, model, cfg, vocab_size: int) -> None:
+def save_model(path: str, model, cfg) -> None:
+    """Write ``model`` with its sizes and ``cfg``'s chunking, seed and chain settings."""
     metadata = {
         "kind": "level-model",
         "level": model.level,
         "provenance": model.provenance,
-        "c": cfg.c,
+        "c": model.enc.chunk_len,
         "s": cfg.s,
-        "h": cfg.hidden_size,
-        "n_layers": cfg.n_layers,
-        "vocab_size": vocab_size,
+        "h": model.enc.hidden,
+        "n_layers": len(model.enc.blocks),
+        "vocab_size": model.enc.vocab_size,
         "seed": cfg.seed,
         "bootstrap": cfg.bootstrap,
         "negative_sampling": int(cfg.negative_sampling),
@@ -156,16 +157,26 @@ def model_settings(path: str, metadata: dict) -> dict:
 def load_model(path: str):
     """Rebuild a LevelModel; returns (model, metadata) with the stored strings.
 
-    The tensors must be finite and match network.level_layout for the metadata;
-    raises ParseError naming the first MODEL_KEYS entry or tensor that does not.
+    The tensors must be finite and match network.level_layout for the metadata and the
+    widths h, L and d of the file's emb, W_la and corr.W (0 where that tensor is missing
+    or has too few axes; corr.* is expected exactly when corr.W is present); raises
+    ParseError naming the first MODEL_KEYS entry or tensor that does not.
     """
     metadata, tensors = read_container(path)
     if metadata.get("kind") != "level-model":
         raise ParseError(f"{path}: container does not hold a model")
     settings = model_settings(path, metadata)
     n_layers = settings["n_layers"]
+
+    def width(name, axis):
+        t = tensors.get(name)
+        return t.shape[axis] if t is not None and t.ndim > axis else 0
+
+    d_emb = width("corr.W", 0) if "corr.W" in tensors else None
+    layout = level_layout(settings["vocab_size"], settings["c"], width("emb", 1),
+                          width("W_la", 0), n_layers, d_emb)
     expected = set()
-    for name, shape in level_layout(tensors, settings["vocab_size"], settings["c"], n_layers):
+    for name, shape in layout:
         if name not in tensors:
             raise ParseError(f"{path}: missing tensor {name!r}")
         if tensors[name].shape != shape:

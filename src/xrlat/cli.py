@@ -18,7 +18,7 @@ from . import checkpoint, code_tree, hyperbolic, metrics, textproc, training
 from .config import parse_overrides, resolve_config
 from .losses import LossConfig
 from .network import gradcheck
-from .util import ConfigError, DataError, NumericsError, ParseError, atomic_write_text
+from .util import ConfigError, DataError, NumericsError, ParseError, atomic_write_text, text_lines
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,8 +140,7 @@ def _cmd_data(args) -> int:
         textproc.write_dataset(args.out, docs, tree)
         print(f"wrote {args.out}: {len(docs)} documents")
         return 0
-    with open(args.input, "r", encoding="utf-8") as fh:
-        cleaned = [textproc.clean_text(line.rstrip("\n")) for line in fh]
+    cleaned = [textproc.clean_text(line) for _, line in text_lines(args.input)]
     atomic_write_text(args.output, "\n".join(cleaned) + ("\n" if cleaned else ""))
     print(f"wrote {args.output}: {len(cleaned)} lines")
     return 0
@@ -194,25 +193,21 @@ def _cmd_train(args) -> int:
 
 def _read_scores(path: str, doc_ids, n_labels: int) -> np.ndarray:
     by_id = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 'doc_id<TAB>scores'")
-            if parts[0] in by_id:
-                raise ParseError(f"{path}:{lineno}: duplicate doc_id {parts[0]!r}")
-            try:
-                values = np.array([float(x) for x in parts[1].split()], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if values.size != n_labels:
-                raise DataError(f"{path}:{lineno}: expected {n_labels} scores, got {values.size}")
-            if not np.all(np.isfinite(values)):
-                raise ParseError(f"{path}:{lineno}: scores must be finite numbers")
-            by_id[parts[0]] = values
+    for lineno, line in text_lines(path, skip_comments=True):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 'doc_id<TAB>scores'")
+        if parts[0] in by_id:
+            raise ParseError(f"{path}:{lineno}: duplicate doc_id {parts[0]!r}")
+        try:
+            values = np.array([float(x) for x in parts[1].split()], dtype=np.float64)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        if values.size != n_labels:
+            raise DataError(f"{path}:{lineno}: expected {n_labels} scores, got {values.size}")
+        if not np.all(np.isfinite(values)):
+            raise ParseError(f"{path}:{lineno}: scores must be finite numbers")
+        by_id[parts[0]] = values
     missing = [d for d in doc_ids if d not in by_id]
     if missing:
         raise DataError(f"{path}: no scores for documents {missing[:3]}...")

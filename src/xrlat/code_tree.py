@@ -9,12 +9,11 @@ parents is rejected.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import DataError, ParseError
+from .util import DataError, ParseError, text_lines
 
 N_LEVELS = 4
 LEVEL_NAMES = ("chapter", "block", "category", "code")
@@ -181,8 +180,7 @@ def parse_hierarchy(lines) -> CodeTree:
 
 def build_tree(path: str) -> CodeTree:
     """Parse a hierarchy file into a CodeTree. See the module docstring for the format."""
-    with io.open(path, "r", encoding="utf-8") as fh:
-        return parse_hierarchy(fh)
+    return parse_hierarchy(line for _, line in text_lines(path))
 
 
 def hierarchy_lines(tree: CodeTree) -> list[str]:

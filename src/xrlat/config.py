@@ -8,12 +8,11 @@ training starts.
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass, fields
 
 from .training import TrainConfig
-from .util import ConfigError, atomic_write_text
+from .util import ConfigError, atomic_write_text, text_lines
 
 
 def _parse_bool(raw: str) -> bool:
@@ -88,8 +87,7 @@ def resolve_config(path: str | None = None, overrides: dict | None = None,
     """Build a RunConfig from an optional file, key=value overrides, and a seed flag."""
     values = {}
     if path is not None:
-        with io.open(path, "r", encoding="utf-8") as fh:
-            values.update(parse_config_lines(fh))
+        values.update(parse_config_lines(line for _, line in text_lines(path)))
     for key, value in (overrides or {}).items():
         if key not in KNOWN_KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")

@@ -6,6 +6,7 @@ scale stays stable as mask sizes vary across hierarchy levels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +26,11 @@ class LossConfig:
     def __post_init__(self):
         if self.kind not in ("bce", "asl"):
             raise DataError(f"unknown loss kind {self.kind!r}")
-        if self.gamma_pos < 0 or self.gamma_neg < 0:
-            raise DataError("focusing exponents must be >= 0")
+        for name in ("gamma_pos", "gamma_neg"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise DataError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
         if not 0.0 <= self.margin < 1.0:
-            raise DataError("margin must be in [0, 1)")
+            raise DataError(f"margin must be in [0, 1), got {self.margin!r}")
 
 
 def _asl_terms(p, y, cfg: LossConfig):

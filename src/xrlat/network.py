@@ -10,7 +10,7 @@ into the document representation H.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -58,8 +58,6 @@ class BlockParams:
     ln2_g: np.ndarray
     ln2_b: np.ndarray
 
-    FIELDS = ("q", "k", "v", "o", "ff1", "ff2", "ln1_g", "ln1_b", "ln2_g", "ln2_b")
-
 
 @dataclass
 class EncoderParams:
@@ -102,49 +100,11 @@ class CorrectionLayer:
     W: np.ndarray  # (d_emb, h)
     b: np.ndarray  # (h,)
 
-    @classmethod
-    def zeros(cls, d_emb: int, h: int) -> "CorrectionLayer":
-        return cls(np.zeros((d_emb, h)), np.zeros(h))
-
-
-def init_encoder(vocab_size: int, hidden: int, chunk_len: int, n_layers: int,
-                 rng: np.random.Generator) -> EncoderParams:
-    if n_layers not in (0, 1, 2):
-        raise DataError(f"n_layers must be 0, 1 or 2, got {n_layers}")
-    h = hidden
-    emb = rng.normal(0.0, INIT_STD, size=(vocab_size, h))
-    pos = rng.normal(0.0, INIT_STD, size=(chunk_len, h))
-    blocks = []
-    for _ in range(n_layers):
-        blocks.append(
-            BlockParams(
-                q=rng.normal(0.0, INIT_STD, size=(h, h)),
-                k=rng.normal(0.0, INIT_STD, size=(h, h)),
-                v=rng.normal(0.0, INIT_STD, size=(h, h)),
-                o=rng.normal(0.0, INIT_STD, size=(h, h)),
-                ff1=rng.normal(0.0, INIT_STD, size=(h, 4 * h)),
-                ff2=rng.normal(0.0, INIT_STD, size=(4 * h, h)),
-                ln1_g=np.ones(h),
-                ln1_b=np.zeros(h),
-                ln2_g=np.ones(h),
-                ln2_b=np.zeros(h),
-            )
-        )
-    return EncoderParams(emb, pos, blocks)
-
-
-def init_head(n_labels: int, hidden: int, rng: np.random.Generator) -> HeadParams:
-    return HeadParams(
-        W_la=rng.normal(0.0, INIT_STD, size=(n_labels, hidden)),
-        W_cl=rng.normal(0.0, INIT_STD, size=(n_labels, hidden)),
-        b_cl=np.zeros(n_labels),
-    )
-
 
 @dataclass
 class LevelModel:
-    """One sub-model of the chain (or the flat model) and its tensor table, tensors(),
-    whose names and order gradients, AdamW, gradcheck and checkpoints follow."""
+    """One sub-model of the chain (or the flat model); tensors() yields its arrays under
+    the names and in the order of level_layout."""
 
     enc: EncoderParams
     head: HeadParams
@@ -162,8 +122,7 @@ class LevelModel:
         yield "emb", self.enc.emb
         yield "pos", self.enc.pos
         for i, blk in enumerate(self.enc.blocks):
-            for name in BlockParams.FIELDS:
-                yield f"blk{i}.{name}", getattr(blk, name)
+            yield from ((f"blk{i}.{name}", t) for name, t in vars(blk).items())
         yield "W_la", self.head.W_la
         yield "W_cl", self.head.W_cl
         yield "b_cl", self.head.b_cl
@@ -180,8 +139,8 @@ class LevelModel:
     def from_tensors(cls, tensors: dict, n_layers: int, level: int,
                      provenance: str) -> "LevelModel":
         """The model whose ``tensors()`` are ``tensors`` (names as in level_layout)."""
-        blocks = [BlockParams(**{f: tensors[f"blk{i}.{f}"] for f in BlockParams.FIELDS})
-                  for i in range(n_layers)]
+        names = [f.name for f in fields(BlockParams)]
+        blocks = [BlockParams(**{n: tensors[f"blk{i}.{n}"] for n in names}) for i in range(n_layers)]
         enc = EncoderParams(tensors["emb"], tensors["pos"], blocks)
         head = HeadParams(tensors["W_la"], tensors["W_cl"], tensors["b_cl"])
         corr = CorrectionLayer(tensors["corr.W"], tensors["corr.b"]) if "corr.W" in tensors else None
@@ -192,17 +151,12 @@ class LevelModel:
         return _effective_w_la(self.head, self.corr, self.corr_inputs, slice(None))[0]
 
 
-def level_layout(tensors: dict, vocab_size: int, c: int, n_layers: int):
-    """(name, shape) of every tensor in LevelModel.tensors(), in its order, for a model
-    of these sizes whose widths h, L and d_emb are those of ``tensors``' emb, W_la and
-    corr.W (0 where that tensor is missing or has too few axes; no corr.* without corr.W).
+def level_layout(vocab_size: int, c: int, h: int, n_labels: int, n_layers: int,
+                 d_emb: Optional[int] = None):
+    """(name, shape) of every tensor in LevelModel.tensors(), in its order, for a model of
+    these sizes; corr.* (a correction layer from d_emb-wide label embeddings) only when
+    d_emb is given. Init, gradients, AdamW, gradcheck and checkpoints follow this table.
     """
-
-    def width(name, axis):
-        t = tensors.get(name)
-        return t.shape[axis] if t is not None and t.ndim > axis else 0
-
-    h, n_labels, d_emb = width("emb", 1), width("W_la", 0), width("corr.W", 0)
     block = {"q": (h, h), "k": (h, h), "v": (h, h), "o": (h, h), "ff1": (h, 4 * h),
              "ff2": (4 * h, h), "ln1_g": (h,), "ln1_b": (h,), "ln2_g": (h,), "ln2_b": (h,)}
     yield "emb", (vocab_size, h)
@@ -212,10 +166,29 @@ def level_layout(tensors: dict, vocab_size: int, c: int, n_layers: int):
     yield "W_la", (n_labels, h)
     yield "W_cl", (n_labels, h)
     yield "b_cl", (n_labels,)
-    if "corr.W" in tensors:
+    if d_emb is not None:
         yield "corr.W", (d_emb, h)
         yield "corr.b", (h,)
         yield "corr.E", (n_labels, d_emb)
+
+
+def init_level_model(vocab_size: int, c: int, h: int, n_labels: int, n_layers: int,
+                     level: int, rng: np.random.Generator,
+                     d_emb: Optional[int] = None) -> LevelModel:
+    """A fresh model whose trained tensors are drawn from ``rng`` in level_layout order:
+    LayerNorm gains 1, LayerNorm and classifier biases 0, every other tensor (corr.b
+    too) normal(0, INIT_STD). corr.E, the correction layer's fixed inputs, is not drawn:
+    the caller sets ``corr_inputs``.
+    """
+    tensors = {}
+    for name, shape in level_layout(vocab_size, c, h, n_labels, n_layers, d_emb):
+        if name.endswith("_g"):
+            tensors[name] = np.ones(shape)
+        elif name.endswith(("_b", "b_cl")):
+            tensors[name] = np.zeros(shape)
+        elif name != "corr.E":
+            tensors[name] = rng.normal(0.0, INIT_STD, size=shape)
+    return LevelModel.from_tensors(tensors, n_layers, level, "random")
 
 
 def zero_grads(model: LevelModel) -> dict:
@@ -546,15 +519,11 @@ def gradcheck(n_layers: int, loss: LossConfig, with_correction: bool = False,
     held to an absolute tolerance of 1e-8 instead of a meaningless ratio of
     two noise-dominated numbers.
     """
-    h, n_labels = GRADCHECK_HIDDEN, GRADCHECK_LABELS
+    n_labels = GRADCHECK_LABELS
     rng = derive_rng(seed, "gradcheck")
-    model = LevelModel(init_encoder(GRADCHECK_VOCAB, h, GRADCHECK_C, n_layers, rng),
-                       init_head(n_labels, h, rng), 0)
+    model = init_level_model(GRADCHECK_VOCAB, GRADCHECK_C, GRADCHECK_HIDDEN, n_labels,
+                             n_layers, 0, rng, GRADCHECK_D_EMB if with_correction else None)
     if with_correction:
-        model.corr = CorrectionLayer(
-            rng.normal(0.0, INIT_STD, size=(GRADCHECK_D_EMB, h)),
-            rng.normal(0.0, INIT_STD, size=h),
-        )
         model.corr_inputs = rng.normal(0.0, 0.1, size=(n_labels, GRADCHECK_D_EMB))
 
     # leave some padding so the flag path is exercised

@@ -7,7 +7,6 @@ codes are leaf identifiers of the active tree.
 
 from __future__ import annotations
 
-import io
 import re
 import string
 from collections import Counter
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code_tree import CodeTree, LabelMatrix
-from .util import ConfigError, DataError, ParseError, atomic_write_text, derive_rng
+from .util import ConfigError, DataError, ParseError, atomic_write_text, derive_rng, text_lines
 
 PAD_ID = 0
 UNK_ID = 1
@@ -77,20 +76,21 @@ class Vocabulary:
     def load(cls, path: str) -> "Vocabulary":
         token_to_id = {}
         min_frequency = 1
-        with io.open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    m = re.search(r"min_frequency=(\d+)", line)
-                    if m:
-                        min_frequency = int(m.group(1))
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ParseError(f"{path}:{lineno}: expected 'token<TAB>id'")
+        for lineno, line in text_lines(path):
+            if not line:
+                continue
+            if line.startswith("#"):
+                m = re.search(r"min_frequency=(\d+)", line)
+                if m:
+                    min_frequency = int(m.group(1))
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ParseError(f"{path}:{lineno}: expected 'token<TAB>id'")
+            try:
                 token_to_id[parts[0]] = int(parts[1])
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: id {parts[1]!r} is not an integer") from None
         ids = sorted(token_to_id.values())
         if ids != list(range(2, 2 + len(ids))):
             raise ParseError(f"{path}: vocabulary ids must be dense starting at 2")
@@ -258,26 +258,22 @@ def read_dataset(path: str, tree: CodeTree) -> list[RawDocument]:
     leaf_of = tree.leaf_index()
     docs = []
     seen = set()
-    with io.open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 'doc_id<TAB>codes<TAB>text', got {len(parts)} fields"
-                )
-            doc_id, codes_field, text = parts
-            if doc_id in seen:
-                raise ParseError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
-            seen.add(doc_id)
-            names = [c for c in codes_field.split(";") if c]
-            if not names:
-                raise DataError(f"{path}:{lineno}: document {doc_id!r} has no codes")
-            try:
-                codes = np.unique(np.array([leaf_of[n] for n in names], dtype=np.int64))
-            except KeyError as exc:
-                raise DataError(f"{path}:{lineno}: unknown code {exc.args[0]!r}") from None
-            docs.append(RawDocument(doc_id, codes, text))
+    for lineno, line in text_lines(path, skip_comments=True):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(
+                f"{path}:{lineno}: expected 'doc_id<TAB>codes<TAB>text', got {len(parts)} fields"
+            )
+        doc_id, codes_field, text = parts
+        if doc_id in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
+        seen.add(doc_id)
+        names = [c for c in codes_field.split(";") if c]
+        if not names:
+            raise DataError(f"{path}:{lineno}: document {doc_id!r} has no codes")
+        try:
+            codes = np.unique(np.array([leaf_of[n] for n in names], dtype=np.int64))
+        except KeyError as exc:
+            raise DataError(f"{path}:{lineno}: unknown code {exc.args[0]!r}") from None
+        docs.append(RawDocument(doc_id, codes, text))
     return docs

@@ -10,6 +10,7 @@ that are gold or predicted positive (dynamic negative sampling).
 from __future__ import annotations
 
 import copy
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -26,11 +27,10 @@ from .network import (
     LevelModel,
     forward_backward,
     forward_probs,
-    init_encoder,
-    init_head,
+    init_level_model,
     zero_grads,
 )
-from .textproc import ChunkedDocument, Vocabulary, chunk, clean_text, tokenize
+from .textproc import MAX_CHUNK_LEN, ChunkedDocument, Vocabulary, chunk, clean_text, tokenize
 from .util import (
     ConfigError,
     DataError,
@@ -88,14 +88,27 @@ class TrainConfig:
             raise ConfigError(f"loss must be 'bce' or 'asl', got {self.loss!r}")
         if self.bootstrap not in BOOTSTRAP_MODES:
             raise ConfigError(f"bootstrap must be one of {BOOTSTRAP_MODES}, got {self.bootstrap!r}")
-        if not 0.0 < self.binary_threshold < 1.0:
-            raise ConfigError(f"binary_threshold must be in (0, 1), got {self.binary_threshold}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.batch_size < 1 or self.max_steps < 0:
-            raise ConfigError("batch_size must be >= 1 and max_steps >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        for key, ok, accepted in (
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("learning_rate", 0.0 <= self.learning_rate < math.inf, "finite and >= 0"),
+            ("weight_decay", 0.0 <= self.weight_decay < math.inf, "finite and >= 0"),
+            ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
+            ("max_steps", self.max_steps >= 0, ">= 0"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("c", 1 <= self.c <= MAX_CHUNK_LEN, f"in [1, {MAX_CHUNK_LEN}]"),
+            ("s", self.s >= 1, ">= 1"),
+            ("binary_threshold", 0.0 < self.binary_threshold < 1.0, "in (0, 1)"),
+            ("hidden_size", self.hidden_size >= 1, ">= 1"),
+            ("n_layers", self.n_layers in (0, 1, 2), "0, 1 or 2"),
+            ("min_frequency", self.min_frequency >= 1, ">= 1"),
+            ("log_interval", self.log_interval >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ConfigError(f"{key} must be {accepted}, got {getattr(self, key)!r}")
+        try:
+            self.loss_config()
+        except DataError as exc:  # names a LossConfig field; its config key is asl_<field>
+            raise ConfigError(f"asl_{exc}") from None
 
     @property
     def warmup(self) -> int:
@@ -108,13 +121,6 @@ class TrainConfig:
             gamma_neg=self.asl_gamma_neg,
             margin=self.asl_margin,
         )
-
-
-def init_level_model(vocab_size: int, level: int, n_labels: int, cfg: TrainConfig,
-                     rng: np.random.Generator) -> LevelModel:
-    enc = init_encoder(vocab_size, cfg.hidden_size, cfg.c, cfg.n_layers, rng)
-    head = init_head(n_labels, cfg.hidden_size, rng)
-    return LevelModel(enc, head, level, "random")
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +157,11 @@ def bootstrap_hyperc(parent: LevelModel, T: IndexingMatrix, E_child: np.ndarray,
         raise DataError(
             f"embedding matrix has {E_child.shape[0]} rows but the child level has {T.rows} labels"
         )
-    hidden = parent.head.W_la.shape[1]
+    d_emb, hidden = E_child.shape[1], parent.enc.hidden
     if f is None:
-        f = CorrectionLayer.zeros(E_child.shape[1], hidden)
-    if f.W.shape != (E_child.shape[1], hidden):
-        raise DataError(
-            f"correction layer maps {f.W.shape[0]} dims but embeddings have {E_child.shape[1]}"
-        )
+        f = CorrectionLayer(np.zeros((d_emb, hidden)), np.zeros(hidden))
+    if f.W.shape != (d_emb, hidden):
+        raise DataError(f"correction layer maps {f.W.shape[0]} dims but embeddings have {d_emb}")
     model.corr = CorrectionLayer(f.W.copy(), f.b.copy())
     model.corr_inputs = E_child.copy()
     model.provenance = "bootstrap-hyperc"
@@ -302,23 +306,21 @@ def clip_gradients(grads: dict, max_norm: float, rows=slice(None)) -> float:
 class PreparedDataset:
     """Tokenized, chunked documents plus their code-level gold labels."""
 
-    doc_ids: list
     docs: list  # ChunkedDocument per instance
     labels: LabelMatrix  # code level
     vocab: Vocabulary
 
 
 def prepare_dataset(raw_docs, vocab: Vocabulary, tree: CodeTree, c: int, s: int) -> PreparedDataset:
-    doc_ids, docs, rows = [], [], []
+    docs, rows = [], []
     for raw in raw_docs:
         ids = tokenize(clean_text(raw.text), vocab)
         if ids.size == 0:
             raise DataError(f"document {raw.doc_id!r} has no tokens after cleaning")
-        doc_ids.append(raw.doc_id)
         docs.append(chunk(ids, c, s))
         rows.append(raw.codes)
     n_leaves = tree.nodes_per_level[-1]
-    return PreparedDataset(doc_ids, docs, LabelMatrix(n_leaves, rows), vocab)
+    return PreparedDataset(docs, LabelMatrix(n_leaves, rows), vocab)
 
 
 def _dense_row(rows, i, n_labels) -> np.ndarray:
@@ -331,8 +333,8 @@ def _dense_row(rows, i, n_labels) -> np.ndarray:
 # training loops
 
 
-def _train_level(docs, label_rows, n_labels: int, masks, model: LevelModel,
-                 cfg: TrainConfig, level_tag: int, log_path: Optional[str] = None):
+def _train_level(docs, label_rows, masks, model: LevelModel, cfg: TrainConfig,
+                 log_path: Optional[str] = None):
     """Run the optimizer for cfg.max_steps over the documents; returns step history.
 
     ``masks`` is either None (all labels active) or one uint8 vector per
@@ -345,7 +347,7 @@ def _train_level(docs, label_rows, n_labels: int, masks, model: LevelModel,
     if n_docs == 0:
         raise DataError("cannot train on an empty dataset")
     keep_freed_memory()
-    data_rng = derive_rng(cfg.seed, "data", level_tag)
+    data_rng = derive_rng(cfg.seed, "data", model.level)
     opt = AdamW(model, weight_decay=cfg.weight_decay)
     loss_cfg = cfg.loss_config()
     warmup = cfg.warmup
@@ -361,7 +363,7 @@ def _train_level(docs, label_rows, n_labels: int, masks, model: LevelModel,
             if step >= cfg.max_steps:
                 break
             batch = order[start : start + cfg.batch_size]
-            step_ss = np.random.SeedSequence([cfg.seed, level_tag, step])
+            step_ss = np.random.SeedSequence([cfg.seed, model.level, step])
             rngs = (
                 [np.random.default_rng(s) for s in step_ss.spawn(len(batch))]
                 if cfg.dropout > 0.0
@@ -375,7 +377,8 @@ def _train_level(docs, label_rows, n_labels: int, masks, model: LevelModel,
             try:
                 for i, rng in zip((int(i) for i in batch), rngs):
                     loss, _ = forward_backward(
-                        docs[i], model.enc, model.head, _dense_row(label_rows, i, n_labels),
+                        docs[i], model.enc, model.head,
+                        _dense_row(label_rows, i, model.n_labels),
                         None if masks is None else masks[i], loss_cfg,
                         corr=model.corr, corr_inputs=model.corr_inputs,
                         dropout=cfg.dropout, rng=rng, grads=grads,
@@ -408,12 +411,12 @@ def train_flat(data: PreparedDataset, tree: CodeTree, cfg: TrainConfig,
     Returns (model, history); with out_dir set, also writes flat.ckpt and
     train_flat.log there.
     """
-    n_labels = tree.nodes_per_level[-1]
-    model = init_level_model(data.vocab.size, 4, n_labels, cfg, derive_rng(cfg.seed, "init", 4))
+    model = init_level_model(data.vocab.size, cfg.c, cfg.hidden_size, tree.nodes_per_level[-1],
+                             cfg.n_layers, 4, derive_rng(cfg.seed, "init", 4))
     log_path = os.path.join(out_dir, "train_flat.log") if out_dir else None
-    history = _train_level(data.docs, data.labels.rows, n_labels, None, model, cfg, 4, log_path)
+    history = _train_level(data.docs, data.labels.rows, None, model, cfg, log_path)
     if out_dir:
-        checkpoint.save_model(os.path.join(out_dir, "flat.ckpt"), model, cfg, data.vocab.size)
+        checkpoint.save_model(os.path.join(out_dir, "flat.ckpt"), model, cfg)
     return model, history
 
 
@@ -450,8 +453,8 @@ def train_xr_lat(data: PreparedDataset, tree: CodeTree, cfg: TrainConfig,
     for k in range(1, 5):
         n_labels = sizes[k - 1]
         if k == 1 or cfg.bootstrap == "none":
-            model = init_level_model(data.vocab.size, k, n_labels, cfg,
-                                     derive_rng(cfg.seed, "init", k))
+            model = init_level_model(data.vocab.size, cfg.c, cfg.hidden_size, n_labels,
+                                     cfg.n_layers, k, derive_rng(cfg.seed, "init", k))
         elif cfg.bootstrap == "equal":
             model = bootstrap_equal(prev_model, tree.indexing_matrix(k))
         else:
@@ -473,9 +476,9 @@ def train_xr_lat(data: PreparedDataset, tree: CodeTree, cfg: TrainConfig,
                 masks.append(training_mask(p_parent, y_parent, T_k, cfg.binary_threshold))
 
         log_path = os.path.join(out_dir, f"train_level{k}.log") if out_dir else None
-        history = _train_level(data.docs, level_rows[k], n_labels, masks, model, cfg, k, log_path)
+        history = _train_level(data.docs, level_rows[k], masks, model, cfg, log_path)
         if out_dir:
-            checkpoint.save_model(os.path.join(out_dir, f"level{k}.ckpt"), model, cfg, data.vocab.size)
+            checkpoint.save_model(os.path.join(out_dir, f"level{k}.ckpt"), model, cfg)
         models.append(model)
         histories.append(history)
         prev_model, prev_masks = model, masks

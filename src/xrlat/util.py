@@ -5,6 +5,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -33,6 +34,25 @@ class NumericsError(ArithmeticError):
         super().__init__(message)
         self.tensor = tensor
         self.step = step
+
+
+# characters that errors="surrogateescape" makes of bytes that do not decode as UTF-8
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def text_lines(path: str, skip_comments: bool = False):
+    """(line number, line without its newline) for each line of the UTF-8 file ``path``;
+    with ``skip_comments``, blank lines and lines starting with '#' are left out.
+
+    Raises ParseError naming ``<path>:<line>`` at the first line that is not UTF-8.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii() and _UNDECODED.search(raw):  # ASCII lines skip the scan
+                raise ParseError(f"{path}:{lineno}: not UTF-8 text")
+            line = raw.rstrip("\n")
+            if not (skip_comments and (not line or line.startswith("#"))):
+                yield lineno, line
 
 
 def stable_seed(*parts) -> int:

@@ -25,10 +25,9 @@ from xrlat.metrics import (
     micro_f1,
     precision_at_k,
 )
-from xrlat.network import CorrectionLayer, gradcheck, init_encoder, init_head
+from xrlat.network import CorrectionLayer, gradcheck, init_level_model
 from xrlat.textproc import build_vocab, clean_text, synth_corpus
 from xrlat.training import (
-    LevelModel,
     TrainConfig,
     bootstrap_equal,
     bootstrap_hyperc,
@@ -169,10 +168,7 @@ def test_criterion_3_bootstrap_algebra():
         level = int(rng.integers(2, 5))
         T = tree.indexing_matrix(level)
         init_rng = np.random.default_rng(int(rng.integers(1 << 31)))
-        parent = LevelModel(
-            init_encoder(30, 8, 4, 1, init_rng), init_head(T.n_cols, 8, init_rng),
-            level=level - 1,
-        )
+        parent = init_level_model(30, 4, 8, T.n_cols, 1, level - 1, init_rng)
         child = bootstrap_equal(parent, T)
         for a in range(T.rows):
             for b in range(a + 1, T.rows):
@@ -281,6 +277,7 @@ def e2e_flat(demo_tree, e2e_corpus):
     return rep, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_6a_flat_learnability(e2e_flat):
     rep, elapsed = e2e_flat
     report(
@@ -291,6 +288,7 @@ def test_criterion_6a_flat_learnability(e2e_flat):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6b_xr_lat_within_5_points(demo_tree, e2e_corpus, e2e_flat):
     train, test = e2e_corpus
     flat_rep, _ = e2e_flat
@@ -310,6 +308,7 @@ def test_criterion_6b_xr_lat_within_5_points(demo_tree, e2e_corpus, e2e_flat):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6c_bootstrap_lifts_macro_auc(demo_tree, e2e_corpus, e2e_flat):
     train, test = e2e_corpus
     flat_rep, _ = e2e_flat

@@ -10,8 +10,8 @@ from xrlat.checkpoint import (
     write_container,
 )
 from xrlat.hyperbolic import train_poincare
-from xrlat.network import CorrectionLayer, init_encoder, init_head
-from xrlat.training import LevelModel, TrainConfig
+from xrlat.network import init_level_model
+from xrlat.training import TrainConfig
 from xrlat.util import ParseError, derive_rng
 
 from conftest import MALFORMED_CONTAINERS, container_bytes
@@ -78,10 +78,9 @@ class TestContainer:
 class TestModelCheckpoint:
     def _model(self, n_layers=2, with_corr=False):
         rng = derive_rng(2)
-        model = LevelModel(init_encoder(20, 8, 4, n_layers, rng), init_head(5, 8, rng),
-                           level=3, provenance="bootstrap-equal")
+        model = init_level_model(20, 4, 8, 5, n_layers, 3, rng, 6 if with_corr else None)
+        model.provenance = "bootstrap-equal"
         if with_corr:
-            model.corr = CorrectionLayer(rng.normal(size=(6, 8)), rng.normal(size=8))
             model.corr_inputs = rng.normal(size=(5, 6))
         return model
 
@@ -90,7 +89,7 @@ class TestModelCheckpoint:
         model = self._model(with_corr=with_corr)
         cfg = TrainConfig(c=4, s=2, hidden_size=8, n_layers=2, seed=5)
         path = str(tmp_path / "m.ckpt")
-        save_model(path, model, cfg, vocab_size=20)
+        save_model(path, model, cfg)
         loaded, meta = load_model(path)
         assert meta["level"] == "3"
         assert meta["provenance"] == "bootstrap-equal"
@@ -104,7 +103,7 @@ class TestModelCheckpoint:
         model = self._model()
         cfg = TrainConfig(c=4, s=2, hidden_size=8, n_layers=2, seed=5)
         path = str(tmp_path / "m.ckpt")
-        save_model(path, model, cfg, vocab_size=20)
+        save_model(path, model, cfg)
         meta, tensors = read_container(path)
         del tensors["blk1.ff1"]
         write_container(path, meta, tensors)
@@ -116,7 +115,7 @@ class TestModelCheckpoint:
         model = self._model(n_layers=2)
         cfg = TrainConfig(c=4, s=2, hidden_size=8, n_layers=2, seed=5)
         path = str(tmp_path / "m.ckpt")
-        save_model(path, model, cfg, vocab_size=20)
+        save_model(path, model, cfg)
         meta, tensors = read_container(path)
         meta["n_layers"] = n_layers
         write_container(path, meta, tensors)
@@ -132,12 +131,16 @@ class TestModelCheckpoint:
         (lambda meta, t: meta.update(c="5"), "tensor 'pos'"),
         (lambda meta, t: t.update(pos=t["pos"] * np.inf), "tensor 'pos' has non-finite"),
         (lambda meta, t: t.update(ff=t["W_la"]), "tensors ['ff'] unused"),
-    ], ids=["no-corr.E", "no-emb", "emb-1d", "vocab_size", "c", "pos-inf", "unused"])
+        (lambda meta, t: t.update({"corr.W": np.array(1.0)}),
+         "tensor 'corr.W' has shape (), expected (0, 8)"),
+        (lambda meta, t: t.pop("corr.W"), "tensors ['corr.E', 'corr.b'] unused"),
+    ], ids=["no-corr.E", "no-emb", "emb-1d", "vocab_size", "c", "pos-inf", "unused",
+            "corr.W-scalar", "no-corr.W"])
     def test_tensor_table_mismatch_names_tensor(self, tmp_path, edit, named):
         model = self._model(with_corr=True)
         cfg = TrainConfig(c=4, s=2, hidden_size=8, n_layers=2, seed=5)
         path = str(tmp_path / "m.ckpt")
-        save_model(path, model, cfg, vocab_size=20)
+        save_model(path, model, cfg)
         meta, tensors = read_container(path)
         edit(meta, tensors)
         write_container(path, meta, tensors)

@@ -97,6 +97,51 @@ class TestDataCommand:
         assert open(dst).read() == "seen on at\nab cd\n"
 
 
+def _insert_line(data: bytes, lineno: int, line: bytes) -> bytes:
+    """``data`` with ``line`` inserted so that it becomes line ``lineno``."""
+    lines = data.split(b"\n")
+    return b"\n".join(lines[: lineno - 1] + [line] + lines[lineno - 1 :])
+
+
+class TestTextInputs:
+    @pytest.mark.parametrize("target,line", [
+        ("tree", b"c0/c0b0/c0b0g0/caf\xe9"),
+        ("dataset", b"doc\xff\tc0b0g0x0\tfiller text"),
+        ("config", b"seed = 1  # caf\xe9"),
+        ("vocab", b"caf\xe9\t4"),
+        ("vocab", b"tok\tabc"),
+        ("scores", b"syn00000\t0.5 \x80"),
+        ("clean", b"caf\xe9 au lait"),
+    ], ids=["tree", "dataset", "config", "vocab", "vocab-id", "scores", "clean"])
+    def test_bad_line_exit_1_naming_file_and_line(self, tmp_path, demo_tree_path, small_dataset,
+                                                  capsys, target, line):
+        """A line that is not UTF-8 (or a vocabulary id that is not an integer) in any
+        text input exits 1 naming <path>:<line>, not 2 from a traceback."""
+        vocab, scores, raw = (tmp_path / name for name in ("vocab.txt", "scores.tsv", "raw.txt"))
+        vocab.write_text("# xrlat-vocab v1 min_frequency=1\nw1\t2\nw2\t3\n")
+        scores.write_text("# xrlat-scores v1\n")
+        raw.write_text("first document\nsecond document\n")
+        files = {"tree": demo_tree_path, "dataset": small_dataset, "vocab": str(vocab),
+                 "scores": str(scores), "clean": str(raw)}
+        files["config"] = base_config(tmp_path, demo_tree_path, small_dataset, vocab=vocab)
+        bad = str(tmp_path / f"bad-{target}")
+        with open(files[target], "rb") as fh:
+            data = fh.read()
+        with open(bad, "wb") as fh:
+            fh.write(_insert_line(data, 2, line))
+        files[target] = bad
+        if target == "scores":
+            argv = ["eval", "--scores", bad, "--tree", demo_tree_path, "--dataset", small_dataset]
+        elif target == "clean":
+            argv = ["data", "clean", "--input", bad, "--output", str(tmp_path / "clean.txt")]
+        else:
+            cfg = bad if target == "config" else base_config(
+                tmp_path, files["tree"], files["dataset"], vocab=files["vocab"])
+            argv = ["train", "plm-icd", "--config", cfg]
+        assert main(argv) == 1
+        assert f"error: {bad}:2: " in capsys.readouterr().err
+
+
 class TestEmbedCommand:
     def test_dim_flag_defaults_to_50(self):
         from xrlat.cli import _build_parser
@@ -175,6 +220,20 @@ class TestTrainCommand:
         first = sha(str(tmp_path / "run" / "flat.ckpt"))
         assert main(["train", "plm-icd", "--config", cfg, "--seed", "12"]) == 0
         assert sha(str(tmp_path / "run" / "flat.ckpt")) != first
+
+    @pytest.mark.parametrize("key,value", [
+        ("log_interval", "0"), ("hidden_size", "-1"), ("hidden_size", "0"),
+        ("learning_rate", "-1e-3"), ("learning_rate", "inf"), ("weight_decay", "-0.1"),
+        ("weight_decay", "nan"), ("n_layers", "3"), ("c", "0"), ("s", "0"),
+        ("min_frequency", "0"), ("asl_gamma_pos", "-1"), ("asl_gamma_neg", "-2"),
+        ("asl_margin", "1.0"),
+    ])
+    def test_bad_numeric_key_exit_1_before_config_echo(self, tmp_path, demo_tree_path,
+                                                       small_dataset, capsys, key, value):
+        cfg = base_config(tmp_path, demo_tree_path, small_dataset, **{key: value})
+        assert main(["train", "plm-icd", "--config", cfg]) == 1
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "run" / "config.txt"))
 
     def test_hyperc_needs_embeddings(self, tmp_path, demo_tree_path, small_dataset):
         cfg = base_config(tmp_path, demo_tree_path, small_dataset, bootstrap="hyperc")

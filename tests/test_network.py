@@ -6,6 +6,7 @@ import pytest
 
 from xrlat.losses import LossConfig
 from xrlat.network import (
+    INIT_STD,
     CorrectionLayer,
     LevelModel,
     _encode_bwd,
@@ -15,8 +16,7 @@ from xrlat.network import (
     forward_backward,
     forward_probs,
     gradcheck,
-    init_encoder,
-    init_head,
+    init_level_model,
     level_layout,
     zero_grads,
 )
@@ -53,7 +53,7 @@ def classify(d, W_cl, b_cl):
 class TestEncoder:
     def test_degenerate_formula_no_layers(self):
         rng = derive_rng(1)
-        enc = init_encoder(30, 4, 3, 0, rng)
+        enc = init_level_model(30, 3, 4, 1, 0, 0, rng).enc
         doc = chunk([5, 6, 7, 8, 9], c=3, s=2)
         H = encode(doc, enc)
         for i, tok in enumerate([5, 6, 7, 8, 9]):
@@ -62,14 +62,14 @@ class TestEncoder:
 
     def test_output_shape(self):
         rng = derive_rng(2)
-        enc = init_encoder(30, 4, 3, 1, rng)
+        enc = init_level_model(30, 3, 4, 1, 1, 0, rng).enc
         doc = make_doc(rng, 30, c=3, s=2, t=6)
         assert encode(doc, enc).shape == (6, 4)
 
     def test_chunk_locality(self):
         """Swapping tokens across a chunk boundary only changes those chunks' rows."""
         rng = derive_rng(3)
-        enc = init_encoder(40, 8, 4, 2, rng)
+        enc = init_level_model(40, 4, 8, 1, 2, 0, rng).enc
         ids = rng.integers(2, 40, size=12)
         doc_a = chunk(ids, c=4, s=3)
         swapped = ids.copy()
@@ -82,13 +82,13 @@ class TestEncoder:
 
     def test_id_out_of_range(self):
         rng = derive_rng(4)
-        enc = init_encoder(10, 4, 4, 0, rng)
+        enc = init_level_model(10, 4, 4, 1, 0, 0, rng).enc
         with pytest.raises(DataError):
             encode(chunk([11], 4, 1), enc)
 
     def test_padding_cannot_influence_real_tokens(self):
         rng = derive_rng(5)
-        enc = init_encoder(30, 8, 4, 1, rng)
+        enc = init_level_model(30, 4, 8, 1, 1, 0, rng).enc
         short = chunk([3, 4, 5], c=4, s=1)  # one pad slot
         other = chunk([3, 4, 5, 9], c=4, s=1)
         h_short = encode(short, enc)
@@ -152,8 +152,8 @@ class TestClassify:
 
     def test_full_mask_zeroes_everything(self):
         rng = derive_rng(9)
-        enc = init_encoder(20, 3, 4, 0, rng)
-        head = init_head(4, 3, rng)
+        model = init_level_model(20, 4, 3, 4, 0, 0, rng)
+        enc, head = model.enc, model.head
         head.b_cl[:] = rng.normal(size=4)
         doc = make_doc(rng, 20, c=4, s=2)
         p = forward_probs(doc, enc, head, mask=np.zeros(4, dtype=np.uint8))
@@ -203,7 +203,7 @@ class TestHeadKernel:
         n_labels, h, d_emb, z = 300, 16, 5, 70
         H = rng.normal(size=(z, h))
         flags = (rng.random(z) < 0.8).astype(np.uint8)
-        head = init_head(n_labels, h, rng)
+        head = init_level_model(1, 1, h, n_labels, 0, 0, rng).head
         head.W_la *= 40.0  # scores spread over tens, so the max shift matters
         head.W_cl *= 100.0  # logits of both signs, some far from 0
         head.b_cl[:] = rng.normal(size=n_labels)
@@ -238,11 +238,11 @@ class TestHeadKernel:
         arrays, and one evaluation document below one and a half."""
         n_labels, h, c, s = 2000, 16, 16, 8
         rng = derive_rng(22)
-        enc = init_encoder(40, h, c, 1, rng)
-        head = init_head(n_labels, h, rng)
+        model = init_level_model(40, c, h, n_labels, 1, 0, rng)
+        enc, head = model.enc, model.head
         doc = make_doc(rng, 40, c, s, t=c * s - 5)
         gold = (rng.random(n_labels) < 0.01).astype(np.float64)
-        grads = zero_grads(LevelModel(enc, head, 0))
+        grads = zero_grads(model)
         scores_bytes = n_labels * int(doc.flags.sum()) * 8
         peaks = []
         for call in (lambda: forward_backward(doc, enc, head, gold, None, LossConfig(),
@@ -260,8 +260,8 @@ class TestHeadKernel:
 class TestForwardBackward:
     def _setup(self, seed=0, n_labels=6, n_layers=1):
         rng = derive_rng(seed)
-        enc = init_encoder(25, 8, 4, n_layers, rng)
-        head = init_head(n_labels, 8, rng)
+        model = init_level_model(25, 4, 8, n_labels, n_layers, 0, rng)
+        enc, head = model.enc, model.head
         doc = make_doc(rng, 25, c=4, s=2)
         return rng, enc, head, doc
 
@@ -333,13 +333,14 @@ class TestForwardBackward:
         for bit: an id repeated more than 8 times (np.add.reduceat sums such runs
         pairwise), dropout zeros (-0.0 entries) and mixed magnitudes, so order shows."""
         rng = derive_rng(9)
-        enc = init_encoder(12, 16, 5, 0, rng)
+        model = init_level_model(12, 5, 16, 2, 0, 0, rng)
+        enc = model.enc
         ids = np.array([3, 7, 3, 3, 9, 7, 3, 11, 3, 7, 2, 3, 3, 9] + [3] * 20)
         doc = chunk(ids, 5, 7)
         H, cache = _encode_fwd(doc, enc, dropout=0.2, rng=derive_rng(10))
         dH = rng.normal(size=H.shape) * 10.0 ** rng.integers(-4, 5, size=H.shape)
         dH[doc.flags.reshape(-1) == 0] = 0.0
-        grads = zero_grads(LevelModel(enc, init_head(2, 16, rng), 0))
+        grads = zero_grads(model)
         _encode_bwd(dH, cache, enc, grads)
 
         dx = dH * cache["mask0"].reshape(dH.shape)  # no blocks: H = dropout(emb[ids] + pos)
@@ -397,20 +398,55 @@ class TestGradcheck:
         assert "corr.W" in rep.per_tensor and "corr.b" in rep.per_tensor
 
 
+def parent_draws(vocab_size, c, h, n_labels, n_layers, rng, d_emb=None):
+    """The tensors as separate encoder, head and gradcheck-correction initializers drew
+    them, in their order: what init_level_model must reproduce bit for bit."""
+    out = {"emb": rng.normal(0.0, INIT_STD, size=(vocab_size, h)),
+           "pos": rng.normal(0.0, INIT_STD, size=(c, h))}
+    for i in range(n_layers):
+        for name, shape in (("q", (h, h)), ("k", (h, h)), ("v", (h, h)), ("o", (h, h)),
+                            ("ff1", (h, 4 * h)), ("ff2", (4 * h, h))):
+            out[f"blk{i}.{name}"] = rng.normal(0.0, INIT_STD, size=shape)
+        out.update({f"blk{i}.ln1_g": np.ones(h), f"blk{i}.ln1_b": np.zeros(h),
+                    f"blk{i}.ln2_g": np.ones(h), f"blk{i}.ln2_b": np.zeros(h)})
+    out["W_la"] = rng.normal(0.0, INIT_STD, size=(n_labels, h))
+    out["W_cl"] = rng.normal(0.0, INIT_STD, size=(n_labels, h))
+    out["b_cl"] = np.zeros(n_labels)
+    if d_emb is not None:
+        out["corr.W"] = rng.normal(0.0, INIT_STD, size=(d_emb, h))
+        out["corr.b"] = rng.normal(0.0, INIT_STD, size=h)
+    return out
+
+
 class TestLevelModel:
     @pytest.mark.parametrize("n_layers", [0, 1, 2])
     @pytest.mark.parametrize("with_corr", [False, True])
+    def test_init_draws_as_the_separate_initializers_did(self, n_layers, with_corr):
+        """Every trained tensor and the generator's state after the draws match, so a
+        caller's later draws (gradcheck's corr.E and document) are unchanged too."""
+        d_emb = 5 if with_corr else None
+        rng, ref_rng = derive_rng(3, n_layers), derive_rng(3, n_layers)
+        model = init_level_model(50, 8, 8, 20, n_layers, 2, rng, d_emb)
+        want = parent_draws(50, 8, 8, 20, n_layers, ref_rng, d_emb)
+        assert [name for name, _ in model.trainable()] == list(want)
+        for name, t in model.trainable():
+            assert t.shape == want[name].shape and t.tobytes() == want[name].tobytes(), name
+        assert rng.random() == ref_rng.random()
+        assert model.level == 2 and model.provenance == "random"
+        assert model.corr_inputs is None
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    @pytest.mark.parametrize("with_corr", [False, True])
     def test_layout_and_inverse_follow_the_table(self, n_layers, with_corr):
-        rng = derive_rng(8, n_layers)
-        model = LevelModel(init_encoder(11, 4, 3, n_layers, rng), init_head(7, 4, rng), 2)
-        if with_corr:
-            model.corr = CorrectionLayer(rng.normal(size=(5, 4)), rng.normal(size=4))
-            model.corr_inputs = rng.normal(size=(7, 5))
+        d_emb = 5 if with_corr else None
+        model = init_level_model(11, 3, 4, 7, n_layers, 2, derive_rng(8, n_layers), d_emb)
+        if d_emb is not None:
+            model.corr_inputs = derive_rng(9).normal(size=(7, d_emb))
         table = list(model.tensors())
         assert [(name, t.shape) for name, t in table] == list(
-            level_layout(dict(table), 11, 3, n_layers))
+            level_layout(11, 3, 4, 7, n_layers, d_emb))
         assert list(zero_grads(model)) == [name for name, _ in model.trainable()]
-        assert [name for name, _ in table][-1] == ("corr.E" if with_corr else "b_cl")
+        assert [name for name, _ in table][-1] == ("b_cl" if d_emb is None else "corr.E")
         rebuilt = LevelModel.from_tensors(dict(table), n_layers, 2, "random")
         assert [(name, id(t)) for name, t in rebuilt.tensors()] == [
             (name, id(t)) for name, t in table]

@@ -9,7 +9,7 @@ from xrlat.code_tree import LabelMatrix, parse_hierarchy, propagate_labels
 from xrlat import training
 from xrlat.hyperbolic import PoincareEmbeddings, flatten_tree
 from xrlat.losses import LossConfig, loss_and_grad
-from xrlat.network import CorrectionLayer, forward_backward, init_encoder, init_head, zero_grads
+from xrlat.network import CorrectionLayer, forward_backward, init_level_model, zero_grads
 from xrlat.textproc import build_vocab, clean_text, synth_corpus
 from xrlat.training import (
     ADAM_BETA1,
@@ -18,14 +18,12 @@ from xrlat.training import (
     CLIP_NORM,
     HEAD_ROWS,
     AdamW,
-    LevelModel,
     TrainConfig,
     _train_level,
     bootstrap_equal,
     bootstrap_hyperc,
     clip_gradients,
     inference_mask,
-    init_level_model,
     lr_at,
     predict,
     prepare_dataset,
@@ -232,9 +230,7 @@ class TestMasks:
 class TestBootstrap:
     def _parent(self, seed=0, n_labels=2, hidden=4, with_corr=False):
         rng = derive_rng(seed)
-        model = LevelModel(
-            init_encoder(10, hidden, 4, 1, rng), init_head(n_labels, hidden, rng), level=1
-        )
+        model = init_level_model(10, 4, hidden, n_labels, 1, 1, rng)
         if with_corr:
             model.corr = CorrectionLayer(rng.normal(size=(3, hidden)), rng.normal(size=hidden))
             model.corr_inputs = rng.normal(size=(n_labels, 3))
@@ -322,9 +318,7 @@ class TestBootstrap:
 class TestOptimizerAndSchedule:
     def test_single_scalar_adamw_formula(self):
         rng = derive_rng(12)
-        enc = init_encoder(3, 2, 2, 0, rng)
-        head = init_head(1, 2, rng)
-        model = LevelModel(enc, head, level=4)
+        model = init_level_model(3, 2, 2, 1, 0, 4, rng)
         theta0 = float(model.head.b_cl[0])
         g = 0.37
         grads = {name: np.zeros_like(t) for name, t in model.trainable()}
@@ -337,7 +331,7 @@ class TestOptimizerAndSchedule:
 
     def test_decoupled_weight_decay(self):
         rng = derive_rng(13)
-        model = LevelModel(init_encoder(3, 2, 2, 0, rng), init_head(1, 2, rng), level=4)
+        model = init_level_model(3, 2, 2, 1, 0, 4, rng)
         model.head.b_cl[0] = 2.0
         grads = {name: np.zeros_like(t) for name, t in model.trainable()}
         opt = AdamW(model, weight_decay=0.5)
@@ -353,9 +347,9 @@ class TestOptimizerAndSchedule:
         share 1.0 every step before step 7 gathers the touched rows."""
         gather_up_to(monkeypatch, share)
         rng = derive_rng(14)
-        model = LevelModel(init_encoder(5, 3, 2, 0, rng), init_head(6, 3, rng), level=2,
-                           corr=CorrectionLayer(rng.normal(size=(2, 3)), rng.normal(size=3)),
-                           corr_inputs=rng.normal(size=(6, 2)))
+        model = init_level_model(5, 2, 3, 6, 0, 2, rng)
+        model.corr = CorrectionLayer(rng.normal(size=(2, 3)), rng.normal(size=3))
+        model.corr_inputs = rng.normal(size=(6, 2))
         model.head.W_la[1, 0] = -0.0
         ref = copy.deepcopy(model)
         m = {name: np.zeros_like(p) for name, p in ref.trainable()}
@@ -381,7 +375,7 @@ class TestOptimizerAndSchedule:
         or GATHER_MAX_SHARE_DECAY (0.5) at weight_decay != 0, and every row is updated
         in place from the step it reaches that share on, even if later steps are small."""
         rng = derive_rng(15)
-        model = LevelModel(init_encoder(5, 3, 2, 0, rng), init_head(10, 3, rng), level=2)
+        model = init_level_model(5, 2, 3, 10, 0, 2, rng)
         opt = AdamW(model, weight_decay=weight_decay)
         grads = zero_grads(model)
         for rows, want in zip(([0, 1, 2], [3, 4, 5], [9], [0]), gathered):
@@ -424,7 +418,8 @@ class TestTrainingLoops:
         data, cfg0 = tiny_setup
         cfg = TrainConfig(**{**cfg0.__dict__, "max_steps": 0})
         model, history = train_flat(data, demo_tree, cfg)
-        fresh = init_level_model(data.vocab.size, 4, 81, cfg, derive_rng(cfg.seed, "init", 4))
+        fresh = init_level_model(data.vocab.size, cfg.c, cfg.hidden_size, 81, cfg.n_layers, 4,
+                                 derive_rng(cfg.seed, "init", 4))
         assert history == []
         for (na, a), (nb, b) in zip(model.tensors(), fresh.tensors()):
             assert na == nb and np.array_equal(a, b)
@@ -477,7 +472,7 @@ class TestTrainingLoops:
 
     def test_empty_dataset_rejected(self, demo_tree, tiny_setup):
         data, cfg = tiny_setup
-        empty = type(data)([], [], LabelMatrix(81, []), data.vocab)
+        empty = type(data)([], LabelMatrix(81, []), data.vocab)
         with pytest.raises(DataError):
             train_flat(empty, demo_tree, cfg)
 
@@ -500,14 +495,15 @@ class TestRowSparseLevel:
         labels = data.labels
         for k in (4, 3):
             labels = propagate_labels(labels, demo_tree.indexing_matrix(k))
-        parent = init_level_model(data.vocab.size, 1, 3, cfg, derive_rng(cfg.seed, "init", 1))
+        parent = init_level_model(data.vocab.size, cfg.c, cfg.hidden_size, 3, cfg.n_layers, 1,
+                                  derive_rng(cfg.seed, "init", 1))
         E = derive_rng(42).normal(0.0, 0.1, size=(9, 5))
         init = bootstrap_hyperc(parent, demo_tree.indexing_matrix(2), E)
         mask_rng = derive_rng(43)
         masks = [np.eye(9, dtype=np.uint8)[mask_rng.integers(8)] for _ in data.docs]
 
         model, ref = copy.deepcopy(init), copy.deepcopy(init)
-        _train_level(data.docs, labels.rows, 9, masks, model, cfg, 2)
+        _train_level(data.docs, labels.rows, masks, model, cfg)
         assert dense_train_level(data.docs, labels.rows, 9, masks, ref, cfg, 2) == 0
         for (name, a), (_, b) in zip(model.tensors(), ref.tensors()):
             assert a.tobytes() == b.tobytes(), name

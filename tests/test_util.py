@@ -5,7 +5,8 @@ import pytest
 
 from xrlat.textproc import build_vocab, clean_text, synth_corpus
 from xrlat.training import TrainConfig, prepare_dataset
-from xrlat.util import NumericsError, atomic_write_text, derive_rng, stable_seed
+from xrlat.util import (NumericsError, ParseError, atomic_write_text, derive_rng, stable_seed,
+                        text_lines)
 
 
 class TestSeeds:
@@ -20,6 +21,24 @@ class TestSeeds:
         a = derive_rng(7, "x").random(5)
         b = derive_rng(7, "x").random(5)
         assert np.array_equal(a, b)
+
+
+class TestTextLines:
+    def test_utf8_lines_as_text_mode_reads_them(self, tmp_path):
+        """Multi-byte characters pass; CRLF and lone CR end lines as in text mode."""
+        path = tmp_path / "t.txt"
+        path.write_bytes("caf\u00e9 \u2603\r\n# note\n\nlast\rend".encode("utf-8"))
+        assert list(text_lines(str(path))) == [(1, "caf\u00e9 \u2603"), (2, "# note"), (3, ""),
+                                               (4, "last"), (5, "end")]
+        assert list(text_lines(str(path), skip_comments=True)) == [
+            (1, "caf\u00e9 \u2603"), (4, "last"), (5, "end")]
+
+    def test_bad_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"ok\n\xe2\x98\n")  # a 3-byte character cut after 2 bytes
+        with pytest.raises(ParseError) as exc:
+            list(text_lines(str(path)))
+        assert str(exc.value) == f"{path}:2: not UTF-8 text"
 
 
 class TestAtomicWrite:
@@ -39,13 +58,15 @@ class TestNumericsErrors:
         cfg = TrainConfig(max_steps=4, learning_rate=1e-3, c=6, s=4, hidden_size=8,
                           n_layers=0, batch_size=8, seed=5, log_interval=100)
         data = prepare_dataset(docs, vocab, demo_tree, cfg.c, cfg.s)
-        from xrlat.training import init_level_model, _train_level
+        from xrlat.network import init_level_model
+        from xrlat.training import _train_level
         from xrlat.util import derive_rng as dr
 
-        model = init_level_model(vocab.size, 4, 81, cfg, dr(cfg.seed, "init", 4))
+        model = init_level_model(vocab.size, cfg.c, cfg.hidden_size, 81, cfg.n_layers, 4,
+                                 dr(cfg.seed, "init", 4))
         model.enc.emb[2, 0] = np.inf
         with pytest.raises(NumericsError) as exc:
-            _train_level(data.docs, data.labels.rows, 81, None, model, cfg, 4)
+            _train_level(data.docs, data.labels.rows, None, model, cfg)
         assert exc.value.tensor is not None
         assert exc.value.step == 0
         assert "step 0" in str(exc.value)
@@ -59,12 +80,12 @@ class TestNumericsErrors:
         names the attention scores. A single inf in W_cl names the logits although it
         only saturates p and leaves the loss finite; a NaN there makes the loss NaN."""
         from xrlat.losses import LossConfig
-        from xrlat.network import forward_backward, init_encoder, init_head
+        from xrlat.network import forward_backward, init_level_model
         from xrlat.textproc import chunk
 
         rng = derive_rng(31)
-        enc = init_encoder(20, 8, 4, 1, rng)
-        head = init_head(6, 8, rng)
+        model = init_level_model(20, 4, 8, 6, 1, 0, rng)
+        enc, head = model.enc, model.head
         doc = chunk(rng.integers(2, 20, size=7), 4, 2)
         if where == "W_la":
             head.W_la[3] = value
