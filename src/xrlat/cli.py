@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from . import checkpoint, code_tree, hyperbolic, metrics, textproc, training
-from .config import parse_overrides, resolve_config
+from .config import resolve_config
 from .losses import LossConfig
 from .network import gradcheck
 from .util import ConfigError, DataError, NumericsError, ParseError, atomic_write_text, text_lines
@@ -98,15 +98,13 @@ def _build_parser() -> _Parser:
 def _cmd_tree(args) -> int:
     tree = code_tree.build_tree(args.tree)
     stats = code_tree.tree_stats(tree)
-    if args.tree_command == "build":
-        if not args.out:
-            raise ConfigError("tree build requires --out")
+    if args.tree_command == "build" and not args.out:
+        raise ConfigError("tree build requires --out")
+    if args.out:
         os.makedirs(args.out, exist_ok=True)
-        atomic_write_text(os.path.join(args.out, "tree.txt"),
-                          "\n".join(code_tree.hierarchy_lines(tree)) + "\n")
-        atomic_write_text(os.path.join(args.out, "stats.txt"), stats)
-    elif args.out:
-        os.makedirs(args.out, exist_ok=True)
+        if args.tree_command == "build":
+            atomic_write_text(os.path.join(args.out, "tree.txt"),
+                              "\n".join(code_tree.hierarchy_lines(tree)) + "\n")
         atomic_write_text(os.path.join(args.out, "stats.txt"), stats)
     sys.stdout.write(stats)
     return 0
@@ -158,7 +156,8 @@ def _load_or_build_vocab(run, tree, raw_docs):
 
 
 def _cmd_train(args) -> int:
-    run = resolve_config(args.config, parse_overrides(args.set), args.seed)
+    seed = [] if args.seed is None else [f"seed={args.seed}"]
+    run = resolve_config(args.config, args.set + seed)
     for key in ("tree", "dataset", "out_dir"):
         if not getattr(run, key):
             raise ConfigError(f"config key {key!r} is required for training")
@@ -298,23 +297,15 @@ def _cmd_gradcheck(args) -> int:
     return 0 if report.ok() else 1
 
 
+_COMMANDS = {"tree": _cmd_tree, "embed": _cmd_embed, "data": _cmd_data, "train": _cmd_train,
+             "eval": _cmd_eval, "gradcheck": _cmd_gradcheck}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "tree":
-            return _cmd_tree(args)
-        if args.command == "embed":
-            return _cmd_embed(args)
-        if args.command == "data":
-            return _cmd_data(args)
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "gradcheck":
-            return _cmd_gradcheck(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except (ConfigError, ParseError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

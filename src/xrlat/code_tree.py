@@ -128,24 +128,29 @@ class LabelMatrix:
 
 
 def parse_hierarchy(lines) -> CodeTree:
-    """Build a CodeTree from an iterable of hierarchy-file lines."""
+    """Build a CodeTree from an iterable of hierarchy-file lines; errors name ``line <n>``."""
+    return _parse_numbered(enumerate(lines, start=1), "line ")
+
+
+def _parse_numbered(numbered, where: str) -> CodeTree:
+    """parse_hierarchy over (line number, line) pairs; errors name ``<where><line number>``."""
     # parent_path_of[k][name] = tuple of ancestor names (levels 1..k-1)
     parent_path_of: list[dict] = [dict() for _ in range(N_LEVELS)]
     seen_paths: set[tuple] = set()
     n_data_lines = 0
 
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in numbered:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split("/")
         if len(parts) != N_LEVELS or any(not p.strip() for p in parts):
             raise ParseError(
-                f"line {lineno}: expected 4 non-empty '/'-separated components, got {line!r}"
+                f"{where}{lineno}: expected 4 non-empty '/'-separated components, got {line!r}"
             )
         parts = tuple(p.strip() for p in parts)
         if parts in seen_paths:
-            raise ParseError(f"line {lineno}: duplicate code path {'/'.join(parts)!r}")
+            raise ParseError(f"{where}{lineno}: duplicate code path {'/'.join(parts)!r}")
         seen_paths.add(parts)
         n_data_lines += 1
         for k in range(N_LEVELS):
@@ -155,7 +160,7 @@ def parse_hierarchy(lines) -> CodeTree:
                 parent_path_of[k][name] = ancestry
             elif prior != ancestry:
                 raise ParseError(
-                    f"line {lineno}: node {name!r} at level {k + 1} already has parent path "
+                    f"{where}{lineno}: node {name!r} at level {k + 1} already has parent path "
                     f"{'/'.join(prior) or '<root>'!r}"
                 )
 
@@ -180,7 +185,7 @@ def parse_hierarchy(lines) -> CodeTree:
 
 def build_tree(path: str) -> CodeTree:
     """Parse a hierarchy file into a CodeTree. See the module docstring for the format."""
-    return parse_hierarchy(line for _, line in text_lines(path))
+    return _parse_numbered(text_lines(path), f"{path}:")
 
 
 def hierarchy_lines(tree: CodeTree) -> list[str]:

@@ -1,9 +1,10 @@
 """Flat key=value run configuration: file parsing, overrides, validation, echo.
 
 Config files hold one ``key = value`` per line; ``#`` starts a comment and
-blank lines are ignored. Unknown keys are rejected before any compute. The
-fully resolved configuration is echoed to the output directory before
-training starts.
+blank lines are ignored. ``--set key=value`` overrides take the same form
+without comments. Unknown keys are rejected before any compute, naming
+``<path>:<line>`` or ``--set``. The fully resolved configuration is echoed to
+the output directory before training starts.
 """
 
 from __future__ import annotations
@@ -66,59 +67,35 @@ def _known_keys() -> dict:
 KNOWN_KEYS = _known_keys()
 
 
-def parse_config_lines(lines) -> dict:
-    """Raw key -> string value pairs from config-file lines; rejects unknown keys."""
-    values = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
-        values[key] = value
-    return values
+def _setting(where: str, text: str) -> tuple[str, tuple[str, str]]:
+    """(key, (where, value)) of one ``key = value`` text; ``where`` names its source in
+    errors."""
+    if "=" not in text:
+        raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
+    key, value = (part.strip() for part in text.split("=", 1))
+    if key not in KNOWN_KEYS:
+        raise ConfigError(f"{where}: unknown configuration key {key!r}")
+    return key, (where, value)
 
 
-def resolve_config(path: str | None = None, overrides: dict | None = None,
-                   seed: int | None = None) -> RunConfig:
-    """Build a RunConfig from an optional file, key=value overrides, and a seed flag."""
+def resolve_config(path: str | None = None, overrides=()) -> RunConfig:
+    """Build a RunConfig from an optional file, then raw ``--set`` key=value overrides."""
     values = {}
     if path is not None:
-        values.update(parse_config_lines(line for _, line in text_lines(path)))
-    for key, value in (overrides or {}).items():
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        values[key] = value
+        lines = ((f"{path}:{n}", raw.split("#", 1)[0].strip()) for n, raw in text_lines(path))
+        values.update(_setting(where, line) for where, line in lines if line)
+    values.update(_setting("--set", pair) for pair in overrides)
 
     paths = {}
     train_kwargs = {}
-    for key, raw in values.items():
+    for key, (where, raw) in values.items():
         typ = KNOWN_KEYS[key]
         try:
-            if typ is bool:
-                value = _parse_bool(str(raw))
-            else:
-                value = typ(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
+            value = _parse_bool(raw) if typ is bool else typ(raw)
+        except ValueError:
+            raise ConfigError(f"{where}: bad value for {key!r}: {raw!r}") from None
         if key in _PATH_KEYS:
             paths[key] = value
         else:
             train_kwargs[key] = value
-    if seed is not None:
-        train_kwargs["seed"] = seed
     return RunConfig(train=TrainConfig(**train_kwargs), **paths)
-
-
-def parse_overrides(pairs) -> dict:
-    """--set key=value flags into a dict."""
-    out = {}
-    for pair in pairs or ():
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out

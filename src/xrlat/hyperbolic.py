@@ -10,6 +10,7 @@ by ((1 - |theta|^2)^2) / 4, and rows are projected back inside radius
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,16 +24,12 @@ BURN_IN_EPOCHS = 10
 
 
 def poincare_distance(u, v) -> float:
-    """arcosh(1 + 2|u-v|^2 / ((1-|u|^2)(1-|v|^2))); both points must be inside the ball."""
+    """The ball distance between u and v (as _distance_batch); both must be inside the ball."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    nu = float(u @ u)
-    nv = float(v @ v)
-    if nu >= 1.0 or nv >= 1.0:
+    if u @ u >= 1.0 or v @ v >= 1.0:
         raise ValueError("poincare_distance requires points strictly inside the unit ball")
-    sq = float((u - v) @ (u - v))
-    gamma = 1.0 + 2.0 * sq / ((1.0 - nu) * (1.0 - nv))
-    return float(np.arccosh(max(gamma, 1.0)))
+    return float(_distance_batch(u, v[np.newaxis, :])[0][0])
 
 
 @dataclass
@@ -113,7 +110,8 @@ def _project_row(vectors: np.ndarray, idx: int) -> None:
 
 
 def _distance_batch(u: np.ndarray, X: np.ndarray):
-    """Distances from u to each row of X plus the pieces needed for gradients."""
+    """Distances arcosh(1 + 2|u-x|^2 / ((1-|u|^2)(1-|x|^2))) from u to each row x of X,
+    plus the pieces needed for gradients."""
     alpha = 1.0 - float(u @ u)
     beta = 1.0 - np.einsum("ij,ij->i", X, X)
     diff = u[np.newaxis, :] - X
@@ -200,8 +198,8 @@ def train_poincare(tree: CodeTree, dim: int = 50, epochs: int = 50, lr: float = 
     """
     if dim < 2:
         raise DataError(f"embedding dim must be >= 2, got {dim}")
-    if lr <= 0:
-        raise DataError(f"learning rate must be positive, got {lr}")
+    if not 0.0 < lr < math.inf:
+        raise DataError(f"lr must be finite and > 0, got {lr}")
     if epochs < 0:
         raise DataError(f"epochs must be >= 0, got {epochs}")
     if n_negatives < 1:

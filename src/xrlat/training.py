@@ -44,6 +44,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 CLIP_NORM = 1.0  # global L2 bound on each step's averaged gradient
+WARMUP_SHARE = 0.05  # the learning rate warms up over this share of max_steps
 
 # tensors with one row per label: under masks a step writes only its documents' rows
 HEAD_ROWS = ("W_la", "W_cl", "b_cl")
@@ -110,10 +111,6 @@ class TrainConfig:
         except DataError as exc:  # names a LossConfig field; its config key is asl_<field>
             raise ConfigError(f"asl_{exc}") from None
 
-    @property
-    def warmup(self) -> int:
-        return round(0.05 * self.max_steps)
-
     def loss_config(self) -> LossConfig:
         return LossConfig(
             kind=self.loss,
@@ -179,16 +176,13 @@ def training_mask(p_parent, y_parent, T: IndexingMatrix, threshold: float) -> np
     """
     p_parent = np.asarray(p_parent, dtype=np.float64)
     y_parent = np.asarray(y_parent, dtype=np.float64)
-    if p_parent.shape != y_parent.shape or p_parent.shape[0] != T.n_cols:
-        raise DataError(
-            f"expected parent vectors of length {T.n_cols}, got {p_parent.shape} and {y_parent.shape}"
-        )
-    parent_on = (p_parent + y_parent) >= threshold
-    return parent_on[T.parent_index].astype(np.uint8)
+    if p_parent.shape != y_parent.shape:
+        raise DataError(f"parent vectors differ in shape: {p_parent.shape} and {y_parent.shape}")
+    return inference_mask(p_parent + y_parent, T, threshold)
 
 
 def inference_mask(p_parent, T: IndexingMatrix, threshold: float) -> np.ndarray:
-    """training_mask with the gold term omitted: children of predicted-positive parents."""
+    """Children of predicted-positive parents: binary(p) gathered by T."""
     p_parent = np.asarray(p_parent, dtype=np.float64)
     if p_parent.shape[0] != T.n_cols:
         raise DataError(f"expected a parent vector of length {T.n_cols}, got {p_parent.shape}")
@@ -272,14 +266,14 @@ class AdamW:
                 theta[idx] = th
 
 
-def lr_at(step: int, peak: float, warmup: int, max_steps: int) -> float:
-    """Linear warmup then linear decay to zero; step 0 uses (step+1)/warmup."""
+def lr_at(step: int, peak: float, max_steps: int) -> float:
+    """Linear warmup over round(WARMUP_SHARE * max_steps) steps, then linear decay to
+    zero; step 0 uses (step+1)/warmup."""
     if max_steps <= 0:
         return 0.0
+    warmup = round(WARMUP_SHARE * max_steps)
     if step < warmup:
         return peak * (step + 1) / warmup
-    if max_steps == warmup:
-        return peak
     return peak * max(0, max_steps - step) / (max_steps - warmup)
 
 
@@ -350,7 +344,6 @@ def _train_level(docs, label_rows, masks, model: LevelModel, cfg: TrainConfig,
     data_rng = derive_rng(cfg.seed, "data", model.level)
     opt = AdamW(model, weight_decay=cfg.weight_decay)
     loss_cfg = cfg.loss_config()
-    warmup = cfg.warmup
     history = []
     log_lines = []
     grads = zero_grads(model)
@@ -393,7 +386,7 @@ def _train_level(docs, label_rows, masks, model: LevelModel, cfg: TrainConfig,
             for name, g in grads.items():
                 g[_rows_of(name, rows)] *= inv
             clip_gradients(grads, CLIP_NORM, rows)
-            lr = lr_at(step, cfg.learning_rate, warmup, cfg.max_steps)
+            lr = lr_at(step, cfg.learning_rate, cfg.max_steps)
             opt.step(model, grads, lr, rows)
             history.append((step, lr, batch_loss))
             if (step + 1) % cfg.log_interval == 0 or step + 1 == cfg.max_steps:

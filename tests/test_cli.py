@@ -112,11 +112,14 @@ class TestTextInputs:
         ("vocab", b"tok\tabc"),
         ("scores", b"syn00000\t0.5 \x80"),
         ("clean", b"caf\xe9 au lait"),
-    ], ids=["tree", "dataset", "config", "vocab", "vocab-id", "scores", "clean"])
+        ("tree", b"A/B/C"),
+        ("config", b"bogus"),
+    ], ids=["tree", "dataset", "config", "vocab", "vocab-id", "scores", "clean",
+            "tree-components", "config-syntax"])
     def test_bad_line_exit_1_naming_file_and_line(self, tmp_path, demo_tree_path, small_dataset,
                                                   capsys, target, line):
-        """A line that is not UTF-8 (or a vocabulary id that is not an integer) in any
-        text input exits 1 naming <path>:<line>, not 2 from a traceback."""
+        """A line that is not UTF-8 in any text input, or a malformed tree, config or
+        vocabulary line, exits 1 naming <path>:<line>, not 2 from a traceback."""
         vocab, scores, raw = (tmp_path / name for name in ("vocab.txt", "scores.tsv", "raw.txt"))
         vocab.write_text("# xrlat-vocab v1 min_frequency=1\nw1\t2\nw2\t3\n")
         scores.write_text("# xrlat-scores v1\n")
@@ -141,6 +144,16 @@ class TestTextInputs:
         assert main(argv) == 1
         assert f"error: {bad}:2: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pair", ["bogus_key=1", "foo", ""],
+                             ids=["unknown-key", "bare", "empty"])
+    def test_bad_set_exit_1_naming_set(self, tmp_path, demo_tree_path, small_dataset, capsys,
+                                       pair):
+        cfg = base_config(tmp_path, demo_tree_path, small_dataset)
+        assert main(["train", "plm-icd", "--config", cfg, "--set", "max_steps=1",
+                     "--set", pair]) == 1
+        assert "error: --set: " in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "run" / "config.txt"))
+
 
 class TestEmbedCommand:
     def test_dim_flag_defaults_to_50(self):
@@ -157,6 +170,14 @@ class TestEmbedCommand:
                          "--dim", "6", "--epochs", "2", "--seed", "5"]) == 0
             outs.append(os.path.join(out, "embeddings.ckpt"))
         assert sha(outs[0]) == sha(outs[1])
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-0.1"])
+    def test_bad_lr_exit_1_before_training(self, tmp_path, demo_tree_path, capsys, lr):
+        out = str(tmp_path / "e")
+        assert main(["embed", "--tree", demo_tree_path, "--out", out, "--dim", "5",
+                     "--epochs", "1", "--lr", lr]) == 1
+        assert "error: lr must be finite and > 0" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_negative_negatives_exit_1(self, tmp_path, demo_tree_path, capsys):
         out = str(tmp_path / "e")
@@ -208,7 +229,7 @@ class TestTrainCommand:
     def test_config_echo_contains_resolved_values(self, tmp_path, demo_tree_path, small_dataset):
         cfg = base_config(tmp_path, demo_tree_path, small_dataset)
         assert main(["train", "plm-icd", "--config", cfg, "--set", "max_steps=3",
-                     "--seed", "99"]) == 0
+                     "--seed", "99", "--set", "seed=4"]) == 0  # --seed wins over --set seed
         echo = open(str(tmp_path / "run" / "config.txt")).read()
         assert "max_steps = 3" in echo
         assert "seed = 99" in echo
@@ -590,23 +611,26 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match=key):
                 resolve_config(path)
             with pytest.raises(ConfigError, match=key):
-                resolve_config(overrides={key: "0.5"})
+                resolve_config(overrides=[f"{key}=0.5"])
         with pytest.raises(TypeError):
             TrainConfig(decision_threshold=0.5)
 
     def test_comments_and_overrides(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# comment\nmax_steps = 5  # tail comment\nloss = asl\n")
-        run = resolve_config(str(path), overrides={"batch_size": "4"}, seed=3)
+        run = resolve_config(str(path), overrides=["batch_size = 4", "seed=3", "vocab=v#1"])
         assert run.train.max_steps == 5
         assert run.train.loss == "asl"
         assert run.train.batch_size == 4
         assert run.train.seed == 3
+        assert run.vocab == "v#1"  # '#' starts a comment only in a file line
 
     def test_bad_value_type(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", max_steps="soon")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="c.cfg:1: bad value for 'max_steps'"):
             resolve_config(path)
+        with pytest.raises(ConfigError, match="--set: bad value for 'negative_sampling'"):
+            resolve_config(overrides=["negative_sampling=maybe"])
 
     def test_bool_parsing(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", negative_sampling="false")
@@ -618,7 +642,7 @@ class TestConfigParsing:
             resolve_config(path)
 
     def test_echo_lists_everything(self, tmp_path):
-        run = resolve_config(None, overrides={"out_dir": str(tmp_path)})
+        run = resolve_config(None, overrides=[f"out_dir={tmp_path}"])
         text = run.echo_text()
         for key in ("tree", "dataset", "vocab", "embeddings", "out_dir", "batch_size",
                     "learning_rate", "negative_sampling", "binary_threshold"):

@@ -37,6 +37,19 @@ class TestDistance:
         # frozen value from the oracle (60-digit acosh evaluation)
         assert got == pytest.approx(1.2380784168124469, abs=1e-9)
 
+    @pytest.mark.parametrize("dim", [2, 3, 10, 50])
+    def test_oracle_near_the_boundary(self, dim):
+        """poincare_distance computes through _distance_batch, the formula train_poincare
+        uses; it matches the 50-digit oracle at norms up to 0.999 as well as near 0."""
+        rng = derive_rng(6, dim)
+        for norm_u, norm_v in [(0.999, 0.999), (0.999, 0.5), (0.9985, 0.0), (0.999, 1e-3),
+                               (0.3, 0.7)]:
+            u, v = (n * x / np.linalg.norm(x)
+                    for n, x in ((norm_u, rng.standard_normal(dim)),
+                                 (norm_v, rng.standard_normal(dim))))
+            want = reference_distance(u, v)
+            assert poincare_distance(u, v) == pytest.approx(want, rel=1e-12)
+
     def test_symmetry_random(self):
         rng = derive_rng(5)
         for _ in range(50):
@@ -87,8 +100,9 @@ class TestTraining:
     def test_bad_dim_and_lr(self, demo_tree):
         with pytest.raises(DataError):
             train_poincare(demo_tree, dim=1, epochs=1, lr=0.1)
-        with pytest.raises(DataError):
-            train_poincare(demo_tree, dim=4, epochs=1, lr=0.0)
+        for lr in (0.0, -0.1, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(DataError, match="lr must be finite and > 0"):
+                train_poincare(demo_tree, dim=4, epochs=1, lr=lr)
 
     def test_edges_closer_than_non_edges(self, demo_tree):
         emb = train_poincare(demo_tree, dim=10, epochs=60, lr=0.1, n_negatives=10, seed=7)

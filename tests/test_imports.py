@@ -1,4 +1,5 @@
-"""The package binds no names, every import sits at module top, and the modules import no cycle."""
+"""The package binds no names, every import sits at module top, the modules import no cycle,
+and only the two input readers open files."""
 
 import ast
 import os
@@ -53,3 +54,21 @@ def test_package_imports_are_acyclic():
 
     for name in graph:
         visit(name)
+
+
+def test_only_the_two_readers_call_open():
+    """Text inputs read through util.text_lines, which numbers lines and rejects bytes that
+    are not UTF-8, and checkpoints through checkpoint.read_container; no other code in the
+    package calls open() (writes go through os.fdopen in util.atomic_write_bytes)."""
+    callers = set()
+    for name, tree in _modules():
+        scope = {}
+        for node in ast.walk(tree):  # breadth first: a node's scope is set before its children's
+            in_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for child in ast.iter_child_nodes(node):
+                scope[child] = node.name if in_def else scope.get(node, "<module>")
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and (getattr(func, "id", None) == "open"
+                                               or getattr(func, "attr", None) == "open"):
+                callers.add(f"{name}.{scope.get(node, '<module>')}")
+    assert callers == {"util.text_lines", "checkpoint.read_container"}

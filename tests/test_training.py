@@ -98,7 +98,7 @@ def dense_train_level(docs, label_rows, n_labels, masks, model, cfg, level_tag):
                 clipped += 1
                 for g in grads.values():
                     g *= CLIP_NORM / total
-            lr = lr_at(step, cfg.learning_rate, cfg.warmup, cfg.max_steps)
+            lr = lr_at(step, cfg.learning_rate, cfg.max_steps)
             dense_adamw_step(model, m, v, step + 1, grads, lr, cfg.weight_decay)
             step += 1
     return clipped
@@ -383,15 +383,37 @@ class TestOptimizerAndSchedule:
             assert isinstance(opt.rows, np.ndarray) == want, rows
 
     def test_warmup_then_linear_decay(self):
-        peak, warmup, total = 1e-3, 10, 100
-        assert lr_at(0, peak, warmup, total) == pytest.approx(peak / 10)
-        assert lr_at(9, peak, warmup, total) == pytest.approx(peak)
-        assert lr_at(55, peak, warmup, total) == pytest.approx(peak * 45 / 90)
-        assert lr_at(100, peak, warmup, total) == 0.0
+        peak, total = 1e-3, 200  # warmup: 10 steps
+        assert lr_at(0, peak, total) == pytest.approx(peak / 10)
+        assert lr_at(9, peak, total) == pytest.approx(peak)
+        assert lr_at(105, peak, total) == pytest.approx(peak * 95 / 190)
+        assert lr_at(200, peak, total) == 0.0
 
     def test_warmup_defaults_to_five_percent(self):
-        cfg = TrainConfig(max_steps=1000)
-        assert cfg.warmup == 50
+        assert lr_at(0, 1.0, 1000) == 1.0 / 50
+        assert lr_at(49, 1.0, 1000) == 1.0
+        assert lr_at(50, 1.0, 1000) == 1.0
+        assert lr_at(51, 1.0, 1000) == 949 / 950
+
+    @pytest.mark.parametrize("max_steps, warmup", [(0, 0), (1, 0), (10, 0), (30, 2), (50, 2),
+                                                   (70, 4), (90, 4), (1000, 50)])
+    def test_derived_warmup_rounds_half_to_even(self, max_steps, warmup):
+        """lr_at derives its warmup as round(0.05 * max_steps), Python's round half to
+        even (0.5 -> 0, 1.5 -> 2, 2.5 -> 2, 3.5 -> 4), and equals the schedule that took
+        that warmup as an argument at every step."""
+
+        def lr_with_warmup(step, peak, warmup, max_steps):
+            if max_steps <= 0:
+                return 0.0
+            if step < warmup:
+                return peak * (step + 1) / warmup
+            if max_steps == warmup:
+                return peak
+            return peak * max(0, max_steps - step) / (max_steps - warmup)
+
+        assert round(training.WARMUP_SHARE * max_steps) == warmup
+        for step in range(max_steps + 2):
+            assert lr_at(step, 3e-3, max_steps) == lr_with_warmup(step, 3e-3, warmup, max_steps)
 
     def test_clip_gradients(self):
         big = {"a": np.array([3.0, 0.0]), "b": np.array([[4.0]])}  # global norm 5
