@@ -32,9 +32,6 @@ def _pack_str(buf: io.BytesIO, s: str) -> None:
 
 def write_container(path: str, metadata: dict, tensors: dict) -> None:
     """Serialize string metadata and named float64 tensors; atomic on disk."""
-    names = list(tensors)
-    if len(set(names)) != len(names):
-        raise ParseError("tensor names must be unique")
     buf = io.BytesIO()
     buf.write(MAGIC)
     buf.write(struct.pack("<I", VERSION))
@@ -45,13 +42,11 @@ def write_container(path: str, metadata: dict, tensors: dict) -> None:
     buf.write(struct.pack("<I", len(tensors)))
     for name, tensor in tensors.items():
         arr = np.asarray(tensor, dtype=np.float64)
-        if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
         _pack_str(buf, name)
         buf.write(struct.pack("<I", arr.ndim))
         for dim in arr.shape:
             buf.write(struct.pack("<I", dim))
-        buf.write(arr.astype("<f8").tobytes())
+        buf.write(arr.astype("<f8").tobytes())  # tobytes writes C (row-major) order
     atomic_write_bytes(path, buf.getvalue())
 
 
@@ -136,11 +131,18 @@ MODEL_KEYS = {"level": int, "n_layers": int, "vocab_size": int, "c": int, "s": i
               "negative_sampling": lambda raw: bool(int(raw)), "binary_threshold": float}
 
 
-def model_settings(path: str, metadata: dict) -> dict:
-    """The MODEL_KEYS values of a model checkpoint, parsed.
+def load_model(path: str):
+    """Rebuild a LevelModel; returns (model, settings), its MODEL_KEYS values parsed.
 
-    Raises ParseError naming the first key that is missing or malformed.
+    The tensors must be finite and match network.level_layout for the metadata and the
+    widths h, L and d of the file's emb, W_la and corr.W (0 where that tensor is missing
+    or has too few axes; corr.* is expected exactly when corr.W is present); raises
+    ParseError naming the first MODEL_KEYS entry (missing or malformed) or tensor that
+    does not.
     """
+    metadata, tensors = read_container(path)
+    if metadata.get("kind") != "level-model":
+        raise ParseError(f"{path}: container does not hold a model")
     settings = {}
     for key, parse in MODEL_KEYS.items():
         if key not in metadata:
@@ -151,21 +153,6 @@ def model_settings(path: str, metadata: dict) -> dict:
             raise ParseError(
                 f"{path}: metadata key {key!r} has a malformed value {metadata[key]!r}"
             ) from None
-    return settings
-
-
-def load_model(path: str):
-    """Rebuild a LevelModel; returns (model, metadata) with the stored strings.
-
-    The tensors must be finite and match network.level_layout for the metadata and the
-    widths h, L and d of the file's emb, W_la and corr.W (0 where that tensor is missing
-    or has too few axes; corr.* is expected exactly when corr.W is present); raises
-    ParseError naming the first MODEL_KEYS entry or tensor that does not.
-    """
-    metadata, tensors = read_container(path)
-    if metadata.get("kind") != "level-model":
-        raise ParseError(f"{path}: container does not hold a model")
-    settings = model_settings(path, metadata)
     n_layers = settings["n_layers"]
 
     def width(name, axis):
@@ -191,7 +178,7 @@ def load_model(path: str):
         raise ParseError(f"{path}: tensors {unused} unused by a model with n_layers={n_layers}")
     model = LevelModel.from_tensors(tensors, n_layers, settings["level"],
                                     metadata.get("provenance", "random"))
-    return model, metadata
+    return model, settings
 
 
 def save_embeddings(path: str, emb, extra_metadata: dict | None = None) -> None:

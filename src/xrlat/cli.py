@@ -214,13 +214,13 @@ def _read_scores(path: str, doc_ids, n_labels: int) -> np.ndarray:
 
 
 def _load_models_for_eval(args, tree):
-    """Returns (models, settings): a LevelModel or a 4-chain, and the
-    checkpoint.model_settings of its first checkpoint."""
+    """Returns (models, settings): a LevelModel or a 4-chain, and the settings
+    checkpoint.load_model parsed from its first checkpoint."""
     paths = ([args.ckpt] if args.ckpt else
              [os.path.join(args.chain, f"level{k}.ckpt") for k in range(1, 5)])
     models, settings = [], None
     for k, path in zip(range(5 - len(paths), 5), paths):
-        model, meta = checkpoint.load_model(path)
+        model, level_settings = checkpoint.load_model(path)
         if model.level != k:
             raise ConfigError(f"{path}: expected level {k}, found {model.level}")
         if model.n_labels != tree.nodes_per_level[k - 1]:
@@ -228,7 +228,6 @@ def _load_models_for_eval(args, tree):
                 f"{path}: {model.n_labels} labels but tree level {k} has "
                 f"{tree.nodes_per_level[k - 1]}"
             )
-        level_settings = checkpoint.model_settings(path, meta)
         settings = settings or level_settings
         for key in ("vocab_size", "c", "s", "negative_sampling", "binary_threshold"):
             if level_settings[key] != settings[key]:

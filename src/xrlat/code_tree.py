@@ -129,11 +129,13 @@ class LabelMatrix:
 
 def parse_hierarchy(lines) -> CodeTree:
     """Build a CodeTree from an iterable of hierarchy-file lines; errors name ``line <n>``."""
-    return _parse_numbered(enumerate(lines, start=1), "line ")
+    return _parse_numbered(enumerate(lines, start=1), None)
 
 
-def _parse_numbered(numbered, where: str) -> CodeTree:
-    """parse_hierarchy over (line number, line) pairs; errors name ``<where><line number>``."""
+def _parse_numbered(numbered, path: str | None) -> CodeTree:
+    """parse_hierarchy over (line number, line) pairs of the file ``path``; errors name
+    ``<path>:<line number>``, or ``line <line number>`` when path is None."""
+    where = "line " if path is None else f"{path}:"
     # parent_path_of[k][name] = tuple of ancestor names (levels 1..k-1)
     parent_path_of: list[dict] = [dict() for _ in range(N_LEVELS)]
     seen_paths: set[tuple] = set()
@@ -165,7 +167,8 @@ def _parse_numbered(numbered, where: str) -> CodeTree:
                 )
 
     if n_data_lines == 0:
-        raise ParseError("hierarchy is empty (no data lines)")
+        source = "" if path is None else f"{path}: "
+        raise ParseError(f"{source}hierarchy is empty (no data lines)")
 
     levels = []
     index_of_prev: dict[str, int] = {}
@@ -185,7 +188,7 @@ def _parse_numbered(numbered, where: str) -> CodeTree:
 
 def build_tree(path: str) -> CodeTree:
     """Parse a hierarchy file into a CodeTree. See the module docstring for the format."""
-    return _parse_numbered(text_lines(path), f"{path}:")
+    return _parse_numbered(text_lines(path), path)
 
 
 def hierarchy_lines(tree: CodeTree) -> list[str]:

@@ -96,6 +96,12 @@ def resolve_config(path: str | None = None, overrides=()) -> RunConfig:
             raise ConfigError(f"{where}: bad value for {key!r}: {raw!r}") from None
         if key in _PATH_KEYS:
             paths[key] = value
-        else:
-            train_kwargs[key] = value
+            continue
+        # each TrainConfig check reads one field, so a value checked beside the
+        # defaults fails exactly when it fails in the full config
+        try:
+            TrainConfig(**{key: value})
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        train_kwargs[key] = value
     return RunConfig(train=TrainConfig(**train_kwargs), **paths)

@@ -240,12 +240,13 @@ def _dropout_mask(shape, p, rng):
 
 def _encode_fwd(doc: ChunkedDocument, enc: EncoderParams, dropout: float = 0.0,
                 rng: Optional[np.random.Generator] = None):
-    """Encode each chunk independently and concatenate to a z-by-h matrix H.
+    """Encode each chunk independently and concatenate to an (s * c)-by-h matrix H.
 
     With zero transformer blocks H degenerates to
-    ``emb[token] + pos[position-within-chunk]``. Returns (H, cache).
+    ``emb[token] + pos[position-within-chunk]``. The attention masks padding keys,
+    so the first n_real rows of H do not depend on the padding. Returns (H, cache).
     """
-    ids, flags = doc.chunks, doc.flags
+    ids = doc.chunks
     s, c = ids.shape
     if c > enc.chunk_len:
         raise DataError(f"chunk length {c} exceeds positional table size {enc.chunk_len}")
@@ -257,11 +258,12 @@ def _encode_fwd(doc: ChunkedDocument, enc: EncoderParams, dropout: float = 0.0,
     if mask0 is not None:
         x = x * mask0
 
-    # Padding keys get -inf scores so they cannot influence real tokens; chunks
-    # that are entirely padding are left unmasked to keep the softmax defined.
-    key_mask = np.where(flags == 0, -np.inf, 0.0)
-    key_mask[flags.sum(axis=1) == 0, :] = 0.0
-    key_mask = key_mask[:, np.newaxis, :]  # broadcast over query positions
+    # Padding keys get -inf scores so they cannot influence real tokens. Chunks
+    # that are entirely padding are left unmasked to keep the softmax defined, so
+    # the mask ends with the chunk that holds the last real token.
+    key_mask = np.zeros(s * c)
+    key_mask[doc.n_real : -(-doc.n_real // c) * c] = -np.inf
+    key_mask = key_mask.reshape(s, 1, c)  # broadcast over query positions
 
     cache = {"ids": ids, "mask0": mask0, "blocks": []}
     scale = 1.0 / np.sqrt(enc.hidden)
@@ -356,23 +358,21 @@ def _encode_bwd(dH: np.ndarray, cache: dict, enc: EncoderParams, grads: dict) ->
 # label attention + classifier
 
 
-def _head_fwd(H, flags_flat, W_la_eff, W_cl, b_cl):
-    """Label attention over the real tokens, then per-label sigmoid classifiers.
+def _head_fwd(Hr, W_la_eff, W_cl, b_cl):
+    """Label attention over the r real-token rows Hr, then per-label sigmoid classifiers.
 
-    d_j = sum_t alpha_jt h_t with alpha_j = softmax(W_la_eff[j] . h_t) over
-    the real tokens only, so padding rows of H never enter the result. The
-    softmax runs in place on the (A, r) scores, the forward's only (A, r) array.
-    Returns (p, cache); the cache holds ``alpha`` (A, r) and ``d`` (A, h).
+    d_j = sum_t alpha_jt h_t with alpha_j = softmax(W_la_eff[j] . h_t). The callers
+    pass H[:n_real], so padding rows never enter the result. The softmax runs in
+    place on the (A, r) scores, the forward's only (A, r) array. Returns (p, cache);
+    the cache holds ``alpha`` (A, r) and ``d`` (A, h).
     """
-    real = np.flatnonzero(flags_flat)
-    if real.size == 0:
+    if Hr.shape[0] == 0:
         raise DataError("cannot attend over a document whose tokens are all padding")
-    Hr = H[real]  # (r, h)
     alpha = _softmax_last(W_la_eff @ Hr.T)  # (A, r)
     d = alpha @ Hr  # (A, h)
     logits = np.einsum("ij,ij->i", d, W_cl) + b_cl  # row dots, no (A, h) temporary
     p = _sigmoid(logits)
-    return p, {"real": real, "Hr": Hr, "alpha": alpha, "d": d, "logits": logits, "p": p}
+    return p, {"Hr": Hr, "alpha": alpha, "d": d, "logits": logits, "p": p}
 
 
 def _head_bwd(dp, hc, W_la_eff, W_cl):
@@ -416,7 +416,7 @@ def forward_probs(doc: ChunkedDocument, enc: EncoderParams, head: HeadParams,
             return probs
     H, _ = _encode_fwd(doc, enc)
     W_eff, _ = _effective_w_la(head, corr, corr_inputs, active)
-    p, _ = _head_fwd(H, doc.flags.reshape(-1), W_eff, head.W_cl[active], head.b_cl[active])
+    p, _ = _head_fwd(H[:doc.n_real], W_eff, head.W_cl[active], head.b_cl[active])
     probs[active] = p
     return probs
 
@@ -446,7 +446,7 @@ def forward_backward(doc: ChunkedDocument, params: EncoderParams, head: HeadPara
     H, enc_cache = _encode_fwd(doc, params, dropout=dropout, rng=rng)
     W_eff, E_act = _effective_w_la(head, corr, corr_inputs, active)
     W_cl_act, b_cl_act = head.W_cl[active], head.b_cl[active]
-    p, hc = _head_fwd(H, doc.flags.reshape(-1), W_eff, W_cl_act, b_cl_act)
+    p, hc = _head_fwd(H[:doc.n_real], W_eff, W_cl_act, b_cl_act)
     loss, dp = loss_and_grad(p, gold[active], loss_cfg)
 
     # An inf logit saturates p and keeps the loss finite, yet makes NaN gradients.
@@ -469,7 +469,7 @@ def forward_backward(doc: ChunkedDocument, params: EncoderParams, head: HeadPara
         grads["corr.W"] += E_act.T @ dW_la_act
         grads["corr.b"] += dW_la_act.sum(axis=0)
     dH = np.zeros_like(H)
-    dH[hc["real"]] = dHr
+    dH[:doc.n_real] = dHr
     _encode_bwd(dH, enc_cache, params, grads)
     return loss, grads
 
@@ -526,7 +526,7 @@ def gradcheck(n_layers: int, loss: LossConfig, with_correction: bool = False,
     if with_correction:
         model.corr_inputs = rng.normal(0.0, 0.1, size=(n_labels, GRADCHECK_D_EMB))
 
-    # leave some padding so the flag path is exercised
+    # leave some padding so the key mask and the head's real-row slice are exercised
     ids = rng.integers(2, GRADCHECK_VOCAB, size=GRADCHECK_C * GRADCHECK_S - 3)
     doc = chunk(ids, GRADCHECK_C, GRADCHECK_S)
     gold = (rng.random(n_labels) < 0.3).astype(np.float64)

@@ -122,54 +122,27 @@ def tokenize(text: str, vocab: Vocabulary) -> np.ndarray:
 
 @dataclass
 class ChunkedDocument:
-    """A document laid out as s chunks of exactly c token ids.
-
-    Padding (id 0, flag 0) only at the tail; total length z = c * s.
-    """
+    """A document laid out as s chunks of exactly c token ids: its first n_real
+    slots in row-major order hold its tokens, the rest hold PAD (id 0)."""
 
     chunks: np.ndarray  # (s, c) int64
-    flags: np.ndarray  # (s, c) uint8, 1 = real token
-
-    @property
-    def s(self) -> int:
-        return int(self.chunks.shape[0])
-
-    @property
-    def c(self) -> int:
-        return int(self.chunks.shape[1])
-
-    @property
-    def z(self) -> int:
-        return self.chunks.size
-
-    @property
-    def n_real(self) -> int:
-        return int(self.flags.sum())
-
-    def flat_tokens(self) -> np.ndarray:
-        """Real tokens back in order (round trip of the chunking)."""
-        flat = self.chunks.reshape(-1)
-        return flat[self.flags.reshape(-1) == 1]
+    n_real: int
 
 
 def chunk(tokens, c: int, s: int) -> ChunkedDocument:
     """Lay the first min(t, c*s) tokens into s chunks of c; pad the tail.
 
-    Documents longer than z = c * s are truncated; shorter ones are padded
-    with PAD (flag 0).
+    Documents longer than c * s are truncated; shorter ones are padded with PAD.
     """
     if c < 1 or s < 1:
         raise ConfigError(f"chunk length and count must be >= 1, got c={c}, s={s}")
     if c > MAX_CHUNK_LEN:
         raise ConfigError(f"chunk length {c} exceeds the maximum of {MAX_CHUNK_LEN}")
     tokens = np.asarray(tokens, dtype=np.int64)
-    z = c * s
-    n = min(tokens.size, z)
-    flat = np.zeros(z, dtype=np.int64)
+    n = min(tokens.size, c * s)
+    flat = np.zeros(c * s, dtype=np.int64)
     flat[:n] = tokens[:n]
-    flags = np.zeros(z, dtype=np.uint8)
-    flags[:n] = 1
-    return ChunkedDocument(flat.reshape(s, c), flags.reshape(s, c))
+    return ChunkedDocument(flat.reshape(s, c), n)
 
 
 @dataclass

@@ -35,6 +35,16 @@ class TestContainer:
             assert np.array_equal(tensors[name], np.asarray(tensors2[name]))
             assert tensors2[name].dtype == np.float64
 
+    def test_transposed_tensor_writes_row_major(self, tmp_path):
+        """A non-contiguous view writes the bytes of its C-ordered copy and reads back equal."""
+        t = derive_rng(1).normal(size=(3, 5)).T
+        assert not t.flags["C_CONTIGUOUS"]
+        a, b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
+        write_container(a, {}, {"t": t})
+        write_container(b, {}, {"t": np.ascontiguousarray(t)})
+        assert open(a, "rb").read() == open(b, "rb").read()
+        assert np.array_equal(read_container(a)[1]["t"], t)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -90,10 +100,10 @@ class TestModelCheckpoint:
         cfg = TrainConfig(c=4, s=2, hidden_size=8, n_layers=2, seed=5)
         path = str(tmp_path / "m.ckpt")
         save_model(path, model, cfg)
-        loaded, meta = load_model(path)
-        assert meta["level"] == "3"
-        assert meta["provenance"] == "bootstrap-equal"
-        assert int(meta["vocab_size"]) == 20
+        loaded, settings = load_model(path)
+        assert settings == {"level": 3, "n_layers": 2, "vocab_size": 20, "c": 4, "s": 2,
+                            "negative_sampling": True, "binary_threshold": 0.5}
+        assert loaded.level == 3 and loaded.provenance == "bootstrap-equal"
         for (na, a), (nb, b) in zip(model.tensors(), loaded.tensors()):
             assert na == nb
             assert np.array_equal(a, b)

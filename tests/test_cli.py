@@ -56,6 +56,12 @@ class TestTreeCommand:
         assert os.path.exists(os.path.join(out, "tree.txt"))
         assert "fanout" in open(os.path.join(out, "stats.txt")).read()
 
+    def test_empty_hierarchy_exit_1_naming_file(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        path.write_text("# only a comment\n")
+        assert main(["tree", "stats", "--tree", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: hierarchy is empty (no data lines)\n"
+
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["tree", "stats", "--tree", str(tmp_path / "nope.txt")]) == 1
 
@@ -247,13 +253,18 @@ class TestTrainCommand:
         ("learning_rate", "-1e-3"), ("learning_rate", "inf"), ("weight_decay", "-0.1"),
         ("weight_decay", "nan"), ("n_layers", "3"), ("c", "0"), ("s", "0"),
         ("min_frequency", "0"), ("asl_gamma_pos", "-1"), ("asl_gamma_neg", "-2"),
-        ("asl_margin", "1.0"),
+        ("asl_margin", "1.0"), ("max_steps", "-1"),
     ])
     def test_bad_numeric_key_exit_1_before_config_echo(self, tmp_path, demo_tree_path,
                                                        small_dataset, capsys, key, value):
-        cfg = base_config(tmp_path, demo_tree_path, small_dataset, **{key: value})
+        """An out-of-range value exits 1 before the echo, naming its config line or --set."""
+        cfg = write_config(tmp_path / "c.cfg", tree=demo_tree_path, dataset=small_dataset,
+                           **{key: value}, out_dir=str(tmp_path / "run"))
         assert main(["train", "plm-icd", "--config", cfg]) == 1
-        assert f"{key} must be" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:3: {key} must be ")
+        cfg = base_config(tmp_path, demo_tree_path, small_dataset)
+        assert main(["train", "plm-icd", "--config", cfg, "--set", f"{key}={value}"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: --set: {key} must be ")
         assert not os.path.exists(str(tmp_path / "run" / "config.txt"))
 
     def test_hyperc_needs_embeddings(self, tmp_path, demo_tree_path, small_dataset):
@@ -271,7 +282,7 @@ class TestTrainCommand:
         assert main(["train", "xr-lat", "--config", cfg]) == 0
         from xrlat.checkpoint import load_model
 
-        model, meta = load_model(str(tmp_path / "run" / "level4.ckpt"))
+        model = load_model(str(tmp_path / "run" / "level4.ckpt"))[0]
         assert model.corr is not None and model.corr_inputs.shape == (81, 5)
 
 

@@ -50,7 +50,7 @@ class TestParsing:
             parse_hierarchy(["A/X/A11/A111", "B/X/B11/B111"])
 
     def test_empty_file_rejected(self):
-        with pytest.raises(ParseError, match="empty"):
+        with pytest.raises(ParseError, match=r"^hierarchy is empty \(no data lines\)$"):
             parse_hierarchy(["# nothing else"])
 
     def test_virtual_root_is_single(self, demo_tree):

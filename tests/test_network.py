@@ -6,6 +6,8 @@ import pytest
 
 from xrlat.losses import LossConfig
 from xrlat.network import (
+    GRADCHECK_EPS,
+    GRADCHECK_TOL,
     INIT_STD,
     CorrectionLayer,
     LevelModel,
@@ -20,10 +22,12 @@ from xrlat.network import (
     level_layout,
     zero_grads,
 )
-from xrlat.textproc import chunk
+from xrlat.textproc import PAD_ID, chunk
 from xrlat.util import DataError, derive_rng
 
 from conftest import corrupt_head_dW_cl
+
+ASL = LossConfig(kind="asl", gamma_pos=1.0, gamma_neg=2.0, margin=0.0)  # as gradcheck --loss asl
 
 
 def make_doc(rng, vocab_size, c, s, t=None):
@@ -35,17 +39,17 @@ def encode(doc, enc):
     return _encode_fwd(doc, enc)[0]
 
 
-def attend(H, flags, W_la):
-    """The trained head's label vectors d and real-token weights alpha for queries W_la."""
+def attend(Hr, W_la):
+    """The trained head's label vectors d and weights alpha over the real-token rows Hr
+    for queries W_la."""
     A, h = W_la.shape
-    _, cache = _head_fwd(H, np.asarray(flags, dtype=np.uint8), W_la, np.zeros((A, h)),
-                         np.zeros(A))
+    _, cache = _head_fwd(Hr, W_la, np.zeros((A, h)), np.zeros(A))
     return cache["d"], cache["alpha"]
 
 
 def classify(d, W_cl, b_cl):
     """The trained head's probabilities when every label vector is d: H holds d as one token."""
-    p, cache = _head_fwd(d[:1], np.ones(1, dtype=np.uint8), np.zeros_like(W_cl), W_cl, b_cl)
+    p, cache = _head_fwd(d[:1], np.zeros_like(W_cl), W_cl, b_cl)
     assert np.array_equal(cache["d"], np.broadcast_to(d[:1], W_cl.shape))
     return p
 
@@ -103,42 +107,54 @@ class TestEncoder:
 class TestLabelAttention:
     def test_two_token_hand_example(self):
         H = np.array([[1.0], [3.0]])
-        d, alpha = attend(H, [1, 1], np.array([[1.0]]))
+        d, alpha = attend(H, np.array([[1.0]]))
         assert alpha[0] == pytest.approx([0.119203, 0.880797], abs=1e-6)
         assert d[0, 0] == pytest.approx(2.761594, abs=1e-6)
 
     def test_zero_query_gives_mean(self):
         rng = derive_rng(6)
-        H = rng.normal(size=(5, 3))
-        d, _ = attend(H, [1, 1, 1, 1, 0], np.zeros((2, 3)))
-        assert np.allclose(d[0], H[:4].mean(axis=0), atol=1e-12)
+        H = rng.normal(size=(4, 3))
+        d, _ = attend(H, np.zeros((2, 3)))
+        assert np.allclose(d[0], H.mean(axis=0), atol=1e-12)
         assert np.allclose(d[0], d[1], atol=0)
 
     def test_duplicating_tokens_keeps_d(self):
         rng = derive_rng(7)
         H = rng.normal(size=(4, 3))
         W_la = rng.normal(size=(3, 3))
-        d1, _ = attend(H, np.ones(4), W_la)
-        d2, _ = attend(np.vstack([H, H]), np.ones(8), W_la)
+        d1, _ = attend(H, W_la)
+        d2, _ = attend(np.vstack([H, H]), W_la)
         assert np.allclose(d1, d2, atol=1e-12)
 
     def test_weights_sum_to_one_and_zero_on_padding(self):
+        """The head attends over the n_real real rows only: changing the padding ids of a
+        document (a padded tail and an all-padding chunk) changes H's padding rows but
+        neither the probabilities nor any gradient."""
         rng = derive_rng(8)
-        H = rng.normal(size=(6, 4))
-        flags = np.array([1, 1, 0, 1, 0, 1], dtype=np.uint8)
-        W_la = rng.normal(size=(5, 4))
-        d, alpha = attend(H, flags, W_la)
-        assert alpha.shape == (5, 4)  # one weight per real token only
+        model = init_level_model(30, 4, 8, 5, 1, 0, rng)
+        enc, head = model.enc, model.head
+        doc = chunk([3, 4, 5, 6, 7, 8], c=4, s=3)
+        H = encode(doc, enc)
+        d, alpha = attend(H[:doc.n_real], rng.normal(size=(5, 8)))
+        assert alpha.shape == (5, 6)  # one weight per real token only
         assert np.all(np.abs(alpha.sum(axis=1) - 1.0) < 1e-12)
-        tampered = H.copy()
-        tampered[flags == 0] = rng.normal(size=(2, 4)) * 100.0
-        d_tampered, alpha_tampered = attend(tampered, flags, W_la)
-        assert np.array_equal(alpha, alpha_tampered)
-        assert np.array_equal(d, d_tampered)
+        tampered = chunk([3, 4, 5, 6, 7, 8], c=4, s=3)
+        tampered.chunks.reshape(-1)[doc.n_real:] = rng.integers(2, 30, size=6)
+        assert not np.array_equal(H[doc.n_real:], encode(tampered, enc)[doc.n_real:])
+        assert (forward_probs(doc, enc, head).tobytes()
+                == forward_probs(tampered, enc, head).tobytes())
+        gold = np.array([1.0, 0, 0, 1, 0])
+        g1 = forward_backward(doc, enc, head, gold, None, LossConfig())[1]
+        g2 = forward_backward(tampered, enc, head, gold, None, LossConfig())[1]
+        for name in g1:
+            assert g1[name].tobytes() == g2[name].tobytes(), name
 
     def test_all_padding_rejected(self):
         with pytest.raises(DataError):
-            attend(np.zeros((3, 2)), np.zeros(3), np.zeros((1, 2)))
+            attend(np.zeros((0, 2)), np.zeros((1, 2)))
+        model = init_level_model(10, 4, 2, 1, 1, 0, derive_rng(8))
+        with pytest.raises(DataError, match="all padding"):
+            forward_probs(chunk([], c=4, s=2), model.enc, model.head)
 
 
 class TestClassify:
@@ -165,18 +181,16 @@ class TestClassify:
 
     def test_probabilities_in_unit_interval(self):
         rng = derive_rng(10)
-        p, cache = _head_fwd(rng.normal(size=(6, 5)) * 10, np.ones(6, dtype=np.uint8),
-                             rng.normal(size=(30, 5)), rng.normal(size=(30, 5)) * 10,
-                             rng.normal(size=30) * 10)
+        p, cache = _head_fwd(rng.normal(size=(6, 5)) * 10, rng.normal(size=(30, 5)),
+                             rng.normal(size=(30, 5)) * 10, rng.normal(size=30) * 10)
         assert cache["logits"].min() < -30 and cache["logits"].max() > 30
         assert np.all((p >= 0) & (p <= 1))
 
 
-def two_pass_head(H, flags, W_la_eff, W_cl, b_cl, dp):
+def two_pass_head(Hr, W_la_eff, W_cl, b_cl, dp):
     """The head as first written, for comparison: a softmax through fresh arrays,
     (dalpha * alpha).sum in its backward and a sigmoid split by sign.
     Returns p, dW_la, dW_cl, db_cl, dHr."""
-    Hr = H[np.flatnonzero(flags)]
     scores = W_la_eff @ Hr.T
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     alpha = e / e.sum(axis=1, keepdims=True)
@@ -197,12 +211,11 @@ def two_pass_head(H, flags, W_la_eff, W_cl, b_cl, dp):
 
 class TestHeadKernel:
     def test_matches_two_pass_head_and_leaves_inputs_alone(self):
-        """Padding, a label mask and a correction layer; every output within 1e-12 of
-        the two-pass formulas, relative to the output's largest entry."""
+        """Padding rows past n_real, a label mask and a correction layer; every output
+        within 1e-12 of the two-pass formulas, relative to the output's largest entry."""
         rng = derive_rng(21)
-        n_labels, h, d_emb, z = 300, 16, 5, 70
+        n_labels, h, d_emb, z, n_real = 300, 16, 5, 70, 55
         H = rng.normal(size=(z, h))
-        flags = (rng.random(z) < 0.8).astype(np.uint8)
         head = init_level_model(1, 1, h, n_labels, 0, 0, rng).head
         head.W_la *= 40.0  # scores spread over tens, so the max shift matters
         head.W_cl *= 100.0  # logits of both signs, some far from 0
@@ -215,11 +228,11 @@ class TestHeadKernel:
         dp = rng.normal(size=active.size)
         before = [t.tobytes() for t in (H, W_eff, W_cl, b_cl)]
 
-        p, hc = _head_fwd(H, flags, W_eff, W_cl, b_cl)
+        p, hc = _head_fwd(H[:n_real], W_eff, W_cl, b_cl)
         got = (p,) + _head_bwd(dp, hc, W_eff, W_cl)
         assert [t.tobytes() for t in (H, W_eff, W_cl, b_cl)] == before
         assert hc["logits"].min() < -5.0 and hc["logits"].max() > 5.0
-        want = two_pass_head(H, flags, W_eff, W_cl, b_cl, dp)
+        want = two_pass_head(H[:n_real], W_eff, W_cl, b_cl, dp)
         for name, a, b in zip(("p", "dW_la", "dW_cl", "db_cl", "dHr"), got, want):
             assert a.shape == b.shape, name
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
@@ -243,7 +256,7 @@ class TestHeadKernel:
         doc = make_doc(rng, 40, c, s, t=c * s - 5)
         gold = (rng.random(n_labels) < 0.01).astype(np.float64)
         grads = zero_grads(model)
-        scores_bytes = n_labels * int(doc.flags.sum()) * 8
+        scores_bytes = n_labels * doc.n_real * 8
         peaks = []
         for call in (lambda: forward_backward(doc, enc, head, gold, None, LossConfig(),
                                               grads=grads),
@@ -339,7 +352,7 @@ class TestForwardBackward:
         doc = chunk(ids, 5, 7)
         H, cache = _encode_fwd(doc, enc, dropout=0.2, rng=derive_rng(10))
         dH = rng.normal(size=H.shape) * 10.0 ** rng.integers(-4, 5, size=H.shape)
-        dH[doc.flags.reshape(-1) == 0] = 0.0
+        dH[doc.n_real:] = 0.0
         grads = zero_grads(model)
         _encode_bwd(dH, cache, enc, grads)
 
@@ -363,6 +376,64 @@ class TestForwardBackward:
         l3, _ = forward_backward(doc, enc, head, gold, None, LossConfig(),
                                  dropout=0.2, rng=derive_rng(56))
         assert l1 != l3
+
+
+class TestPaddedDocument:
+    """forward_backward on padding as training meets it: c=4, s=3 and five tokens make a
+    full chunk, a chunk with three padding slots and a chunk of padding only."""
+
+    TOKENS = [3, 9, 4, 17, 5]
+
+    @pytest.mark.parametrize("with_corr", [False, True], ids=["plain", "corr"])
+    @pytest.mark.parametrize("loss", [LossConfig(), ASL], ids=["bce", "asl"])
+    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    def test_finite_differences_with_an_all_padding_chunk(self, n_layers, loss, with_corr):
+        """Every trained coordinate against central differences of forward_backward's own
+        loss, under one label mask and one dropout draw (the same rng seed per call)."""
+        n_labels, d_emb = 6, 3
+        rng = derive_rng(31, n_layers)
+        model = init_level_model(18, 4, 4, n_labels, n_layers, 0, rng,
+                                 d_emb if with_corr else None)
+        if with_corr:
+            model.corr_inputs = rng.normal(0.0, 0.1, size=(n_labels, d_emb))
+        doc = chunk(self.TOKENS, c=4, s=3)
+        gold = np.array([1.0, 0, 0, 1, 0, 1])
+        mask = np.array([1, 1, 0, 1, 0, 1], dtype=np.uint8)
+
+        def run():
+            return forward_backward(doc, model.enc, model.head, gold, mask, loss,
+                                    corr=model.corr, corr_inputs=model.corr_inputs,
+                                    dropout=0.1, rng=derive_rng(32))
+
+        _, grads = run()
+        for name in ("W_la", "W_cl", "b_cl"):
+            assert np.all(grads[name][mask == 0] == 0.0), name
+        assert np.all(grads["emb"][PAD_ID] == 0.0)  # no padding row gets a gradient
+        eps = GRADCHECK_EPS
+        for name, tensor in model.trainable():
+            flat, analytic = tensor.reshape(-1), grads[name].reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                lp = run()[0]
+                flat[i] = orig - eps
+                lm = run()[0]
+                flat[i] = orig
+                numeric = (lp - lm) / (2.0 * eps)
+                rel = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1e-4)
+                assert rel < GRADCHECK_TOL, (name, i, analytic[i], numeric)
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    def test_real_rows_match_the_unpadded_chunk_count(self, n_layers):
+        """An all-padding chunk changes nothing the head sees: H's real rows and the
+        probabilities equal those at s=2, bit for bit."""
+        model = init_level_model(20, 4, 8, 6, n_layers, 0, derive_rng(33, n_layers))
+        enc, head = model.enc, model.head
+        padded, snug = chunk(self.TOKENS, c=4, s=3), chunk(self.TOKENS, c=4, s=2)
+        assert padded.n_real == snug.n_real == 5
+        assert encode(padded, enc)[:5].tobytes() == encode(snug, enc)[:5].tobytes()
+        assert (forward_probs(padded, enc, head).tobytes()
+                == forward_probs(snug, enc, head).tobytes())
 
 
 class TestGradcheck:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xrlat.textproc import (
+    PAD_ID,
     Vocabulary,
     build_vocab,
     chunk,
@@ -103,15 +104,16 @@ class TestChunk:
     def test_padding_in_last_chunk(self):
         doc = chunk([11, 12, 13, 14, 15], c=3, s=2)
         assert doc.chunks.tolist() == [[11, 12, 13], [14, 15, 0]]
-        assert doc.flags.tolist() == [[1, 1, 1], [1, 1, 0]]
+        assert doc.n_real == 5
 
     def test_truncation(self):
         doc = chunk([1, 2, 3, 4, 5, 6, 7], c=3, s=2)
-        assert doc.flat_tokens().tolist() == [1, 2, 3, 4, 5, 6]
+        assert doc.chunks.tolist() == [[1, 2, 3], [4, 5, 6]]
+        assert doc.n_real == 6
 
     def test_exact_fit(self):
         doc = chunk(list(range(1, 7)), c=3, s=2)
-        assert np.all(doc.flags == 1)
+        assert doc.n_real == 6
 
     def test_chunk_len_cap(self):
         with pytest.raises(ConfigError):
@@ -131,8 +133,10 @@ class TestChunk:
     def test_roundtrip_recovers_prefix(self, tokens, c, s):
         doc = chunk(tokens, c, s)
         keep = min(len(tokens), c * s)
-        assert doc.flat_tokens().tolist() == tokens[:keep]
-        assert doc.z == c * s
+        assert doc.chunks.shape == (s, c) and doc.n_real == keep
+        flat = doc.chunks.reshape(-1)
+        assert flat[:keep].tolist() == tokens[:keep]
+        assert np.all(flat[keep:] == PAD_ID)
 
 
 class TestSynthCorpus:
