@@ -156,8 +156,10 @@ def _load_or_build_vocab(run, tree, raw_docs):
 
 
 def _cmd_train(args) -> int:
-    seed = [] if args.seed is None else [f"seed={args.seed}"]
-    run = resolve_config(args.config, args.set + seed)
+    overrides = [("--set", pair) for pair in args.set]
+    if args.seed is not None:
+        overrides.append(("--seed", f"seed={args.seed}"))
+    run = resolve_config(args.config, overrides)
     for key in ("tree", "dataset", "out_dir"):
         if not getattr(run, key):
             raise ConfigError(f"config key {key!r} is required for training")

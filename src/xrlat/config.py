@@ -3,8 +3,8 @@
 Config files hold one ``key = value`` per line; ``#`` starts a comment and
 blank lines are ignored. ``--set key=value`` overrides take the same form
 without comments. Unknown keys are rejected before any compute, naming
-``<path>:<line>`` or ``--set``. The fully resolved configuration is echoed to
-the output directory before training starts.
+``<path>:<line>`` or the command-line option. The fully resolved configuration
+is echoed to the output directory before training starts.
 """
 
 from __future__ import annotations
@@ -79,12 +79,14 @@ def _setting(where: str, text: str) -> tuple[str, tuple[str, str]]:
 
 
 def resolve_config(path: str | None = None, overrides=()) -> RunConfig:
-    """Build a RunConfig from an optional file, then raw ``--set`` key=value overrides."""
+    """Build a RunConfig from an optional file, then key=value overrides, each given
+    as ``(source, text)`` with the source that errors name (``--set``, ``--seed``);
+    a later override of a key wins."""
     values = {}
     if path is not None:
         lines = ((f"{path}:{n}", raw.split("#", 1)[0].strip()) for n, raw in text_lines(path))
         values.update(_setting(where, line) for where, line in lines if line)
-    values.update(_setting("--set", pair) for pair in overrides)
+    values.update(_setting(where, text) for where, text in overrides)
 
     paths = {}
     train_kwargs = {}

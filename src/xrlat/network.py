@@ -10,7 +10,10 @@ into the document representation H.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -21,6 +24,7 @@ from .util import DataError, NumericsError, derive_rng
 
 LN_EPS = 1e-5
 INIT_STD = 0.03  # linear-layer init: normal(0.0, 0.03)
+HEAD_TILE = 1024  # active labels per head tile; the tiles never depend on the CPU count
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 
@@ -402,6 +406,51 @@ def _effective_w_la(head: HeadParams, corr: Optional[CorrectionLayer],
     return base + E_act @ corr.W + corr.b, E_act
 
 
+def _label_tiles(active, n_labels: int) -> list:
+    """(positions, rows) of each tile of HEAD_TILE consecutive active labels, in order:
+    the tile's slice of the active labels and the head rows it reads. ``active`` is an
+    index array, or slice(None) for every label, whose tiles read the rows as views."""
+    n = n_labels if isinstance(active, slice) else active.size
+    tiles = []
+    for lo in range(0, n, HEAD_TILE):
+        pos = slice(lo, min(lo + HEAD_TILE, n))
+        tiles.append((pos, pos if isinstance(active, slice) else active[pos]))
+    return tiles
+
+
+_tile_pool: Optional[ThreadPoolExecutor] = None
+
+
+def _run_tiles(fn, items) -> list:
+    """[fn(item) for item in items], in order. A single item runs on the calling thread;
+    several run on a pool with one worker per CPU the process may use (numpy's GEMMs and
+    ufuncs release the GIL). When items raise, the first one's exception in item order
+    reaches the caller unchanged, and only once every item has finished, so that no
+    tile still writes gradients after this returns."""
+    global _tile_pool
+    if len(items) == 1:
+        return [fn(items[0])]
+    if _tile_pool is None:
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        _tile_pool = ThreadPoolExecutor(cpus, thread_name_prefix="xrlat-head")
+    futures = [_tile_pool.submit(fn, item) for item in items]
+    wait(futures)
+    return [f.result() for f in futures]
+
+
+def _head_tiles_fwd(Hr, head: HeadParams, corr: Optional[CorrectionLayer],
+                    corr_inputs: Optional[np.ndarray], tiles: list) -> list:
+    """(W_eff, E_act, W_cl, head cache) of each tile's forward over the real rows Hr."""
+    def tile_fwd(tile):
+        rows = tile[1]
+        W_eff, E_act = _effective_w_la(head, corr, corr_inputs, rows)
+        W_cl = head.W_cl[rows]
+        return W_eff, E_act, W_cl, _head_fwd(Hr, W_eff, W_cl, head.b_cl[rows])[1]
+
+    return _run_tiles(tile_fwd, tiles)
+
+
 def forward_probs(doc: ChunkedDocument, enc: EncoderParams, head: HeadParams,
                   mask: Optional[np.ndarray] = None,
                   corr: Optional[CorrectionLayer] = None,
@@ -415,9 +464,10 @@ def forward_probs(doc: ChunkedDocument, enc: EncoderParams, head: HeadParams,
         if active.size == 0:
             return probs
     H, _ = _encode_fwd(doc, enc)
-    W_eff, _ = _effective_w_la(head, corr, corr_inputs, active)
-    p, _ = _head_fwd(H[:doc.n_real], W_eff, head.W_cl[active], head.b_cl[active])
-    probs[active] = p
+    tiles = _label_tiles(active, head.n_labels)
+    fwd = _head_tiles_fwd(H[:doc.n_real], head, corr, corr_inputs, tiles)
+    for (_, rows), (*_, hc) in zip(tiles, fwd):
+        probs[rows] = hc["p"]
     return probs
 
 
@@ -434,6 +484,11 @@ def forward_backward(doc: ChunkedDocument, params: EncoderParams, head: HeadPara
     nothing to their W_la/W_cl/b_cl gradient rows. The gradients are added
     into ``grads`` (one array per trainable tensor, as from zero_grads); when
     it is omitted a zeroed dict is allocated. Returns (loss, grads).
+
+    The head runs per tile of HEAD_TILE active labels (see _run_tiles). Each tile
+    writes its own head gradient rows; its partial gradients of H and of the
+    correction layer are added in tile order on the calling thread, so the result
+    does not depend on the number of workers.
     """
     if mask is None:
         active = slice(None)  # every label, as views of the head rows
@@ -444,32 +499,42 @@ def forward_backward(doc: ChunkedDocument, params: EncoderParams, head: HeadPara
     gold = np.asarray(gold)
 
     H, enc_cache = _encode_fwd(doc, params, dropout=dropout, rng=rng)
-    W_eff, E_act = _effective_w_la(head, corr, corr_inputs, active)
-    W_cl_act, b_cl_act = head.W_cl[active], head.b_cl[active]
-    p, hc = _head_fwd(H[:doc.n_real], W_eff, W_cl_act, b_cl_act)
+    Hr = H[:doc.n_real]
+    tiles = _label_tiles(active, head.n_labels)
+    fwd = _head_tiles_fwd(Hr, head, corr, corr_inputs, tiles)
+    p = np.concatenate([hc["p"] for *_, hc in fwd])
     loss, dp = loss_and_grad(p, gold[active], loss_cfg)
 
     # An inf logit saturates p and keeps the loss finite, yet makes NaN gradients.
-    if not (np.isfinite(loss) and np.all(np.isfinite(hc["logits"]))):
+    if not (np.isfinite(loss) and all(np.all(np.isfinite(hc["logits"])) for *_, hc in fwd)):
         # the softmax overwrote the scores; only this error path recomputes them
-        for name, t in (("H", H), ("attention_scores", W_eff @ hc["Hr"].T),
-                        ("label_vectors", hc["d"]), ("logits", hc["logits"]),
-                        ("probabilities", p)):
-            if not np.all(np.isfinite(t)):
+        for name, parts in (("H", [H]),
+                            ("attention_scores", (W_eff @ Hr.T for W_eff, *_ in fwd)),
+                            ("label_vectors", (hc["d"] for *_, hc in fwd)),
+                            ("logits", (hc["logits"] for *_, hc in fwd)),
+                            ("probabilities", [p])):
+            if not all(np.all(np.isfinite(t)) for t in parts):
                 raise NumericsError(f"non-finite values in {name}", tensor=name)
         raise NumericsError("non-finite loss", tensor="loss")
 
     if grads is None:
         grads = zero_grads(LevelModel(params, head, 0, corr=corr))
-    dW_la_act, dW_cl_act, db_cl_act, dHr = _head_bwd(dp, hc, W_eff, W_cl_act)
-    grads["W_la"][active] += dW_la_act
-    grads["W_cl"][active] += dW_cl_act
-    grads["b_cl"][active] += db_cl_act
-    if corr is not None:
-        grads["corr.W"] += E_act.T @ dW_la_act
-        grads["corr.b"] += dW_la_act.sum(axis=0)
+
+    def tile_bwd(item):
+        (pos, rows), (W_eff, E_act, W_cl, hc) = item
+        dW_la, dW_cl, db_cl, dHr = _head_bwd(dp[pos], hc, W_eff, W_cl)
+        grads["W_la"][rows] += dW_la
+        grads["W_cl"][rows] += dW_cl
+        grads["b_cl"][rows] += db_cl
+        return (dHr,) if corr is None else (dHr, E_act.T @ dW_la, dW_la.sum(axis=0))
+
+    # each partial gradient summed over the tiles, in tile order
+    sums = [reduce(np.add, parts) for parts in zip(*_run_tiles(tile_bwd, list(zip(tiles, fwd))))]
     dH = np.zeros_like(H)
-    dH[:doc.n_real] = dHr
+    dH[:doc.n_real] = sums[0]
+    if corr is not None:
+        grads["corr.W"] += sums[1]
+        grads["corr.b"] += sums[2]
     _encode_bwd(dH, enc_cache, params, grads)
     return loss, grads
 

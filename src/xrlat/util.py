@@ -72,6 +72,7 @@ def derive_rng(*parts) -> np.random.Generator:
 
 _M_TRIM_THRESHOLD = -1  # glibc mallopt parameter numbers
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def keep_freed_memory() -> None:
@@ -83,7 +84,10 @@ def keep_freed_memory() -> None:
     system, so each document page-faults its working set back in (with glibc
     2.36: about 450k minor faults in a 30-step, 2-block, h=64 training run on
     the demo tree, and none with these settings). Freed memory above 256 MB is
-    still returned. Does nothing where the C library has no ``mallopt``.
+    still returned. The head's worker threads share the one heap: with a heap
+    per thread, each would keep its own freed tiles under that threshold and
+    raise the peak resident size. Does nothing where the C library has no
+    ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -91,6 +95,7 @@ def keep_freed_memory() -> None:
         return
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

@@ -1,16 +1,24 @@
 import hashlib
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from xrlat import training
 from xrlat.cli import main
+from xrlat.code_tree import sized_hierarchy_lines
 from xrlat.config import resolve_config
+from xrlat.network import HEAD_TILE
 from xrlat.training import TrainConfig
 from xrlat.util import ConfigError
 
 from conftest import MALFORMED_CONTAINERS, container_bytes, corrupt_head_dW_cl
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def sha(path):
@@ -265,6 +273,13 @@ class TestTrainCommand:
         cfg = base_config(tmp_path, demo_tree_path, small_dataset)
         assert main(["train", "plm-icd", "--config", cfg, "--set", f"{key}={value}"]) == 1
         assert capsys.readouterr().err.startswith(f"error: --set: {key} must be ")
+        assert not os.path.exists(str(tmp_path / "run" / "config.txt"))
+
+    def test_negative_seed_flag_names_the_flag(self, tmp_path, demo_tree_path, small_dataset,
+                                               capsys):
+        cfg = base_config(tmp_path, demo_tree_path, small_dataset)
+        assert main(["train", "plm-icd", "--config", cfg, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --seed: seed must be >= 0, got -1\n"
         assert not os.path.exists(str(tmp_path / "run" / "config.txt"))
 
     def test_hyperc_needs_embeddings(self, tmp_path, demo_tree_path, small_dataset):
@@ -615,6 +630,59 @@ class TestDeterminism:
         )
 
 
+class TestLabelTiles:
+    """A flat model with more labels than one head tile trains on worker threads."""
+
+    @pytest.fixture()
+    def wide_run(self, tmp_path):
+        """A config for a tree with HEAD_TILE + 100 leaves, and its (16-document) data."""
+        tree = tmp_path / "wide.txt"
+        tree.write_text("\n".join(sized_hierarchy_lines((2, 4, 8, HEAD_TILE + 100))) + "\n")
+        data = str(tmp_path / "wide.tsv")
+        assert main(["data", "synth", "--tree", str(tree), "--out", data, "--n-docs", "16",
+                     "--doc-len", "24", "--seed", "3"]) == 0
+
+        def config(name, **extra):
+            return base_config(tmp_path, str(tree), data, out_dir=str(tmp_path / name),
+                               max_steps=4, batch_size=4, **extra)
+        return config
+
+    @staticmethod
+    def train(cfg, cpus=None):
+        """``xrlat train plm-icd`` in a new process, on ``cpus`` or on every CPU."""
+        pin = f"os.sched_setaffinity(0, {cpus!r}); " if cpus else ""
+        script = f"import os, sys; {pin}from xrlat.cli import main; sys.exit(main(sys.argv[1:]))"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+            SRC, os.environ.get("PYTHONPATH")))))
+        return subprocess.run([sys.executable, "-c", script, "train", "plm-icd", "--config", cfg],
+                              env=env, capture_output=True, text=True, timeout=600)
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="one CPU: a pinned run and a free run use the same one worker")
+    def test_checkpoint_does_not_depend_on_the_cpu_count(self, wide_run, tmp_path):
+        one = self.train(wide_run("one"), {min(os.sched_getaffinity(0))})
+        every = self.train(wide_run("every"))
+        assert one.returncode == every.returncode == 0, one.stderr + every.stderr
+        assert (sha(str(tmp_path / "one" / "flat.ckpt"))
+                == sha(str(tmp_path / "every" / "flat.ckpt")))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_head_exits_2_naming_the_tensor(self, wide_run, monkeypatch, capsys):
+        """An inf query in the last row of the last tile, whose forward runs on a worker
+        thread: the run still exits 2 and names the attention scores."""
+        init = training.init_level_model
+
+        def poisoned(*args):
+            model = init(*args)
+            model.head.W_la[-1] = np.inf
+            return model
+
+        monkeypatch.setattr(training, "init_level_model", poisoned)
+        assert main(["train", "plm-icd", "--config", wide_run("poisoned")]) == 2
+        assert (capsys.readouterr().err
+                == "numeric error: non-finite values in attention_scores at step 0\n")
+
+
 class TestConfigParsing:
     def test_unknown_key_rejected(self, tmp_path):
         for key in ("nonsense", "decision_threshold"):
@@ -622,14 +690,15 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match=key):
                 resolve_config(path)
             with pytest.raises(ConfigError, match=key):
-                resolve_config(overrides=[f"{key}=0.5"])
+                resolve_config(overrides=[("--set", f"{key}=0.5")])
         with pytest.raises(TypeError):
             TrainConfig(decision_threshold=0.5)
 
     def test_comments_and_overrides(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# comment\nmax_steps = 5  # tail comment\nloss = asl\n")
-        run = resolve_config(str(path), overrides=["batch_size = 4", "seed=3", "vocab=v#1"])
+        run = resolve_config(str(path), overrides=[("--set", "batch_size = 4"), ("--set", "seed=3"),
+                                                       ("--set", "vocab=v#1")])
         assert run.train.max_steps == 5
         assert run.train.loss == "asl"
         assert run.train.batch_size == 4
@@ -641,7 +710,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="c.cfg:1: bad value for 'max_steps'"):
             resolve_config(path)
         with pytest.raises(ConfigError, match="--set: bad value for 'negative_sampling'"):
-            resolve_config(overrides=["negative_sampling=maybe"])
+            resolve_config(overrides=[("--set", "negative_sampling=maybe")])
 
     def test_bool_parsing(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", negative_sampling="false")
@@ -653,7 +722,7 @@ class TestConfigParsing:
             resolve_config(path)
 
     def test_echo_lists_everything(self, tmp_path):
-        run = resolve_config(None, overrides=[f"out_dir={tmp_path}"])
+        run = resolve_config(None, overrides=[("--set", f"out_dir={tmp_path}")])
         text = run.echo_text()
         for key in ("tree", "dataset", "vocab", "embeddings", "out_dir", "batch_size",
                     "learning_rate", "negative_sampling", "binary_threshold"):

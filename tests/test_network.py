@@ -1,9 +1,14 @@
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from xrlat import network
 from xrlat.losses import LossConfig
 from xrlat.network import (
     GRADCHECK_EPS,
@@ -384,10 +389,9 @@ class TestPaddedDocument:
 
     TOKENS = [3, 9, 4, 17, 5]
 
-    @pytest.mark.parametrize("with_corr", [False, True], ids=["plain", "corr"])
-    @pytest.mark.parametrize("loss", [LossConfig(), ASL], ids=["bce", "asl"])
-    @pytest.mark.parametrize("n_layers", [0, 1, 2])
-    def test_finite_differences_with_an_all_padding_chunk(self, n_layers, loss, with_corr):
+    MASK = np.array([1, 1, 0, 1, 0, 1], dtype=np.uint8)
+
+    def check_finite_differences(self, n_layers, loss, with_corr, mask, eps=GRADCHECK_EPS):
         """Every trained coordinate against central differences of forward_backward's own
         loss, under one label mask and one dropout draw (the same rng seed per call)."""
         n_labels, d_emb = 6, 3
@@ -398,7 +402,6 @@ class TestPaddedDocument:
             model.corr_inputs = rng.normal(0.0, 0.1, size=(n_labels, d_emb))
         doc = chunk(self.TOKENS, c=4, s=3)
         gold = np.array([1.0, 0, 0, 1, 0, 1])
-        mask = np.array([1, 1, 0, 1, 0, 1], dtype=np.uint8)
 
         def run():
             return forward_backward(doc, model.enc, model.head, gold, mask, loss,
@@ -406,10 +409,10 @@ class TestPaddedDocument:
                                     dropout=0.1, rng=derive_rng(32))
 
         _, grads = run()
-        for name in ("W_la", "W_cl", "b_cl"):
-            assert np.all(grads[name][mask == 0] == 0.0), name
+        if mask is not None:
+            for name in ("W_la", "W_cl", "b_cl"):
+                assert np.all(grads[name][mask == 0] == 0.0), name
         assert np.all(grads["emb"][PAD_ID] == 0.0)  # no padding row gets a gradient
-        eps = GRADCHECK_EPS
         for name, tensor in model.trainable():
             flat, analytic = tensor.reshape(-1), grads[name].reshape(-1)
             for i in range(flat.size):
@@ -423,6 +426,31 @@ class TestPaddedDocument:
                 rel = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1e-4)
                 assert rel < GRADCHECK_TOL, (name, i, analytic[i], numeric)
 
+    @pytest.mark.parametrize("with_corr", [False, True], ids=["plain", "corr"])
+    @pytest.mark.parametrize("loss", [LossConfig(), ASL], ids=["bce", "asl"])
+    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    def test_finite_differences_with_an_all_padding_chunk(self, n_layers, loss, with_corr):
+        self.check_finite_differences(n_layers, loss, with_corr, self.MASK)
+
+    @pytest.mark.parametrize("masked", [True, False], ids=["masked", "unmasked"])
+    @pytest.mark.parametrize("with_corr", [False, True], ids=["plain", "corr"])
+    @pytest.mark.parametrize("loss", [LossConfig(), ASL], ids=["bce", "asl"])
+    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    def test_finite_differences_on_label_tiles(self, monkeypatch, n_layers, loss, with_corr,
+                                               masked):
+        """Tiles of 3 labels: the 4-label mask spans a full tile and a partial one, and
+        all 6 labels make two tiles that run on the worker threads.
+
+        Unmasked, the 2-layer ASL loss curves enough that central differences at
+        GRADCHECK_EPS are off by 1.7e-4 relative at emb[5, 1], with one tile as with
+        two (the error shrinks 9-fold per 3-fold smaller step: truncation). A tenth
+        of the step holds every coordinate to GRADCHECK_TOL with room to spare."""
+        monkeypatch.setattr(network, "HEAD_TILE", 3)
+        if masked:
+            self.check_finite_differences(n_layers, loss, with_corr, self.MASK)
+        else:
+            self.check_finite_differences(n_layers, loss, with_corr, None, GRADCHECK_EPS / 10)
+
     @pytest.mark.parametrize("n_layers", [0, 1, 2])
     def test_real_rows_match_the_unpadded_chunk_count(self, n_layers):
         """An all-padding chunk changes nothing the head sees: H's real rows and the
@@ -434,6 +462,92 @@ class TestPaddedDocument:
         assert encode(padded, enc)[:5].tobytes() == encode(snug, enc)[:5].tobytes()
         assert (forward_probs(padded, enc, head).tobytes()
                 == forward_probs(snug, enc, head).tobytes())
+
+
+class TestLabelTiles:
+    """A level's active labels run in HEAD_TILE tiles on a pool of worker threads; the
+    tiling, and so every output byte, does not depend on the number of workers."""
+
+    def run(self, model, doc, gold, mask):
+        kw = dict(corr=model.corr, corr_inputs=model.corr_inputs)
+        grads = zero_grads(model)
+        loss, _ = forward_backward(doc, model.enc, model.head, gold, mask, ASL, dropout=0.1,
+                                   rng=derive_rng(42), grads=grads, **kw)
+        return loss, forward_probs(doc, model.enc, model.head, mask, **kw), grads
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_bytes_do_not_depend_on_the_worker_count(self, monkeypatch, masked):
+        n_labels = 2 * network.HEAD_TILE + network.HEAD_TILE // 2  # 3 tiles, the last partial
+        rng = derive_rng(41)
+        model = init_level_model(30, 4, 8, n_labels, 1, 0, rng, 5)
+        model.corr_inputs = rng.normal(0.0, 0.1, size=(n_labels, 5))
+        doc = chunk(rng.integers(2, 30, size=10), c=4, s=3)
+        gold = (rng.random(n_labels) < 0.05).astype(np.float64)
+        mask = (rng.random(n_labels) < 0.95).astype(np.uint8) if masked else None
+        threads = []
+        head_fwd = network._head_fwd
+
+        def recorded(*args):
+            threads.append(threading.get_ident())
+            return head_fwd(*args)
+
+        monkeypatch.setattr(network, "_head_fwd", recorded)
+        runs = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers' Python code finely
+        try:
+            for workers in (1, 2, 3):
+                with ThreadPoolExecutor(workers) as pool:
+                    monkeypatch.setattr(network, "_tile_pool", pool)
+                    threads.clear()
+                    runs.append(self.run(model, doc, gold, mask))
+                assert len(threads) == 6  # three tiles, twice
+                assert threading.get_ident() not in threads
+                assert len(set(threads)) <= workers
+        finally:
+            sys.setswitchinterval(switch)
+        first = runs[0]
+        for loss, p, grads in runs[1:]:
+            assert loss == first[0]
+            assert p.tobytes() == first[1].tobytes()
+            for name, g in grads.items():
+                assert g.tobytes() == first[2][name].tobytes(), name
+
+        monkeypatch.setattr(network, "HEAD_TILE", n_labels)  # one tile, on this thread
+        threads.clear()
+        loss, p, grads = self.run(model, doc, gold, mask)
+        assert set(threads) == {threading.get_ident()}
+        assert loss == first[0]
+        assert p.tobytes() == first[1].tobytes()
+        for name, g in grads.items():
+            if name in ("W_la", "W_cl", "b_cl"):  # each row is one tile's own
+                assert g.tobytes() == first[2][name].tobytes(), name
+            else:  # the tiles' partial sums of dH and corr.* add in another order
+                assert np.max(np.abs(g - first[2][name])) <= 1e-12 * np.max(np.abs(g)), name
+
+    def test_worker_errors_reach_the_caller_unchanged(self, monkeypatch):
+        """A tile's exception reaches the caller as raised, once every other tile of the
+        document has finished writing its gradient rows."""
+        monkeypatch.setattr(network, "HEAD_TILE", 2)
+        model = init_level_model(20, 4, 8, 6, 0, 0, derive_rng(43))
+        with pytest.raises(DataError, match="tokens are all padding"):
+            forward_probs(chunk([], 4, 2), model.enc, model.head)
+        failure = RuntimeError("first tile")
+        head_bwd = network._head_bwd
+
+        def failing(dp, hc, W_la_eff, W_cl):
+            if W_cl[0, 0] == model.head.W_cl[0, 0]:
+                raise failure
+            time.sleep(0.2)  # the other two tiles end well after the first one failed
+            return head_bwd(dp, hc, W_la_eff, W_cl)
+
+        monkeypatch.setattr(network, "_head_bwd", failing)
+        grads = zero_grads(model)
+        with pytest.raises(RuntimeError) as exc:
+            forward_backward(chunk([3, 4, 5], 4, 2), model.enc, model.head, np.ones(6), None,
+                             LossConfig(), grads=grads)
+        assert exc.value is failure
+        assert np.all(grads["W_cl"][2:] != 0.0) and np.all(grads["W_cl"][:2] == 0.0)
 
 
 class TestGradcheck:

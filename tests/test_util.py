@@ -75,24 +75,29 @@ class TestNumericsErrors:
     @pytest.mark.parametrize("where,value,tensor", [("W_la", np.inf, "attention_scores"),
                                                     ("W_cl", np.inf, "logits"),
                                                     ("W_cl", np.nan, "logits")])
-    def test_nonfinite_head_weights_name_their_tensor(self, where, value, tensor):
+    def test_nonfinite_head_weights_name_their_tensor(self, monkeypatch, where, value,
+                                                      tensor):
         """The softmax overwrites the scores in place, yet an inf in a W_la row still
         names the attention scores. A single inf in W_cl names the logits although it
-        only saturates p and leaves the loss finite; a NaN there makes the loss NaN."""
+        only saturates p and leaves the loss finite; a NaN there makes the loss NaN.
+        The same holds when the row sits in the last of several label tiles."""
+        from xrlat import network
         from xrlat.losses import LossConfig
         from xrlat.network import forward_backward, init_level_model
         from xrlat.textproc import chunk
 
-        rng = derive_rng(31)
-        model = init_level_model(20, 4, 8, 6, 1, 0, rng)
-        enc, head = model.enc, model.head
-        doc = chunk(rng.integers(2, 20, size=7), 4, 2)
-        if where == "W_la":
-            head.W_la[3] = value
-        else:
-            head.W_cl[3, 0] = value
-        gold = np.zeros(6)
-        gold[1] = 1.0
-        with pytest.raises(NumericsError) as exc:
-            forward_backward(doc, enc, head, gold, None, LossConfig())
-        assert exc.value.tensor == tensor
+        for head_tile, row in ((network.HEAD_TILE, 3), (2, 5)):
+            monkeypatch.setattr(network, "HEAD_TILE", head_tile)
+            rng = derive_rng(31)
+            model = init_level_model(20, 4, 8, 6, 1, 0, rng)
+            enc, head = model.enc, model.head
+            doc = chunk(rng.integers(2, 20, size=7), 4, 2)
+            if where == "W_la":
+                head.W_la[row] = value
+            else:
+                head.W_cl[row, 0] = value
+            gold = np.zeros(6)
+            gold[1] = 1.0
+            with pytest.raises(NumericsError) as exc:
+                forward_backward(doc, enc, head, gold, None, LossConfig())
+            assert exc.value.tensor == tensor
