@@ -5,7 +5,10 @@ Layout (all integers little-endian u32, all floats little-endian f64):
     magic "XRLT" | version | n_meta | n_meta * (klen, key, vlen, value)
     | n_tensors | per tensor: (nlen, name, rank, dims..., row-major f64 data)
 
-Metadata keys and values are UTF-8 strings; tensor names are unique.
+Metadata keys and values are UTF-8 strings; tensor names are unique; a tensor's rank
+is at most MAX_RANK. The reader rejects a truncated or malformed header and trailing
+bytes with ParseError. The format carries no checksum, so a changed byte inside a
+tensor's float payload cannot be detected: it reads back as another number.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .util import ParseError, atomic_write_bytes
 
 MAGIC = b"XRLT"
 VERSION = 1
+MAX_RANK = 64  # numpy's limit on the number of array dimensions
 
 
 def _pack_str(buf: io.BytesIO, s: str) -> None:
@@ -95,6 +99,8 @@ def read_container(path: str):
         if name in tensors:
             raise ParseError(f"{path}: duplicate tensor name {name!r}")
         rank = r.u32()
+        if rank > MAX_RANK:
+            raise ParseError(f"{path}: tensor {name!r} has rank {rank}, above {MAX_RANK}")
         shape = tuple(r.u32() for _ in range(rank))
         raw = r.take(8 * math.prod(shape))  # Python ints: a huge shape cannot wrap to 0
         tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()

@@ -5,7 +5,10 @@ gradients can be validated coordinate-by-coordinate against central finite
 differences. Each chunk of a document is encoded independently (positions
 restart per chunk) by a miniature pre-layer-norm transformer with 0 to 2
 blocks and a single attention head; the chunk encodings are concatenated
-into the document representation H.
+into the document representation H. The label-wise attention head attends
+each active label over H's r real-token rows, in tiles of HEAD_TILE labels;
+a tile's A scores per token are kept token-major, as an (r, A) array, and its
+softmax normalizes the (A, h) label vectors, not the scores.
 """
 
 from __future__ import annotations
@@ -365,34 +368,42 @@ def _encode_bwd(dH: np.ndarray, cache: dict, enc: EncoderParams, grads: dict) ->
 def _head_fwd(Hr, W_la_eff, W_cl, b_cl):
     """Label attention over the r real-token rows Hr, then per-label sigmoid classifiers.
 
-    d_j = sum_t alpha_jt h_t with alpha_j = softmax(W_la_eff[j] . h_t). The callers
-    pass H[:n_real], so padding rows never enter the result. The softmax runs in
-    place on the (A, r) scores, the forward's only (A, r) array. Returns (p, cache);
-    the cache holds ``alpha`` (A, r) and ``d`` (A, h).
+    d_j = sum_t alpha_tj h_t with alpha_tj = e_tj / z_j, e_tj = exp(s_tj - max_t s_tj)
+    for the scores s_tj = h_t . W_la_eff[j], and z_j = sum_t e_tj. The callers pass
+    H[:n_real], so padding rows never enter the result. The scores are token-major,
+    (r, A): every reduction and broadcast runs along contiguous rows of A labels. They
+    are exponentiated in place, the forward's only (r, A) array, and alpha is never
+    formed: d is (e.T @ Hr) scaled by 1 / z.
+    Returns (p, cache); the cache holds ``e`` (r, A), ``inv_z`` (A,) and ``d`` (A, h).
     """
     if Hr.shape[0] == 0:
         raise DataError("cannot attend over a document whose tokens are all padding")
-    alpha = _softmax_last(W_la_eff @ Hr.T)  # (A, r)
-    d = alpha @ Hr  # (A, h)
+    e = Hr @ W_la_eff.T  # (r, A)
+    e -= e.max(axis=0)
+    np.exp(e, out=e)
+    inv_z = 1.0 / e.sum(axis=0)
+    d = e.T @ Hr  # (A, h)
+    d *= inv_z[:, np.newaxis]
     logits = np.einsum("ij,ij->i", d, W_cl) + b_cl  # row dots, no (A, h) temporary
     p = _sigmoid(logits)
-    return p, {"Hr": Hr, "alpha": alpha, "d": d, "logits": logits, "p": p}
+    return p, {"Hr": Hr, "e": e, "inv_z": inv_z, "d": d, "logits": logits, "p": p}
 
 
 def _head_bwd(dp, hc, W_la_eff, W_cl):
-    """Gradients of the head for dL/dp. With dalpha = dd @ Hr.T and d = alpha @ Hr,
-    sum_t alpha_jt dalpha_jt = dd_j . d_j, so the softmax backward needs no
-    (A, r) product of alpha and dalpha."""
-    p, d, alpha, Hr = hc["p"], hc["d"], hc["alpha"], hc["Hr"]
+    """Gradients of the head for dL/dp, without forming alpha = e / z. With
+    g = dL/dd / z, the scores' gradient is e * (Hr @ g.T - g_j . d_j): sum_t alpha_tj
+    dalpha_tj = dL/dd_j . d_j, so the softmax backward needs no (r, A) product of
+    alpha and dalpha, and no (r, A) array is divided."""
+    p, d, e, inv_z, Hr = hc["p"], hc["d"], hc["e"], hc["inv_z"], hc["Hr"]
     dlogits = dp * p * (1.0 - p)
     dW_cl = dlogits[:, np.newaxis] * d
-    dd = dlogits[:, np.newaxis] * W_cl
-    dHr = alpha.T @ dd
-    dscores = dd @ Hr.T  # dalpha, then the scores' gradient in place
-    dscores -= np.einsum("ij,ij->i", dd, d)[:, np.newaxis]
-    dscores *= alpha
-    dW_la = dscores @ Hr
-    dHr += dscores.T @ W_la_eff
+    g = W_cl * (dlogits * inv_z)[:, np.newaxis]  # (A, h)
+    dHr = e @ g
+    ds = Hr @ g.T  # (r, A): dalpha / z, then the scores' gradient in place
+    ds -= np.einsum("ij,ij->i", g, d)
+    ds *= e
+    dW_la = ds.T @ Hr
+    dHr += ds @ W_la_eff
     return dW_la, dW_cl, dlogits, dHr
 
 
@@ -509,7 +520,7 @@ def forward_backward(doc: ChunkedDocument, params: EncoderParams, head: HeadPara
     if not (np.isfinite(loss) and all(np.all(np.isfinite(hc["logits"])) for *_, hc in fwd)):
         # the softmax overwrote the scores; only this error path recomputes them
         for name, parts in (("H", [H]),
-                            ("attention_scores", (W_eff @ Hr.T for W_eff, *_ in fwd)),
+                            ("attention_scores", (Hr @ W_eff.T for W_eff, *_ in fwd)),
                             ("label_vectors", (hc["d"] for *_, hc in fwd)),
                             ("logits", (hc["logits"] for *_, hc in fwd)),
                             ("probabilities", [p])):
@@ -550,7 +561,7 @@ GRADCHECK_C = 8
 GRADCHECK_S = 2
 GRADCHECK_LABELS = 20
 GRADCHECK_D_EMB = 5
-GRADCHECK_EPS = 1e-4
+GRADCHECK_EPS = 1e-5
 GRADCHECK_TOL = 1e-4
 
 
@@ -578,11 +589,12 @@ def gradcheck(n_layers: int, loss: LossConfig, with_correction: bool = False,
     """Compare analytic gradients against central finite differences.
 
     Checks every parameter coordinate of a seeded GRADCHECK_* sized model on
-    one partly padded document. Relative error uses a denominator floor of
-    1e-4: central differences at epsilon=1e-4 carry O(1e-9) truncation error,
-    so coordinates whose true gradient sits below the floor are effectively
-    held to an absolute tolerance of 1e-8 instead of a meaningless ratio of
-    two noise-dominated numbers.
+    one partly padded document. Central differences at GRADCHECK_EPS = 1e-5 carry
+    O(1e-11) truncation error and about as much rounding error (float64's 1e-16
+    times the loss, over the step). Relative error uses a denominator floor of
+    1e-4, so coordinates whose true gradient sits below the floor are effectively
+    held to an absolute tolerance of 1e-8 instead of a meaningless ratio of two
+    noise-dominated numbers.
     """
     n_labels = GRADCHECK_LABELS
     rng = derive_rng(seed, "gradcheck")

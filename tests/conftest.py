@@ -87,4 +87,7 @@ MALFORMED_CONTAINERS = [
     # 2^31 * 2^31 * 4 elements wrap an int64 element count to 0
     pytest.param([], [(b"t", (2**31, 2**31, 4), bytes(8))], "truncated checkpoint",
                  id="dims-overflow"),
+    # numpy arrays have at most 64 dimensions; zero-size dims keep the payload empty
+    pytest.param([], [(b"t", (0,) * 65, b"")], "tensor 't' has rank 65, above 64",
+                 id="rank-65"),
 ]

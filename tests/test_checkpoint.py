@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xrlat.checkpoint import (
     load_embeddings,
@@ -83,6 +85,54 @@ class TestContainer:
         write_container(p1, {"m": "1"}, tensors)
         write_container(p2, {"m": "1"}, tensors)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+# a small valid container: two metadata pairs and tensors of rank 2, 0 and 1 (empty)
+FUZZ_META = [(b"kind", b"level-model"), (b"k", b"v")]
+FUZZ_TENSORS = [(name, shape, np.arange(np.prod(shape), dtype="<f8").tobytes())
+                for name, shape in ((b"W", (2, 3)), (b"b", ()), (b"e", (0,)))]
+FUZZ_BYTES = container_bytes(FUZZ_META, FUZZ_TENSORS)
+
+
+def fuzz_header_offsets():
+    """Every byte offset of FUZZ_BYTES outside the tensors' float payloads: magic,
+    version, counts, string lengths and bytes, ranks and dims."""
+    payload = set()
+    for i, (_, _, data) in enumerate(FUZZ_TENSORS):
+        end = len(container_bytes(FUZZ_META, FUZZ_TENSORS[:i + 1]))
+        payload.update(range(end - len(data), end))
+    return [i for i in range(len(FUZZ_BYTES)) if i not in payload]
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.ckpt"
+
+
+class TestContainerFuzz:
+    """read_container on damaged copies of a small valid container raises ParseError
+    or returns a container, never another exception. Flips inside the float payload
+    are not checked: without a checksum they parse to other valid numbers."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, len(FUZZ_BYTES) - 1))
+    def test_every_truncation_rejected(self, fuzz_path, n):
+        fuzz_path.write_bytes(FUZZ_BYTES[:n])
+        with pytest.raises(ParseError):
+            read_container(str(fuzz_path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(fuzz_header_offsets()), st.integers(1, 255))
+    def test_header_byte_change_rejected_or_parsed(self, fuzz_path, offset, delta):
+        data = bytearray(FUZZ_BYTES)
+        data[offset] = (data[offset] + delta) % 256
+        fuzz_path.write_bytes(bytes(data))
+        try:
+            meta, tensors = read_container(str(fuzz_path))
+        except ParseError:
+            return
+        assert all(isinstance(k, str) and isinstance(v, str) for k, v in meta.items())
+        assert all(t.dtype == np.float64 for t in tensors.values())
 
 
 class TestModelCheckpoint:
