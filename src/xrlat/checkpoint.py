@@ -6,8 +6,9 @@ Layout (all integers little-endian u32, all floats little-endian f64):
     | n_tensors | per tensor: (nlen, name, rank, dims..., row-major f64 data)
 
 Metadata keys and values are UTF-8 strings; tensor names are unique; a tensor's rank
-is at most MAX_RANK. The reader rejects a truncated or malformed header and trailing
-bytes with ParseError. The format carries no checksum, so a changed byte inside a
+is at most MAX_RANK, and the product of its nonzero dims times 8 bytes fits numpy's
+size limit (a zero-size tensor can still name huge dims). The reader rejects a
+truncated or malformed header and trailing bytes with ParseError. The format carries no checksum, so a changed byte inside a
 tensor's float payload cannot be detected: it reads back as another number.
 """
 
@@ -103,6 +104,8 @@ def read_container(path: str):
             raise ParseError(f"{path}: tensor {name!r} has rank {rank}, above {MAX_RANK}")
         shape = tuple(r.u32() for _ in range(rank))
         raw = r.take(8 * math.prod(shape))  # Python ints: a huge shape cannot wrap to 0
+        if 8 * math.prod(d for d in shape if d) > np.iinfo(np.intp).max:
+            raise ParseError(f"{path}: tensor {name!r} has shape {shape}, too large for an array")
         tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     if r.off != len(data):
         raise ParseError(f"{path}: {len(data) - r.off} trailing bytes after tensor table")
@@ -200,7 +203,7 @@ def load_embeddings(path: str, tree):
     """Returns (metadata, PoincareEmbeddings) for an embedding checkpoint of ``tree``.
 
     Rows follow ``flatten_tree(tree)``; the virtual root is not stored and
-    loads at the origin.
+    loads at the origin. Each E<k> must be finite.
     """
     metadata, tensors = read_container(path)
     if metadata.get("kind") != "poincare":
@@ -224,6 +227,8 @@ def load_embeddings(path: str, tree):
                 f"{path}: tensor {name} has shape {tensors[name].shape}, expected {want} "
                 f"(level {k} nodes of the tree by metadata dim)"
             )
+        if not np.all(np.isfinite(tensors[name])):
+            raise ParseError(f"{path}: tensor {name} has non-finite values")
         blocks.append(tensors[name])
     vectors = np.vstack([np.zeros((1, dim))] + blocks)
     return metadata, PoincareEmbeddings(flat.names, flat.level_slices, vectors, ball_eps)

@@ -216,8 +216,8 @@ def _read_scores(path: str, doc_ids, n_labels: int) -> np.ndarray:
 
 
 def _load_models_for_eval(args, tree):
-    """Returns (models, settings): a LevelModel or a 4-chain, and the settings
-    checkpoint.load_model parsed from its first checkpoint."""
+    """Returns (models, cfg, vocab_size): a LevelModel or a 4-chain, the TrainConfig of
+    its chunking and chain settings, and the vocabulary size it was trained with."""
     paths = ([args.ckpt] if args.ckpt else
              [os.path.join(args.chain, f"level{k}.ckpt") for k in range(1, 5)])
     models, settings = [], None
@@ -230,14 +230,19 @@ def _load_models_for_eval(args, tree):
                 f"{path}: {model.n_labels} labels but tree level {k} has "
                 f"{tree.nodes_per_level[k - 1]}"
             )
+        try:
+            cfg = training.TrainConfig(**{key: level_settings[key] for key in (
+                "c", "s", "n_layers", "negative_sampling", "binary_threshold")})
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
         settings = settings or level_settings
         for key in ("vocab_size", "c", "s", "negative_sampling", "binary_threshold"):
             if level_settings[key] != settings[key]:
                 raise ConfigError(
-                    f"{path}: {key} is {level_settings[key]} but level1.ckpt has {settings[key]}"
+                    f"{path}: {key} is {level_settings[key]} but {paths[0]} has {settings[key]}"
                 )
         models.append(model)
-    return (models[0] if args.ckpt else models), settings
+    return (models[0] if args.ckpt else models), cfg, settings["vocab_size"]
 
 
 def _cmd_eval(args) -> int:
@@ -255,20 +260,13 @@ def _cmd_eval(args) -> int:
     if args.scores:
         scores = _read_scores(args.scores, doc_ids, n_labels)
     else:
-        models, settings = _load_models_for_eval(args, tree)
+        models, cfg, vocab_size = _load_models_for_eval(args, tree)
         if not args.vocab:
             raise ConfigError("--vocab is required when evaluating a model")
         vocab = textproc.Vocabulary.load(args.vocab)
-        if vocab.size != settings["vocab_size"]:
-            raise ConfigError(
-                f"vocabulary has {vocab.size} ids but checkpoint was trained with "
-                f"{settings['vocab_size']}"
-            )
-        cfg = training.TrainConfig(
-            c=settings["c"], s=settings["s"],
-            negative_sampling=settings["negative_sampling"],
-            binary_threshold=settings["binary_threshold"],
-        )
+        if vocab.size != vocab_size:
+            raise ConfigError(f"{args.vocab}: {vocab.size} ids, but {args.ckpt or args.chain} "
+                              f"was trained with a vocabulary of {vocab_size}")
         data = training.prepare_dataset(raw_docs, vocab, tree, cfg.c, cfg.s)
         scores = training.predict_dataset(models, data, tree, cfg)
 

@@ -39,7 +39,6 @@ class FlatTree:
     names: list
     parent: np.ndarray  # flat parent index, -1 for the root
     level_slices: list  # slice into the flat table for levels 1..4
-    adjacency: list  # set of neighbor indices per node (parent + children)
 
 
 def flatten_tree(tree: CodeTree) -> FlatTree:
@@ -58,13 +57,7 @@ def flatten_tree(tree: CodeTree) -> FlatTree:
         names.extend(lvl.names)
         prev_offset = offset
         offset += lvl.size
-    parent = np.array(parents, dtype=np.int64)
-    adjacency = [set() for _ in range(len(names))]
-    for child in range(1, len(names)):
-        p = parent[child]
-        adjacency[child].add(int(p))
-        adjacency[p].add(child)
-    return FlatTree(names, parent, level_slices, adjacency)
+    return FlatTree(names, np.array(parents, dtype=np.int64), level_slices)
 
 
 def edge_set(tree: CodeTree) -> np.ndarray:
@@ -171,8 +164,10 @@ def _edge_loss_and_grads(vectors: np.ndarray, child: int, parent: int, negs: np.
     return float(loss), grads
 
 
-def _sample_negatives(rng, n_nodes: int, forbidden: set, k: int) -> np.ndarray:
-    if n_nodes - len(forbidden) < 1:
+def _sample_negatives(rng, parent: list, n_children: list, child: int, k: int) -> np.ndarray:
+    """k uniform draws from the nodes other than ``child``, its parent and its children."""
+    n_nodes = len(parent)
+    if n_nodes - 2 - n_children[child] < 1:
         raise DataError("tree too small to sample non-neighbor negatives")
     out = np.empty(k, dtype=np.int64)
     filled = 0
@@ -182,7 +177,7 @@ def _sample_negatives(rng, n_nodes: int, forbidden: set, k: int) -> np.ndarray:
         attempts += 1
         if attempts > 10000 * k:
             raise DataError("negative sampling failed to find non-neighbors")
-        if cand in forbidden:
+        if cand == child or cand == parent[child] or parent[cand] == child:
             continue
         out[filled] = cand
         filled += 1
@@ -209,14 +204,15 @@ def train_poincare(tree: CodeTree, dim: int = 50, epochs: int = 50, lr: float = 
     rng = derive_rng(seed, "poincare")
     vectors = _init_vectors(n, dim, rng)
     edges = edge_set(tree)
-    forbidden = [flat.adjacency[i] | {i} for i in range(n)]
+    parents = flat.parent.tolist()
+    n_children = np.bincount(flat.parent[1:], minlength=n).tolist()
 
     result = PoincareEmbeddings(flat.names, flat.level_slices, vectors)
     for epoch in range(epochs):
         cur_lr = lr / 10.0 if epoch < BURN_IN_EPOCHS else lr
         for e in rng.permutation(len(edges)):
             parent, child = int(edges[e, 0]), int(edges[e, 1])
-            negs = _sample_negatives(rng, n, forbidden[child], n_negatives)
+            negs = _sample_negatives(rng, parents, n_children, child, n_negatives)
             _, grads = _edge_loss_and_grads(vectors, child, parent, negs)
             for idx, g in grads.items():
                 scale = (1.0 - vectors[idx] @ vectors[idx]) ** 2 / 4.0

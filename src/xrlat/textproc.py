@@ -20,6 +20,7 @@ from .util import ConfigError, DataError, ParseError, atomic_write_text, derive_
 PAD_ID = 0
 UNK_ID = 1
 MAX_CHUNK_LEN = 512
+MAX_CHUNKS = 512  # bounds a document's token buffer, c * s, at 2**18 tokens
 
 DATASET_HEADER = "# xrlat-dataset v1"
 VOCAB_HEADER = "# xrlat-vocab v1"

@@ -30,7 +30,15 @@ from .network import (
     init_level_model,
     zero_grads,
 )
-from .textproc import MAX_CHUNK_LEN, ChunkedDocument, Vocabulary, chunk, clean_text, tokenize
+from .textproc import (
+    MAX_CHUNK_LEN,
+    MAX_CHUNKS,
+    ChunkedDocument,
+    Vocabulary,
+    chunk,
+    clean_text,
+    tokenize,
+)
 from .util import (
     ConfigError,
     DataError,
@@ -48,13 +56,6 @@ WARMUP_SHARE = 0.05  # the learning rate warms up over this share of max_steps
 
 # tensors with one row per label: under masks a step writes only its documents' rows
 HEAD_ROWS = ("W_la", "W_cl", "b_cl")
-# AdamW gathers the touched head rows while they are under this share of all rows, and
-# updates every row in place from then on: about where a gathered step stops being
-# cheaper than an all-rows one (AdamW.step timed at 1167 and 8929 rows, h = 64). At
-# weight_decay != 0 the gathered step adds a decay pass over every row, so it stops
-# paying off at a smaller union.
-GATHER_MAX_SHARE = 0.65
-GATHER_MAX_SHARE_DECAY = 0.5
 
 BOOTSTRAP_MODES = ("none", "equal", "hyperc")
 
@@ -97,7 +98,7 @@ class TrainConfig:
             ("max_steps", self.max_steps >= 0, ">= 0"),
             ("seed", self.seed >= 0, ">= 0"),
             ("c", 1 <= self.c <= MAX_CHUNK_LEN, f"in [1, {MAX_CHUNK_LEN}]"),
-            ("s", self.s >= 1, ">= 1"),
+            ("s", 1 <= self.s <= MAX_CHUNKS, f"in [1, {MAX_CHUNKS}]"),
             ("binary_threshold", 0.0 < self.binary_threshold < 1.0, "in (0, 1)"),
             ("hidden_size", self.hidden_size >= 1, ">= 1"),
             ("n_layers", self.n_layers in (0, 1, 2), "0, 1 or 2"),
@@ -202,16 +203,16 @@ def _rows_of(name: str, rows):
 class AdamW:
     """Adaptive-moment optimizer with decoupled weight decay, beta 0.9/0.999, eps 1e-8.
 
-    The label rows of HEAD_ROWS tensors are updated row-sparse. ``step`` is
-    given the rows its gradient may be nonzero in, and the optimizer keeps the
-    union of rows touched so far (``rows``, in first-touch order), with their
-    moments compact in the leading rows of m and v. Each step gathers theta and
-    g at those rows, updates the moments in place and scatters theta back. A
-    row never touched has m = v = 0, so its exact update is the decay term
-    alone, applied in one pass over the tensor. Once the union reaches
-    GATHER_MAX_SHARE of the rows (GATHER_MAX_SHARE_DECAY at weight_decay != 0),
-    the moments are put in row order and every row is updated in place, as for
-    the other tensors.
+    The first step fixes the layout for the optimizer's life. A first step over
+    every row (``rows`` = slice(None)) updates every tensor in place from then
+    on. After a masked first step, the label rows of HEAD_ROWS tensors are
+    updated row-sparse: ``step`` is given the rows its gradient may be nonzero
+    in, and the optimizer keeps the union of rows touched so far (``rows``, in
+    first-touch order), with their moments compact in the leading rows of m and
+    v. Each step gathers theta and g at those rows, updates the moments in place
+    and scatters theta back. A row never touched has m = v = 0, so its exact
+    update is the decay term alone, applied in one pass over the tensor. A later
+    slice(None) step appends the untouched rows to ``rows``.
     """
 
     def __init__(self, model: LevelModel, weight_decay: float = 0.0):
@@ -220,24 +221,7 @@ class AdamW:
         self.m = {name: np.zeros_like(p) for name, p in model.trainable()}
         self.v = {name: np.zeros_like(p) for name, p in model.trainable()}
         self.touched = np.zeros(model.n_labels, dtype=bool)
-        self.rows = np.empty(0, dtype=np.intp)  # or slice(None) once every row is updated
-
-    def _touch(self, rows) -> None:
-        """Append ``rows``' first touches to ``rows``; at the gather limit, switch to row order."""
-        if isinstance(self.rows, slice):
-            return
-        n = self.rows.size  # rows whose moments lead m and v; the rest of m and v is zero
-        new = np.flatnonzero(~self.touched) if isinstance(rows, slice) else rows[~self.touched[rows]]
-        self.touched[new] = True
-        self.rows = np.concatenate([self.rows, new])
-        limit = GATHER_MAX_SHARE if self.weight_decay == 0.0 else GATHER_MAX_SHARE_DECAY
-        if self.rows.size >= limit * self.touched.size:
-            for moments in (self.m, self.v):
-                for name in HEAD_ROWS:
-                    lead = moments[name][:n].copy()
-                    moments[name][:n] = 0.0
-                    moments[name][self.rows[:n]] = lead
-            self.rows = slice(None)
+        self.rows = None  # the gathered rows once a masked first step has run
 
     def step(self, model: LevelModel, grads: dict, lr: float, rows=slice(None)) -> None:
         """One update; ``rows`` (sorted label indices or slice(None)) bounds the HEAD_ROWS
@@ -245,9 +229,15 @@ class AdamW:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        self._touch(rows)
+        if self.t == 1 and not isinstance(rows, slice):
+            self.rows = np.empty(0, dtype=np.intp)
+        if self.rows is not None:
+            new = (np.flatnonzero(~self.touched) if isinstance(rows, slice)
+                   else rows[~self.touched[rows]])
+            self.touched[new] = True
+            self.rows = np.concatenate([self.rows, new])
         for name, theta in model.trainable():
-            idx = _rows_of(name, self.rows)
+            idx = _rows_of(name, slice(None) if self.rows is None else self.rows)
             gathered = not isinstance(idx, slice)
             g = grads[name][idx]
             th = theta[idx]

@@ -90,4 +90,8 @@ MALFORMED_CONTAINERS = [
     # numpy arrays have at most 64 dimensions; zero-size dims keep the payload empty
     pytest.param([], [(b"t", (0,) * 65, b"")], "tensor 't' has rank 65, above 64",
                  id="rank-65"),
+    # numpy checks the size of a zero-size shape over its nonzero dims
+    pytest.param([], [(b"t", (0, 2**32 - 1, 2**32 - 1), b"")],
+                 f"tensor 't' has shape {(0, 2**32 - 1, 2**32 - 1)}, too large for an array",
+                 id="zero-size-overflow"),
 ]

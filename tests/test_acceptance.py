@@ -8,6 +8,7 @@ document length 128, chunks 16x8) with configurations frozen in configs/.
 import hashlib
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,7 +334,7 @@ def test_criterion_6c_bootstrap_lifts_macro_auc(demo_tree, e2e_corpus, e2e_flat)
 
 
 def _sha(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def test_criterion_7_determinism(tmp_path, demo_tree_path):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ class TestContainer:
                    "scalarish": np.array(2.5)}
         meta = {"k1": "v1", "level": "4"}
         write_container(path, meta, tensors)
-        assert open(path, "rb").read() == container_bytes(
+        assert Path(path).read_bytes() == container_bytes(
             [(k.encode(), v.encode()) for k, v in meta.items()],
             [(n.encode(), t.shape, t.astype("<f8").tobytes()) for n, t in tensors.items()])
         meta2, tensors2 = read_container(path)
@@ -44,7 +46,7 @@ class TestContainer:
         a, b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
         write_container(a, {}, {"t": t})
         write_container(b, {}, {"t": np.ascontiguousarray(t)})
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
         assert np.array_equal(read_container(a)[1]["t"], t)
 
     def test_bad_magic(self, tmp_path):
@@ -56,7 +58,7 @@ class TestContainer:
     def test_truncation_detected(self, tmp_path):
         path = str(tmp_path / "x.ckpt")
         write_container(path, {}, {"a": np.ones((4, 4))})
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         short = tmp_path / "short.ckpt"
         short.write_bytes(data[:-8])
         with pytest.raises(ParseError, match="truncated"):
@@ -66,7 +68,7 @@ class TestContainer:
         path = str(tmp_path / "x.ckpt")
         write_container(path, {}, {"a": np.ones(2)})
         long = tmp_path / "long.ckpt"
-        long.write_bytes(open(path, "rb").read() + b"xx")
+        long.write_bytes(Path(path).read_bytes() + b"xx")
         with pytest.raises(ParseError, match="trailing"):
             read_container(str(long))
 
@@ -84,7 +86,7 @@ class TestContainer:
         p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
         write_container(p1, {"m": "1"}, tensors)
         write_container(p2, {"m": "1"}, tensors)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 # a small valid container: two metadata pairs and tensors of rank 2, 0 and 1 (empty)
@@ -254,3 +256,15 @@ class TestEmbeddingCheckpoint:
         save_embeddings(path, emb)
         _, tensors = read_container(path)
         assert list(tensors) == ["E1", "E2", "E3", "E4"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_name_tensor(self, tmp_path, demo_tree, bad):
+        emb = train_poincare(demo_tree, dim=4, epochs=0, lr=0.1, seed=4)
+        path = str(tmp_path / "emb.ckpt")
+        save_embeddings(path, emb)
+        meta, tensors = read_container(path)
+        tensors["E2"][0, 0] = bad
+        write_container(path, meta, tensors)
+        with pytest.raises(ParseError) as exc:
+            load_embeddings(path, demo_tree)
+        assert str(exc.value) == f"{path}: tensor E2 has non-finite values"

@@ -1,13 +1,19 @@
+import contextlib
 import hashlib
+import io
 import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xrlat import training
+from xrlat.checkpoint import MODEL_KEYS, read_container, write_container
 from xrlat.cli import main
 from xrlat.code_tree import sized_hierarchy_lines
 from xrlat.config import resolve_config
@@ -22,7 +28,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 
 def sha(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def write_config(path, **kv):
@@ -62,7 +68,7 @@ class TestTreeCommand:
         out = str(tmp_path / "tree")
         assert main(["tree", "build", "--tree", demo_tree_path, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "tree.txt"))
-        assert "fanout" in open(os.path.join(out, "stats.txt")).read()
+        assert "fanout" in Path(os.path.join(out, "stats.txt")).read_text()
 
     def test_empty_hierarchy_exit_1_naming_file(self, tmp_path, capsys):
         path = tmp_path / "t.txt"
@@ -91,7 +97,7 @@ class TestDataCommand:
         out = str(tmp_path / "none.tsv")
         assert main(["data", "synth", "--tree", demo_tree_path, "--out", out,
                      "--n-docs", "0"]) == 0
-        assert open(out).read().startswith("#")
+        assert Path(out).read_text().startswith("#")
 
     @pytest.mark.parametrize("flag,value", [("--n-docs", "-3"),
                                             ("--codes-per-doc-mean", "-1"),
@@ -108,7 +114,7 @@ class TestDataCommand:
         src.write_text("seen on [**2151-7-16**] at [**Hospital 1807**]\nab==cd\n")
         dst = str(tmp_path / "clean.txt")
         assert main(["data", "clean", "--input", str(src), "--output", dst]) == 0
-        assert open(dst).read() == "seen on at\nab cd\n"
+        assert Path(dst).read_text() == "seen on at\nab cd\n"
 
 
 def _insert_line(data: bytes, lineno: int, line: bytes) -> bytes:
@@ -221,7 +227,7 @@ class TestTrainCommand:
         run = str(tmp_path / "run")
         for name in ("config.txt", "flat.ckpt", "train_flat.log", "vocab.txt"):
             assert os.path.exists(os.path.join(run, name)), name
-        log_lines = open(os.path.join(run, "train_flat.log")).read().strip().split("\n")
+        log_lines = Path(os.path.join(run, "train_flat.log")).read_text().strip().split("\n")
         step, lr, loss = log_lines[0].split("\t")
         assert step.isdigit() and float(lr) > 0 and float(loss) > 0
 
@@ -244,7 +250,7 @@ class TestTrainCommand:
         cfg = base_config(tmp_path, demo_tree_path, small_dataset)
         assert main(["train", "plm-icd", "--config", cfg, "--set", "max_steps=3",
                      "--seed", "99", "--set", "seed=4"]) == 0  # --seed wins over --set seed
-        echo = open(str(tmp_path / "run" / "config.txt")).read()
+        echo = Path(str(tmp_path / "run" / "config.txt")).read_text()
         assert "max_steps = 3" in echo
         assert "seed = 99" in echo
         assert "learning_rate = 0.001" in echo
@@ -259,7 +265,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize("key,value", [
         ("log_interval", "0"), ("hidden_size", "-1"), ("hidden_size", "0"),
         ("learning_rate", "-1e-3"), ("learning_rate", "inf"), ("weight_decay", "-0.1"),
-        ("weight_decay", "nan"), ("n_layers", "3"), ("c", "0"), ("s", "0"),
+        ("weight_decay", "nan"), ("n_layers", "3"), ("c", "0"), ("s", "0"), ("s", "513"),
         ("min_frequency", "0"), ("asl_gamma_pos", "-1"), ("asl_gamma_neg", "-2"),
         ("asl_margin", "1.0"), ("max_steps", "-1"),
     ])
@@ -300,6 +306,22 @@ class TestTrainCommand:
         model = load_model(str(tmp_path / "run" / "level4.ckpt"))[0]
         assert model.corr is not None and model.corr_inputs.shape == (81, 5)
 
+    def test_non_finite_embeddings_exit_1_naming_tensor(self, tmp_path, demo_tree_path,
+                                                         small_dataset, capsys):
+        emb_dir = str(tmp_path / "emb")
+        assert main(["embed", "--tree", demo_tree_path, "--out", emb_dir,
+                     "--dim", "5", "--epochs", "1", "--seed", "4"]) == 0
+        path = os.path.join(emb_dir, "embeddings.ckpt")
+        meta, tensors = read_container(path)
+        tensors["E2"][0, 0] = np.nan
+        write_container(path, meta, tensors)
+        cfg = base_config(tmp_path, demo_tree_path, small_dataset, bootstrap="hyperc",
+                          max_steps=4, embeddings=path)
+        capsys.readouterr()
+        assert main(["train", "xr-lat", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {path}: tensor E2 has non-finite values\n"
+        assert not os.path.exists(str(tmp_path / "run" / "level1.ckpt"))
+
 
 def _nan_at_first(a):
     a = a.copy()
@@ -330,8 +352,6 @@ class TestEvalCommand:
 
     def _eval_edited_chain(self, tmp_path, hyperc_chain, demo_tree_path, ckpt, edit):
         """Copy the chain, apply edit(meta, tensors) to one checkpoint, evaluate the copy."""
-        from xrlat.checkpoint import read_container, write_container
-
         run, ds = hyperc_chain
         chain = str(tmp_path / "chain")
         shutil.copytree(run, chain)
@@ -373,7 +393,9 @@ class TestEvalCommand:
         capsys.readouterr()
         assert self._eval_edited_chain(tmp_path, hyperc_chain, demo_tree_path, "level2.ckpt",
                                        edit_meta) == 1
-        assert f"level2.ckpt: {key} is " in capsys.readouterr().err
+        level1 = os.path.join(str(tmp_path / "chain"), "level1.ckpt")
+        err = capsys.readouterr().err
+        assert f"level2.ckpt: {key} is " in err and f" but {level1} has " in err
 
     @pytest.mark.parametrize("meta,tensors,message", MALFORMED_CONTAINERS)
     def test_malformed_checkpoint_exit_1(self, tmp_path, demo_tree_path, capsys,
@@ -418,11 +440,11 @@ class TestEvalCommand:
                      "--tree", demo_tree_path, "--dataset", small_dataset,
                      "--vocab", os.path.join(run, "vocab.txt"),
                      "--out", out, "--topk", "3"]) == 0
-        report = open(os.path.join(out, "metrics.txt")).read()
+        report = Path(os.path.join(out, "metrics.txt")).read_text()
         for key in ("macro_auc", "micro_auc", "macro_f1", "micro_f1",
                     "p@5", "p@8", "p@15", "macro_auc_skipped"):
             assert key in report
-        topk = open(os.path.join(out, "topk.txt")).read().strip().split("\n")
+        topk = Path(os.path.join(out, "topk.txt")).read_text().strip().split("\n")
         assert len(topk) == 40
         assert topk[0].count(":") == 3
 
@@ -522,7 +544,7 @@ class TestEvalCommand:
         out = str(tmp_path / "ev")
         assert self._eval_scores(tmp_path, demo_tree_path, lines,
                                  "--out", out, "--topk", "3") == 0
-        topk = open(os.path.join(out, "topk.txt")).read().splitlines()
+        topk = Path(os.path.join(out, "topk.txt")).read_text().splitlines()
         assert topk == [
             f"doc0\t{leaves[7]}:0.9000;{leaves[0]}:0.5000;{leaves[1]}:0.5000",
             f"doc1\t{leaves[2]}:0.8000;{leaves[3]}:0.8000;{leaves[5]}:0.8000",
@@ -563,7 +585,6 @@ class TestEvalCommand:
     ])
     def test_bad_checkpoint_metadata_exit_1(self, tmp_path, demo_tree_path, small_dataset,
                                             capsys, key, value):
-        from xrlat.checkpoint import read_container, write_container
 
         run = self._trained_run(tmp_path, demo_tree_path, small_dataset, max_steps=1)
         path = os.path.join(run, "flat.ckpt")
@@ -579,14 +600,74 @@ class TestEvalCommand:
                      "--vocab", os.path.join(run, "vocab.txt")]) == 1
         assert f"flat.ckpt: metadata key '{key}'" in capsys.readouterr().err
 
-    def test_vocab_mismatch_rejected(self, tmp_path, demo_tree_path, small_dataset):
+    @pytest.mark.parametrize("key,value,message", [
+        ("binary_threshold", "5.0", "binary_threshold must be in (0, 1), got 5.0"),
+        ("binary_threshold", "nan", "binary_threshold must be in (0, 1), got nan"),
+        ("s", "0", "s must be in [1, 512], got 0"),
+        ("n_layers", "-1", "n_layers must be 0, 1 or 2, got -1"),
+    ], ids=["threshold-5.0", "threshold-nan", "s-0", "n_layers--1"])
+    def test_out_of_range_checkpoint_setting_exit_1(self, tmp_path, demo_tree_path,
+                                                    small_dataset, capsys, key, value, message):
+        """Settings that parse are checked by TrainConfig's ranges, naming the checkpoint."""
+        run = self._trained_run(tmp_path, demo_tree_path, small_dataset, max_steps=1,
+                                n_layers=0)
+        path = os.path.join(run, "flat.ckpt")
+        meta, tensors = read_container(path)
+        meta[key] = value
+        write_container(path, meta, tensors)
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", path, "--tree", demo_tree_path,
+                     "--dataset", small_dataset,
+                     "--vocab", os.path.join(run, "vocab.txt")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_vocab_mismatch_rejected(self, tmp_path, demo_tree_path, small_dataset, capsys):
         run = self._trained_run(tmp_path, demo_tree_path, small_dataset)
         bad_vocab = str(tmp_path / "bad_vocab.txt")
         with open(bad_vocab, "w") as fh:
             fh.write("onlyone\t2\n")
-        assert main(["eval", "--ckpt", os.path.join(run, "flat.ckpt"),
-                     "--tree", demo_tree_path, "--dataset", small_dataset,
-                     "--vocab", bad_vocab]) == 1
+        capsys.readouterr()
+        ckpt = os.path.join(run, "flat.ckpt")
+        assert main(["eval", "--ckpt", ckpt, "--tree", demo_tree_path,
+                     "--dataset", small_dataset, "--vocab", bad_vocab]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad_vocab}: 3 ids, but {ckpt} ")
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(tmp_path_factory, demo_tree_path):
+    """A 0-layer flat model trained for one step; returns (run, dataset)."""
+    root = tmp_path_factory.mktemp("meta_fuzz")
+    ds = str(root / "train.tsv")
+    assert main(["data", "synth", "--tree", demo_tree_path, "--out", ds,
+                 "--n-docs", "8", "--doc-len", "24", "--seed", "3"]) == 0
+    cfg = base_config(root, demo_tree_path, ds, max_steps=1, n_layers=0)
+    assert main(["train", "plm-icd", "--config", cfg]) == 0
+    return str(root / "run"), ds
+
+
+class TestCheckpointMetadataFuzz:
+    """``xrlat eval`` on a flat.ckpt with one MODEL_KEYS value set to arbitrary text
+    exits 0 or 1, and every exit-1 message starts with the checkpoint's path. Half the
+    drawn values are printed numbers, so that most of them parse and reach the range
+    checks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(MODEL_KEYS)),
+           st.one_of(st.text(max_size=40), st.integers().map(str), st.floats().map(repr)))
+    def test_never_exits_2_and_names_the_checkpoint(self, fuzz_run, demo_tree_path, key,
+                                                    value):
+        run, ds = fuzz_run
+        meta, tensors = read_container(os.path.join(run, "flat.ckpt"))
+        meta[key] = value
+        path = os.path.join(run, "edited.ckpt")
+        write_container(path, meta, tensors)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["eval", "--ckpt", path, "--tree", demo_tree_path, "--dataset", ds,
+                       "--vocab", os.path.join(run, "vocab.txt")])
+        assert rc in (0, 1), err.getvalue()
+        if rc == 1:
+            assert err.getvalue().startswith(f"error: {path}: "), err.getvalue()
 
 
 class TestGradcheckCommand:
@@ -617,11 +698,11 @@ class TestDeterminism:
                             out_dir=str(tmp_path / "runA"), max_steps=8)
         cfg_b = write_config(
             tmp_path / "runB.cfg",
-            **dict(l.split(" = ") for l in open(cfg_a).read().strip().split("\n")),
+            **dict(l.split(" = ") for l in Path(cfg_a).read_text().strip().split("\n")),
         )
         # rewrite out_dir for the second run
-        cfg_b_text = open(cfg_b).read().replace("runA", "runB")
-        open(cfg_b, "w").write(cfg_b_text)
+        cfg_b_text = Path(cfg_b).read_text().replace("runA", "runB")
+        Path(cfg_b).write_text(cfg_b_text)
         assert main(["train", "plm-icd", "--config", cfg_a]) == 0
         assert main(["train", "plm-icd", "--config", cfg_b]) == 0
         assert sha(str(tmp_path / "runA" / "flat.ckpt")) == sha(str(tmp_path / "runB" / "flat.ckpt"))

@@ -1,9 +1,12 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xrlat.hyperbolic import (
     _edge_loss_and_grads,
+    _sample_negatives,
     edge_set,
     flatten_tree,
     poincare_distance,
@@ -11,6 +14,8 @@ from xrlat.hyperbolic import (
 )
 from xrlat.code_tree import parse_hierarchy, sized_hierarchy_lines
 from xrlat.util import DataError, derive_rng
+
+from conftest import random_tree
 
 
 def reference_distance(u, v):
@@ -78,6 +83,46 @@ class TestTreeFlattening:
         for p, c in edges:
             assert flat.parent[c] == p
             assert p != c
+
+
+def sample_negatives_from_sets(rng, n_nodes, forbidden, k):
+    """Negatives drawn as a sampler keeping a neighbour set per node would draw them."""
+    if n_nodes - len(forbidden) < 1:
+        raise DataError("tree too small to sample non-neighbor negatives")
+    out = []
+    while len(out) < k:
+        cand = int(rng.integers(n_nodes))
+        if cand not in forbidden:
+            out.append(cand)
+    return out
+
+
+class TestNegativeSampling:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_neighbour_set_oracle(self, seed):
+        """For every child of a random tree, the parent-array sampler rejects exactly the
+        child, its parent and its children, so it makes the same draws from the same
+        generator as a sampler that keeps each node's neighbour set."""
+        rng = np.random.default_rng(seed)
+        flat = flatten_tree(random_tree(rng))
+        n = len(flat.names)
+        parent = flat.parent.tolist()
+        n_children = np.bincount(flat.parent[1:], minlength=n).tolist()
+        for child in range(1, n):
+            forbidden = {child, parent[child]} | {i for i in range(n) if parent[i] == child}
+            a, b = derive_rng(seed, child), derive_rng(seed, child)
+            got = _sample_negatives(a, parent, n_children, child, 7)
+            assert got.tolist() == sample_negatives_from_sets(b, n, forbidden, 7)
+            assert a.integers(2**62) == b.integers(2**62)
+
+    def test_tree_too_small(self):
+        flat = flatten_tree(parse_hierarchy(["A/A1/A11/x1"]))  # a chain of five nodes
+        parent = flat.parent.tolist()
+        n_children = np.bincount(flat.parent[1:], minlength=5).tolist()
+        assert set(_sample_negatives(derive_rng(0), parent, n_children, 4, 9).tolist()) == {0, 1, 2}
+        with pytest.raises(DataError, match="tree too small"):  # root -> 1 -> 2: none left for 1
+            _sample_negatives(derive_rng(0), [-1, 0, 1], [1, 1, 0], 1, 3)
 
 
 class TestTraining:

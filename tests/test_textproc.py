@@ -1,5 +1,6 @@
 import hashlib
 import string
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ class TestSynthCorpus:
         assert docs == [] and labels.n_instances == 0
         path = str(tmp_path / "empty.tsv")
         write_dataset(path, docs, demo_tree)
-        content = open(path).read()
+        content = Path(path).read_text()
         assert content.startswith("#")
         assert read_dataset(path, demo_tree) == []
 
@@ -164,7 +165,7 @@ class TestSynthCorpus:
             docs, _ = synth_corpus(demo_tree, 200, seed=7)
             path = str(tmp_path / f"run{run}.tsv")
             write_dataset(path, docs, demo_tree)
-            digests.append(hashlib.sha256(open(path, "rb").read()).hexdigest())
+            digests.append(hashlib.sha256(Path(path).read_bytes()).hexdigest())
         assert digests[0] == digests[1]
 
     def test_doc_len_too_small(self, demo_tree):

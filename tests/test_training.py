@@ -43,14 +43,6 @@ def loss_of(p, y, cfg=BCE):
     return loss_and_grad(np.asarray(p, dtype=np.float64), y, cfg)[0]
 
 
-def gather_up_to(monkeypatch, share):
-    """Make AdamW gather the touched rows until they reach ``share`` of all rows, whatever
-    the weight decay; None keeps the measured switch points."""
-    if share is not None:
-        monkeypatch.setattr(training, "GATHER_MAX_SHARE", share)
-        monkeypatch.setattr(training, "GATHER_MAX_SHARE_DECAY", share)
-
-
 def dense_adamw_step(model, m, v, t, grads, lr, weight_decay):
     """AdamW over every row of every tensor: what the row-sparse optimizer must equal."""
     bc1 = 1.0 - ADAM_BETA1**t
@@ -338,14 +330,11 @@ class TestOptimizerAndSchedule:
         opt.step(model, grads, lr=0.1)
         assert model.head.b_cl[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0, abs=1e-12)
 
-    @pytest.mark.parametrize("share", [None, 1.0])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.5])
-    def test_row_sparse_adamw_equals_dense(self, weight_decay, share, monkeypatch):
+    def test_row_sparse_adamw_equals_dense(self, weight_decay):
         """Head rows enter late, go quiet with nonzero moments and come back, and at
         step 7 every row has been touched; every tensor equals a dense AdamW's, bit for
-        bit, after every step. Row 1 holds a -0.0 weight until its first touch. At
-        share 1.0 every step before step 7 gathers the touched rows."""
-        gather_up_to(monkeypatch, share)
+        bit, after every step. Row 1 holds a -0.0 weight until its first touch."""
         rng = derive_rng(14)
         model = init_level_model(5, 2, 3, 6, 0, 2, rng)
         model.corr = CorrectionLayer(rng.normal(size=(2, 3)), rng.normal(size=3))
@@ -368,19 +357,44 @@ class TestOptimizerAndSchedule:
             if t < 7:
                 assert model.head.W_la[1, 0] == 0.0 and np.signbit(model.head.W_la[1, 0])
 
-    @pytest.mark.parametrize("weight_decay, gathered", [(0.0, [True, True, False, False]),
-                                                        (0.5, [True, False, False, False])])
-    def test_gathers_below_measured_share(self, weight_decay, gathered):
-        """The union of touched rows is gathered under GATHER_MAX_SHARE (0.65) of the rows,
-        or GATHER_MAX_SHARE_DECAY (0.5) at weight_decay != 0, and every row is updated
-        in place from the step it reaches that share on, even if later steps are small."""
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.5])
+    def test_first_step_fixes_the_layout(self, weight_decay):
+        """After a masked first step the optimizer gathers for good: a late slice(None)
+        step appends the untouched rows, and once every row is touched it still gathers,
+        with the moments packed in first-touch order and every tensor bitwise equal to a
+        dense AdamW's. After a slice(None) first step the moments stay in row order."""
         rng = derive_rng(15)
-        model = init_level_model(5, 2, 3, 10, 0, 2, rng)
-        opt = AdamW(model, weight_decay=weight_decay)
-        grads = zero_grads(model)
-        for rows, want in zip(([0, 1, 2], [3, 4, 5], [9], [0]), gathered):
-            opt.step(model, grads, 0.1, np.array(rows))
-            assert isinstance(opt.rows, np.ndarray) == want, rows
+        init = init_level_model(5, 2, 3, 10, 0, 2, rng)
+        for schedule, want_rows in (
+            ([[2, 7], [0, 1, 2], slice(None), [9], [0, 4]], [2, 7, 0, 1, 3, 4, 5, 6, 8, 9]),
+            ([slice(None), [3], [0, 9]], None),
+        ):
+            model, ref = copy.deepcopy(init), copy.deepcopy(init)
+            m = {name: np.zeros_like(p) for name, p in ref.trainable()}
+            v = {name: np.zeros_like(p) for name, p in ref.trainable()}
+            opt = AdamW(model, weight_decay=weight_decay)
+            for t, rows in enumerate(schedule, start=1):
+                if not isinstance(rows, slice):
+                    rows = np.array(rows)
+                grads = {name: rng.normal(size=p.shape) for name, p in model.trainable()}
+                for name in HEAD_ROWS:
+                    quiet = np.ones(10, dtype=bool)
+                    quiet[rows] = False
+                    grads[name][quiet] = 0.0
+                dense_adamw_step(ref, m, v, t, copy.deepcopy(grads), 0.1, weight_decay)
+                opt.step(model, grads, 0.1, rows)
+                for (name, a), (_, b) in zip(model.trainable(), ref.trainable()):
+                    assert a.tobytes() == b.tobytes(), (t, name)
+            if want_rows is None:
+                assert opt.rows is None
+                for name, _ in model.trainable():
+                    assert opt.m[name].tobytes() == m[name].tobytes(), name
+                    assert opt.v[name].tobytes() == v[name].tobytes(), name
+            else:
+                assert opt.rows.tolist() == want_rows
+                for name in HEAD_ROWS:
+                    assert opt.m[name].tobytes() == m[name][opt.rows].tobytes(), name
+                    assert opt.v[name].tobytes() == v[name][opt.rows].tobytes(), name
 
     def test_warmup_then_linear_decay(self):
         peak, total = 1e-3, 200  # warmup: 10 steps
@@ -500,17 +514,14 @@ class TestTrainingLoops:
 
 
 class TestRowSparseLevel:
-    @pytest.mark.parametrize("share", [None, 1.0])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
-    def test_masked_level_equals_dense_loop(self, demo_tree, tiny_setup, weight_decay, share,
-                                            monkeypatch):
+    def test_masked_level_equals_dense_loop(self, demo_tree, tiny_setup, weight_decay):
         """A masked bootstrap-hyperc level (with corr.*) trains to the dense loop's bytes.
 
         Each document's mask holds one of labels 0-7, so a step's rows change from step
         to step and label 8 is never touched; at weight_decay 0 its head row keeps its
-        initial bytes. At share 1.0 AdamW gathers the touched rows on every step.
+        initial bytes.
         """
-        gather_up_to(monkeypatch, share)
         data, cfg0 = tiny_setup
         cfg = TrainConfig(**{**cfg0.__dict__, "batch_size": 4, "max_steps": 12,
                              "weight_decay": weight_decay})

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ class TestAtomicWrite:
         path = str(tmp_path / "f.txt")
         atomic_write_text(path, "one")
         atomic_write_text(path, "two")
-        assert open(path).read() == "two"
+        assert Path(path).read_text() == "two"
         assert [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")] == []
 
 
