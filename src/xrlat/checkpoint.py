@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import io
 import math
+import os
+import stat
 import struct
 
 import numpy as np
@@ -56,24 +58,43 @@ def write_container(path: str, metadata: dict, tensors: dict) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes, path: str):
-        self.data = data
+    """Reads a container front to back from ``fh``, checking each length against its
+    ``size`` in bytes before it reads or allocates."""
+
+    def __init__(self, fh, size: int, path: str):
+        self.fh = fh
+        self.size = size
         self.off = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
+    def require(self, n: int) -> None:
+        if self.off + n > self.size:
             raise ParseError(f"{self.path}: truncated checkpoint")
-        out = self.data[self.off : self.off + n]
-        self.off += n
+
+    def _advance(self, n_read: int, n: int) -> None:
+        self.off += n_read
+        if n_read != n:  # the file shrank while it was read
+            raise ParseError(f"{self.path}: truncated checkpoint")
+
+    def take(self, n: int) -> bytes:
+        self.require(n)
+        out = self.fh.read(n)
+        self._advance(len(out), n)
         return out
+
+    def array(self, shape) -> np.ndarray:
+        """The next row-major f64 payload, read straight into a new array of ``shape``."""
+        arr = np.empty(shape, dtype="<f8")
+        # a flat byte view: memoryview.cast rejects zero-size shapes
+        self._advance(self.fh.readinto(arr.reshape(-1).view(np.uint8)), arr.nbytes)
+        return arr
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
     def string(self) -> str:
         start = self.off
-        raw = bytes(self.take(self.u32()))
+        raw = self.take(self.u32())
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError:
@@ -83,32 +104,37 @@ class _Reader:
 def read_container(path: str):
     """Parse a container; returns (metadata dict, ordered tensors dict)."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    r = _Reader(memoryview(data), path)  # take() slices without copying
-    if r.take(4) != MAGIC:
-        raise ParseError(f"{path}: not a checkpoint container (bad magic)")
-    version = r.u32()
-    if version != VERSION:
-        raise ParseError(f"{path}: unsupported container version {version}")
-    metadata = {}
-    for _ in range(r.u32()):
-        key = r.string()
-        metadata[key] = r.string()
-    tensors = {}
-    for _ in range(r.u32()):
-        name = r.string()
-        if name in tensors:
-            raise ParseError(f"{path}: duplicate tensor name {name!r}")
-        rank = r.u32()
-        if rank > MAX_RANK:
-            raise ParseError(f"{path}: tensor {name!r} has rank {rank}, above {MAX_RANK}")
-        shape = tuple(r.u32() for _ in range(rank))
-        raw = r.take(8 * math.prod(shape))  # Python ints: a huge shape cannot wrap to 0
-        if 8 * math.prod(d for d in shape if d) > np.iinfo(np.intp).max:
-            raise ParseError(f"{path}: tensor {name!r} has shape {shape}, too large for an array")
-        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    if r.off != len(data):
-        raise ParseError(f"{path}: {len(data) - r.off} trailing bytes after tensor table")
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            r = _Reader(fh, info.st_size, path)
+        else:  # a pipe or FIFO has no size until it is read to the end
+            data = fh.read()
+            r = _Reader(io.BytesIO(data), len(data), path)
+        if r.take(4) != MAGIC:
+            raise ParseError(f"{path}: not a checkpoint container (bad magic)")
+        version = r.u32()
+        if version != VERSION:
+            raise ParseError(f"{path}: unsupported container version {version}")
+        metadata = {}
+        for _ in range(r.u32()):
+            key = r.string()
+            metadata[key] = r.string()
+        tensors = {}
+        for _ in range(r.u32()):
+            name = r.string()
+            if name in tensors:
+                raise ParseError(f"{path}: duplicate tensor name {name!r}")
+            rank = r.u32()
+            if rank > MAX_RANK:
+                raise ParseError(f"{path}: tensor {name!r} has rank {rank}, above {MAX_RANK}")
+            shape = tuple(r.u32() for _ in range(rank))
+            r.require(8 * math.prod(shape))  # Python ints: a huge shape cannot wrap to 0
+            if 8 * math.prod(d for d in shape if d) > np.iinfo(np.intp).max:
+                raise ParseError(
+                    f"{path}: tensor {name!r} has shape {shape}, too large for an array")
+            tensors[name] = r.array(shape)
+    if r.off != r.size:
+        raise ParseError(f"{path}: {r.size - r.off} trailing bytes after tensor table")
     return metadata, tensors
 
 

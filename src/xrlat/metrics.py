@@ -10,6 +10,7 @@ ties broken toward lower code indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,20 @@ class PredictionSet:
         if not np.all(np.isfinite(self.scores)):
             raise DataError("scores must be finite")
 
+    @cached_property
+    def confusion(self):
+        """Per-code (TP, FP, FN) counts at decision_threshold, counted once for
+        both F1 metrics."""
+        yhat = self.scores >= self.decision_threshold
+        y = self.gold.astype(bool)
+        tp = np.count_nonzero(yhat & y, axis=0)
+        return tp, np.count_nonzero(yhat, axis=0) - tp, np.count_nonzero(y, axis=0) - tp
+
+
+def _auc(twice_rank_sum, n_pos, n_neg):
+    """Mann-Whitney AUC from twice the positives' rank sum, an exact integer."""
+    return (twice_rank_sum / 2 - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
 
 def auc(scores, labels) -> float:
     """Rank-based (Mann-Whitney) AUC with half credit for ties.
@@ -40,24 +55,36 @@ def auc(scores, labels) -> float:
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(bool)
-    n_pos = int(labels.sum())
+    n_pos = int(np.count_nonzero(labels))
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC is undefined for single-class labels")
-    # 1-based average rank of each tie group: its last rank minus half its width
-    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
-    rank_sum = ranks[labels].sum()
-    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    cells = np.sort(scores, axis=None)
+    pos = scores[labels]
+    # a positive's tie run fills sorted cells [left, right): its average 1-based rank
+    # is (left + right + 1) / 2, so twice the rank sum is an integer
+    twice = (int(np.searchsorted(cells, pos, "left").sum())
+             + int(np.searchsorted(cells, pos, "right").sum()) + n_pos)
+    return float(_auc(twice, n_pos, n_neg))
 
 
-def _confusion(pred: PredictionSet):
-    yhat = pred.scores >= pred.decision_threshold
-    y = pred.gold.astype(bool)
-    tp = (yhat & y).sum(axis=0).astype(np.int64)
-    fp = (yhat & ~y).sum(axis=0).astype(np.int64)
-    fn = (~yhat & y).sum(axis=0).astype(np.int64)
-    return tp, fp, fn
+def _code_aucs(scores, labels) -> np.ndarray:
+    """AUC of each row of the (E, N) ``scores`` against its ``labels`` row, from one
+    sort of every row; each row must have both classes."""
+    n = scores.shape[1]
+    order = np.argsort(scores, axis=1)
+    cells = np.take_along_axis(scores, order, axis=1).ravel()
+    pos = np.flatnonzero(np.take_along_axis(labels, order, axis=1))
+    run_start = np.empty(cells.size, dtype=bool)
+    np.not_equal(cells[1:], cells[:-1], out=run_start[1:])
+    run_start[::n] = True  # each row ranks its own cells
+    bounds = np.append(np.flatnonzero(run_start), cells.size)
+    run = np.searchsorted(bounds, pos, "right") - 1
+    row = pos // n
+    # the run fills cells [left, right) of the flat order; row r's ranks start at cell r*n
+    twice = bounds[run] + bounds[run + 1] + 1 - 2 * n * row
+    n_pos = np.count_nonzero(labels, axis=1)
+    return _auc(np.bincount(row, weights=twice, minlength=len(scores)), n_pos, n - n_pos)
 
 
 def micro_f1(pred: PredictionSet):
@@ -66,7 +93,7 @@ def micro_f1(pred: PredictionSet):
     F1 comes straight from the integer counts (2TP / (2TP + FP + FN)) so the
     value is the exactly-rounded rational, not a chain of float divisions.
     """
-    tp, fp, fn = (int(x.sum()) for x in _confusion(pred))
+    tp, fp, fn = (int(x.sum()) for x in pred.confusion)
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0
@@ -75,7 +102,7 @@ def micro_f1(pred: PredictionSet):
 
 def macro_f1(pred: PredictionSet) -> float:
     """Unweighted mean of per-code F1 over all codes; empty codes count as 0."""
-    tp, fp, fn = _confusion(pred)
+    tp, fp, fn = pred.confusion
     denom = 2 * tp + fp + fn
     per_code = np.where(denom > 0, 2 * tp / np.where(denom > 0, denom, 1), 0.0)
     return float(per_code.mean())
@@ -87,17 +114,23 @@ def evaluable_codes(gold) -> np.ndarray:
     return np.flatnonzero((n_pos > 0) & (n_pos < len(gold)))
 
 
+AUC_BLOCK_CELLS = 1 << 20  # macro AUC ranks this many cells at a time, bounding its memory
+
+
 def macro_micro_auc(pred: PredictionSet):
     """(macro AUC, micro AUC, skipped-code count).
 
     Macro averages per-code AUC over codes with both classes present; micro is
     the AUC of all N*L cells flattened. Raises if nothing is evaluable.
     """
-    l = pred.scores.shape[1]
+    n, l = pred.scores.shape
     evaluable = evaluable_codes(pred.gold)
     if evaluable.size == 0:
         raise DataError("macro AUC: no code has both classes present")
-    values = [auc(pred.scores[:, j], pred.gold[:, j]) for j in evaluable]
+    scores, labels = pred.scores.T, pred.gold.T.astype(bool)
+    step = max(1, AUC_BLOCK_CELLS // n)
+    values = np.concatenate([_code_aucs(scores[codes], labels[codes]) for codes in
+                             np.split(evaluable, range(step, evaluable.size, step))])
     micro = auc(pred.scores.reshape(-1), pred.gold.reshape(-1))
     return float(np.mean(values)), micro, l - evaluable.size
 

@@ -130,15 +130,21 @@ class ChunkedDocument:
     n_real: int
 
 
+def check_chunk_geometry(c: int, s: int) -> None:
+    """Raise ConfigError unless the chunk length c is in [1, MAX_CHUNK_LEN] and the
+    chunk count s in [1, MAX_CHUNKS]."""
+    for key, value, top in (("c", c, MAX_CHUNK_LEN), ("s", s, MAX_CHUNKS)):
+        if not 1 <= value <= top:
+            raise ConfigError(f"{key} must be in [1, {top}], got {value!r}")
+
+
 def chunk(tokens, c: int, s: int) -> ChunkedDocument:
     """Lay the first min(t, c*s) tokens into s chunks of c; pad the tail.
 
     Documents longer than c * s are truncated; shorter ones are padded with PAD.
+    Raises ConfigError for a geometry check_chunk_geometry rejects.
     """
-    if c < 1 or s < 1:
-        raise ConfigError(f"chunk length and count must be >= 1, got c={c}, s={s}")
-    if c > MAX_CHUNK_LEN:
-        raise ConfigError(f"chunk length {c} exceeds the maximum of {MAX_CHUNK_LEN}")
+    check_chunk_geometry(c, s)
     tokens = np.asarray(tokens, dtype=np.int64)
     n = min(tokens.size, c * s)
     flat = np.zeros(c * s, dtype=np.int64)

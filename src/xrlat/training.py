@@ -31,10 +31,9 @@ from .network import (
     zero_grads,
 )
 from .textproc import (
-    MAX_CHUNK_LEN,
-    MAX_CHUNKS,
     ChunkedDocument,
     Vocabulary,
+    check_chunk_geometry,
     chunk,
     clean_text,
     tokenize,
@@ -97,8 +96,6 @@ class TrainConfig:
             ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
             ("max_steps", self.max_steps >= 0, ">= 0"),
             ("seed", self.seed >= 0, ">= 0"),
-            ("c", 1 <= self.c <= MAX_CHUNK_LEN, f"in [1, {MAX_CHUNK_LEN}]"),
-            ("s", 1 <= self.s <= MAX_CHUNKS, f"in [1, {MAX_CHUNKS}]"),
             ("binary_threshold", 0.0 < self.binary_threshold < 1.0, "in (0, 1)"),
             ("hidden_size", self.hidden_size >= 1, ">= 1"),
             ("n_layers", self.n_layers in (0, 1, 2), "0, 1 or 2"),
@@ -107,6 +104,7 @@ class TrainConfig:
         ):
             if not ok:
                 raise ConfigError(f"{key} must be {accepted}, got {getattr(self, key)!r}")
+        check_chunk_geometry(self.c, self.s)
         try:
             self.loss_config()
         except DataError as exc:  # names a LossConfig field; its config key is asl_<field>

@@ -1,3 +1,5 @@
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +65,57 @@ class TestContainer:
         short.write_bytes(data[:-8])
         with pytest.raises(ParseError, match="truncated"):
             read_container(str(short))
+
+    def test_tensors_load_as_owned_arrays(self, tmp_path):
+        """Each tensor, zero-size ones too, is its own C-contiguous, aligned, writeable
+        float64 array."""
+        path = str(tmp_path / "x.ckpt")
+        rng = derive_rng(2)
+        tensors = {"m": rng.normal(size=(3, 4)), "s": np.array(1.5), "e": np.zeros(0),
+                   "e3": np.zeros((2, 0, 3)), "v": rng.normal(size=5)}
+        write_container(path, {}, tensors)
+        loaded = read_container(path)[1]
+        for name, tensor in tensors.items():
+            got = loaded[name]
+            assert got.shape == tensor.shape and np.array_equal(got, tensor)
+            assert got.dtype == np.float64 and got.base is None
+            assert got.flags.c_contiguous and got.flags.aligned and got.flags.writeable
+            assert got.flags.owndata
+
+    @pytest.mark.parametrize("cut", [1, 8, 20, 47])
+    def test_payload_cut_inside_a_tensor_is_truncated(self, tmp_path, cut):
+        """The file ends ``cut`` bytes into the first of two tensors' payloads."""
+        path = tmp_path / "x.ckpt"
+        tensors = [(b"a", (2, 3), bytes(48)), (b"b", (4,), bytes(32))]
+        data = container_bytes([], tensors)
+        start = len(container_bytes([], tensors[:1])) - 48
+        path.write_bytes(data[: start + cut])
+        with pytest.raises(ParseError) as exc:
+            read_container(str(path))
+        assert str(exc.value) == f"{path}: truncated checkpoint"
+
+    @pytest.mark.parametrize("cut", [None, 100])
+    def test_reads_from_a_fifo(self, tmp_path, cut):
+        """A pipe has no file size: the whole stream is read, then checked the same way
+        (a 64 KiB payload outgrows the pipe buffer)."""
+        path = tmp_path / "x.ckpt"
+        write_container(str(path), {"k": "v"}, {"a": derive_rng(3).normal(size=(128, 64))})
+        data = path.read_bytes()[:cut]
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+        writer.start()
+        try:
+            if cut is None:
+                meta, tensors = read_container(str(fifo))
+                want_meta, want = read_container(str(path))
+                assert meta == want_meta and np.array_equal(tensors["a"], want["a"])
+            else:
+                with pytest.raises(ParseError, match="truncated checkpoint"):
+                    read_container(str(fifo))
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
 
     def test_trailing_bytes_detected(self, tmp_path):
         path = str(tmp_path / "x.ckpt")

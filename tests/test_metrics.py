@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from xrlat import metrics
 from xrlat.metrics import (
     MetricsReport,
     PredictionSet,
@@ -25,6 +28,40 @@ def brute_force_auc(scores, labels):
         for sn in neg:
             total += 1.0 if sp > sn else (0.5 if sp == sn else 0.0)
     return total / (len(pos) * len(neg))
+
+
+def unique_loop_auc(scores, labels):
+    """AUC as one np.unique ranking of the cells: each tie group at its average rank."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels).astype(bool)
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
+    return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def unique_loop_macro_micro(scores, gold):
+    """(macro, micro, skipped) with one unique_loop_auc per evaluable code."""
+    n_pos = gold.astype(bool).sum(axis=0)
+    evaluable = np.flatnonzero((n_pos > 0) & (n_pos < len(gold)))
+    values = [unique_loop_auc(scores[:, j], gold[:, j]) for j in evaluable]
+    micro = unique_loop_auc(scores.reshape(-1), gold.reshape(-1))
+    return float(np.mean(values)), micro, gold.shape[1] - evaluable.size
+
+
+TIED_SCORES = (-0.0, 0.0, 0.25, 0.5, 1.0)
+
+
+def tied_predictions(rng, n, l, positive=0.3):
+    """Scores from TIED_SCORES, every 7th row all zero (a cascade row), and gold with
+    ``positive`` of its cells set and about a fifth of the codes single-class."""
+    scores = rng.choice(TIED_SCORES, size=(n, l))
+    scores[::7] = 0.0
+    gold = (rng.random((n, l)) < positive).astype(np.uint8)
+    gold[:, rng.random(l) < 0.1] = 0
+    gold[:, rng.random(l) < 0.1] = 1
+    return scores, gold
 
 
 def brute_force_f1(scores, gold, threshold):
@@ -149,6 +186,58 @@ class TestMacroMicroAuc:
             assert micro == pytest.approx(want, abs=1e-9)
 
 
+@st.composite
+def tied_case(draw):
+    """(scores, gold) drawn like tied_predictions: scores from TIED_SCORES, any rows all
+    zero, any codes single-class."""
+    n, l = draw(st.integers(2, 12)), draw(st.integers(1, 8))
+    cells = st.lists(st.sampled_from(TIED_SCORES), min_size=n * l, max_size=n * l)
+    scores = np.array(draw(cells)).reshape(n, l)
+    scores[draw(st.lists(st.booleans(), min_size=n, max_size=n))] = 0.0
+    gold = np.array(draw(st.lists(st.booleans(), min_size=n * l, max_size=n * l)))
+    gold = gold.reshape(n, l).astype(np.uint8)
+    for j, fill in enumerate(draw(st.lists(st.sampled_from([None, 0, 1]), min_size=l,
+                                           max_size=l))):
+        if fill is not None:
+            gold[:, j] = fill
+    return scores, gold
+
+
+class TestAucOracle:
+    """macro_micro_auc ranks every code in one sort; its values equal, bit for bit, both
+    the pairwise count and one np.unique ranking per code."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_case())
+    def test_equals_pair_count_and_unique_loop(self, case):
+        scores, gold = case
+        n, l = scores.shape
+        evaluable = [j for j in range(l) if 0 < gold[:, j].sum() < n]
+        pred = PredictionSet(scores, gold)
+        if not evaluable:
+            with pytest.raises(DataError):
+                macro_micro_auc(pred)
+            return
+        got = macro_micro_auc(pred)
+        per_code = [brute_force_auc(scores[:, j], gold[:, j]) for j in evaluable]
+        assert [auc(scores[:, j], gold[:, j]) for j in evaluable] == per_code
+        assert got == (float(np.mean(per_code)), brute_force_auc(scores.ravel(), gold.ravel()),
+                       l - len(evaluable))
+        assert got == unique_loop_macro_micro(scores, gold)
+
+    def test_code_blocks_do_not_change_the_result(self, monkeypatch):
+        scores, gold = tied_predictions(derive_rng(13), 9, 40)
+        want = macro_micro_auc(PredictionSet(scores, gold))
+        monkeypatch.setattr(metrics, "AUC_BLOCK_CELLS", 3 * 9)  # three codes per block
+        assert macro_micro_auc(PredictionSet(scores, gold)) == want
+
+    @pytest.mark.slow
+    def test_eval_scale(self):
+        """400 documents x 8929 codes, the size of the ICD code set."""
+        scores, gold = tied_predictions(derive_rng(14), 400, 8929, positive=0.003)
+        assert macro_micro_auc(PredictionSet(scores, gold)) == unique_loop_macro_micro(scores, gold)
+
+
 class TestPrecisionAtK:
     def test_half_hit(self):
         pred = PredictionSet(np.array([[0.9, 0.8, 0.1]]), np.array([[1, 0, 0]]))
@@ -243,6 +332,17 @@ class TestTopCodes:
             high_first = stable_argsort_top(scores, k, lower_index_first=False)
             assert not np.array_equal(high_first, stable_argsort_top(scores, k))
             assert not np.array_equal(high_first, top_codes(scores, k))
+
+    @pytest.mark.parametrize("k", [1, 5, 15])
+    def test_rows_with_at_most_k_nonzero_scores(self, k):
+        """Cascade rows: row i has i nonzero scores (tied, and some below zero) and
+        +0.0 or -0.0 elsewhere, so its k-th score is shared by at least L - k codes."""
+        rng = derive_rng(16)
+        for l in (k + 1, 2 * k, 2 * k + 1, 200):
+            scores = np.where(rng.random((k + 1, l)) < 0.5, 0.0, -0.0)
+            for i in range(1, k + 1):
+                scores[i, rng.choice(l, i, replace=False)] = rng.choice([-0.5, 0.25, 1.0], i)
+            assert np.array_equal(top_codes(scores, k), stable_argsort_top(scores, k))
 
     def test_no_documents(self):
         assert top_codes(np.zeros((0, 20)), 5).shape == (0, 5)

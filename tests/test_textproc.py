@@ -20,6 +20,7 @@ from xrlat.textproc import (
     words,
     write_dataset,
 )
+from xrlat.training import TrainConfig
 from xrlat.util import ConfigError, DataError, ParseError
 
 
@@ -124,6 +125,15 @@ class TestChunk:
     def test_bad_sizes(self):
         with pytest.raises(ConfigError):
             chunk([1], c=0, s=2)
+
+    @pytest.mark.parametrize("s", [0, 600])
+    def test_geometry_rule_shared_with_train_config(self, s):
+        """chunk and TrainConfig reject the same chunk count with the same message."""
+        message = rf"^s must be in \[1, 512\], got {s}$"
+        with pytest.raises(ConfigError, match=message):
+            chunk(np.arange(3), 6, s)
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(c=6, s=s)
 
     @settings(max_examples=100, deadline=None)
     @given(
