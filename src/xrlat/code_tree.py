@@ -1,7 +1,8 @@
 """Four-level code hierarchies: parsing, one-hot indexing matrices, label propagation.
 
 A hierarchy file is UTF-8 text with one leaf code per line as exactly four
-``/``-separated non-empty components (chapter/block/category/code). Lines
+``/``-separated non-empty components (chapter/block/category/code); the leaf
+code may not contain ``;`` or a TAB, which separate a dataset line's fields. Lines
 starting with ``#`` and blank lines are ignored. Node identifiers must be
 unique within a level; the same identifier appearing under two different
 parents is rejected.
@@ -121,11 +122,6 @@ class LabelMatrix:
             dense[i, row] = 1
         return dense
 
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "LabelMatrix":
-        dense = np.asarray(dense)
-        return cls(dense.shape[1], [np.flatnonzero(r) for r in dense])
-
 
 def parse_hierarchy(lines) -> CodeTree:
     """Build a CodeTree from an iterable of hierarchy-file lines; errors name ``line <n>``."""
@@ -151,6 +147,9 @@ def _parse_numbered(numbered, path: str | None) -> CodeTree:
                 f"{where}{lineno}: expected 4 non-empty '/'-separated components, got {line!r}"
             )
         parts = tuple(p.strip() for p in parts)
+        if ";" in parts[3] or "\t" in parts[3]:
+            raise ParseError(f"{where}{lineno}: leaf code {parts[3]!r} contains ';' or a TAB, "
+                             "which separate the fields of a dataset line")
         if parts in seen_paths:
             raise ParseError(f"{where}{lineno}: duplicate code path {'/'.join(parts)!r}")
         seen_paths.add(parts)

@@ -560,7 +560,6 @@ GRADCHECK_VOCAB = 50
 GRADCHECK_C = 8
 GRADCHECK_S = 2
 GRADCHECK_LABELS = 20
-GRADCHECK_D_EMB = 5
 GRADCHECK_EPS = 1e-5
 GRADCHECK_TOL = 1e-4
 
@@ -584,39 +583,25 @@ class GradcheckReport:
         return "\n".join(lines) + "\n"
 
 
-def gradcheck(n_layers: int, loss: LossConfig, with_correction: bool = False,
-              seed: int = 0) -> GradcheckReport:
-    """Compare analytic gradients against central finite differences.
+def check_gradients(model: LevelModel, doc: ChunkedDocument, gold: np.ndarray,
+                    loss: LossConfig, mask: Optional[np.ndarray] = None,
+                    dropout: float = 0.0) -> GradcheckReport:
+    """Compare forward_backward's gradients with central differences of its own loss.
 
-    Checks every parameter coordinate of a seeded GRADCHECK_* sized model on
-    one partly padded document. Central differences at GRADCHECK_EPS = 1e-5 carry
-    O(1e-11) truncation error and about as much rounding error (float64's 1e-16
-    times the loss, over the step). Relative error uses a denominator floor of
-    1e-4, so coordinates whose true gradient sits below the floor are effectively
-    held to an absolute tolerance of 1e-8 instead of a meaningless ratio of two
-    noise-dominated numbers.
+    Checks every coordinate of ``model.trainable()`` under the label ``mask``; every
+    call draws the same dropout masks, from a generator rebuilt for each call.
+    Central differences at GRADCHECK_EPS = 1e-5 carry O(1e-11) truncation error and
+    about as much rounding error (float64's 1e-16 times the loss, over the step).
+    Relative error uses a denominator floor of 1e-4, so coordinates whose true
+    gradient sits below the floor are effectively held to an absolute tolerance of
+    1e-8 instead of a meaningless ratio of two noise-dominated numbers.
     """
-    n_labels = GRADCHECK_LABELS
-    rng = derive_rng(seed, "gradcheck")
-    model = init_level_model(GRADCHECK_VOCAB, GRADCHECK_C, GRADCHECK_HIDDEN, n_labels,
-                             n_layers, 0, rng, GRADCHECK_D_EMB if with_correction else None)
-    if with_correction:
-        model.corr_inputs = rng.normal(0.0, 0.1, size=(n_labels, GRADCHECK_D_EMB))
+    def run():
+        return forward_backward(doc, model.enc, model.head, gold, mask, loss,
+                                corr=model.corr, corr_inputs=model.corr_inputs,
+                                dropout=dropout, rng=derive_rng("gradcheck", "dropout"))
 
-    # leave some padding so the key mask and the head's real-row slice are exercised
-    ids = rng.integers(2, GRADCHECK_VOCAB, size=GRADCHECK_C * GRADCHECK_S - 3)
-    doc = chunk(ids, GRADCHECK_C, GRADCHECK_S)
-    gold = (rng.random(n_labels) < 0.3).astype(np.float64)
-
-    _, grads = forward_backward(doc, model.enc, model.head, gold, None, loss,
-                                corr=model.corr, corr_inputs=model.corr_inputs)
-
-    def loss_only():
-        p = forward_probs(doc, model.enc, model.head, corr=model.corr,
-                          corr_inputs=model.corr_inputs)
-        value, _ = loss_and_grad(p, gold, loss)
-        return value
-
+    _, grads = run()
     eps = GRADCHECK_EPS
     per_tensor = {}
     max_rel, worst = 0.0, ""
@@ -626,9 +611,9 @@ def gradcheck(n_layers: int, loss: LossConfig, with_correction: bool = False,
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            lp = loss_only()
+            lp = run()[0]
             flat[i] = orig - eps
-            lm = loss_only()
+            lm = run()[0]
             flat[i] = orig
             numeric = (lp - lm) / (2.0 * eps)
             analytic = grads[name].reshape(-1)[i]
@@ -640,3 +625,16 @@ def gradcheck(n_layers: int, loss: LossConfig, with_correction: bool = False,
         if best[3] >= max_rel:
             max_rel, worst = best[3], name
     return GradcheckReport(max_rel, worst, per_tensor)
+
+
+def gradcheck(n_layers: int, loss: LossConfig, seed: int = 0) -> GradcheckReport:
+    """check_gradients on a seeded GRADCHECK_* sized model and one partly padded
+    document, every label active and no dropout: the ``xrlat gradcheck`` case."""
+    rng = derive_rng(seed, "gradcheck")
+    model = init_level_model(GRADCHECK_VOCAB, GRADCHECK_C, GRADCHECK_HIDDEN,
+                             GRADCHECK_LABELS, n_layers, 0, rng)
+    # leave some padding so the key mask and the head's real-row slice are exercised
+    ids = rng.integers(2, GRADCHECK_VOCAB, size=GRADCHECK_C * GRADCHECK_S - 3)
+    doc = chunk(ids, GRADCHECK_C, GRADCHECK_S)
+    gold = (rng.random(GRADCHECK_LABELS) < 0.3).astype(np.float64)
+    return check_gradients(model, doc, gold, loss)

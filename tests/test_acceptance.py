@@ -99,7 +99,8 @@ def test_criterion_2_oracle_equivalence():
         T = tree.indexing_matrix(4)
         n = int(rng.integers(1, 100))
         dense = (rng.random((n, T.rows)) < 0.08).astype(np.uint8)
-        got = propagate_labels(LabelMatrix.from_dense(dense), T).to_dense()
+        labels = LabelMatrix(T.rows, [np.flatnonzero(r) for r in dense])
+        got = propagate_labels(labels, T).to_dense()
         want = np.zeros((n, T.n_cols), dtype=np.uint8)
         for parent in range(T.n_cols):
             kids = np.flatnonzero(T.parent_index == parent)

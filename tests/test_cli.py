@@ -79,6 +79,17 @@ class TestTreeCommand:
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["tree", "stats", "--tree", str(tmp_path / "nope.txt")]) == 1
 
+    @pytest.mark.parametrize("command", [["tree", "build"], ["data", "synth", "--n-docs", "5"]])
+    def test_leaf_with_a_dataset_separator_exit_1(self, tmp_path, capsys, command):
+        """A leaf named 'd;1' would be written to a dataset as two codes, so the tree is
+        refused before anything is written."""
+        path = tmp_path / "t.txt"
+        path.write_text("a/b/c/d0\na/b/c/d;1\n")
+        out = tmp_path / "out"
+        assert main(command + ["--tree", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: leaf code 'd;1' contains")
+        assert not out.exists()
+
     def test_help_exit_0(self):
         with pytest.raises(SystemExit) as exc:
             main(["tree", "--help"])

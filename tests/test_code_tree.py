@@ -49,6 +49,15 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_hierarchy(["A/X/A11/A111", "B/X/B11/B111"])
 
+    @pytest.mark.parametrize("leaf", ["d;1", "d\t1", "d;"])
+    def test_leaf_the_dataset_cannot_hold_rejected(self, leaf):
+        with pytest.raises(ParseError, match=r"^line 2: leaf code .* contains ';' or a TAB"):
+            parse_hierarchy(["a/b/c/d0", f"a/b/c/{leaf}"])
+
+    def test_separator_in_an_inner_level_accepted(self):
+        tree = parse_hierarchy(["a;1/b\t1/c;1/d1"])
+        assert tree.level(2).names == ("b\t1",)
+
     def test_empty_file_rejected(self):
         with pytest.raises(ParseError, match=r"^hierarchy is empty \(no data lines\)$"):
             parse_hierarchy(["# nothing else"])
@@ -113,7 +122,8 @@ class TestPropagation:
             T = tree.indexing_matrix(4)
             n, v = 50, tree.nodes_per_level[3]
             dense = (rng.random((n, v)) < 0.1).astype(np.uint8)
-            got = propagate_labels(LabelMatrix.from_dense(dense), T).to_dense()
+            labels = LabelMatrix(v, [np.flatnonzero(r) for r in dense])
+            got = propagate_labels(labels, T).to_dense()
             want = np.zeros((n, T.n_cols), dtype=np.uint8)
             for parent in range(T.n_cols):
                 children = np.flatnonzero(T.parent_index == parent)
@@ -124,7 +134,8 @@ class TestPropagation:
     def test_double_propagation_shape_and_binary(self, demo_tree):
         rng = np.random.default_rng(0)
         dense = (rng.random((10, 81)) < 0.2).astype(np.uint8)
-        L3 = propagate_labels(LabelMatrix.from_dense(dense), demo_tree.indexing_matrix(4))
+        L3 = propagate_labels(LabelMatrix(81, [np.flatnonzero(r) for r in dense]),
+                              demo_tree.indexing_matrix(4))
         L2 = propagate_labels(L3, demo_tree.indexing_matrix(3))
         d2 = L2.to_dense()
         assert d2.shape == (10, 9)

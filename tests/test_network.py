@@ -9,10 +9,8 @@ import numpy as np
 import pytest
 
 from xrlat import network
-from xrlat.losses import LossConfig
+from xrlat.losses import LossConfig, loss_and_grad
 from xrlat.network import (
-    GRADCHECK_EPS,
-    GRADCHECK_TOL,
     INIT_STD,
     CorrectionLayer,
     LevelModel,
@@ -20,6 +18,7 @@ from xrlat.network import (
     _encode_fwd,
     _head_bwd,
     _head_fwd,
+    check_gradients,
     forward_backward,
     forward_probs,
     gradcheck,
@@ -404,41 +403,28 @@ class TestPaddedDocument:
 
     MASK = np.array([1, 1, 0, 1, 0, 1], dtype=np.uint8)
 
-    def check_finite_differences(self, n_layers, loss, with_corr, mask):
-        """Every trained coordinate against central differences of forward_backward's own
-        loss, under one label mask and one dropout draw (the same rng seed per call)."""
+    def model_doc_gold(self, n_layers, with_corr):
         n_labels, d_emb = 6, 3
         rng = derive_rng(31, n_layers)
         model = init_level_model(18, 4, 4, n_labels, n_layers, 0, rng,
                                  d_emb if with_corr else None)
         if with_corr:
             model.corr_inputs = rng.normal(0.0, 0.1, size=(n_labels, d_emb))
-        doc = chunk(self.TOKENS, c=4, s=3)
-        gold = np.array([1.0, 0, 0, 1, 0, 1])
+        return model, chunk(self.TOKENS, c=4, s=3), np.array([1.0, 0, 0, 1, 0, 1])
 
-        def run():
-            return forward_backward(doc, model.enc, model.head, gold, mask, loss,
+    def check_finite_differences(self, n_layers, loss, with_corr, mask):
+        """Masked rows and the PAD row get no gradient, and every trained coordinate
+        passes check_gradients under the label mask and one dropout draw."""
+        model, doc, gold = self.model_doc_gold(n_layers, with_corr)
+        _, grads = forward_backward(doc, model.enc, model.head, gold, mask, loss,
                                     corr=model.corr, corr_inputs=model.corr_inputs,
                                     dropout=0.1, rng=derive_rng(32))
-
-        eps = GRADCHECK_EPS
-        _, grads = run()
         if mask is not None:
             for name in ("W_la", "W_cl", "b_cl"):
                 assert np.all(grads[name][mask == 0] == 0.0), name
         assert np.all(grads["emb"][PAD_ID] == 0.0)  # no padding row gets a gradient
-        for name, tensor in model.trainable():
-            flat, analytic = tensor.reshape(-1), grads[name].reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                lp = run()[0]
-                flat[i] = orig - eps
-                lm = run()[0]
-                flat[i] = orig
-                numeric = (lp - lm) / (2.0 * eps)
-                rel = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1e-4)
-                assert rel < GRADCHECK_TOL, (name, i, analytic[i], numeric)
+        rep = check_gradients(model, doc, gold, loss, mask, dropout=0.1)
+        assert rep.ok(), rep.to_text()
 
     @pytest.mark.parametrize("with_corr", [False, True], ids=["plain", "corr"])
     @pytest.mark.parametrize("loss", [LossConfig(), ASL], ids=["bce", "asl"])
@@ -456,6 +442,25 @@ class TestPaddedDocument:
         all 6 labels make two tiles that run on the worker threads."""
         monkeypatch.setattr(network, "HEAD_TILE", 3)
         self.check_finite_differences(n_layers, loss, with_corr, self.MASK if masked else None)
+
+    @pytest.mark.parametrize("tile", [3, network.HEAD_TILE], ids=["tile3", "tile-default"])
+    @pytest.mark.parametrize("masked", [True, False], ids=["masked", "unmasked"])
+    @pytest.mark.parametrize("with_corr", [False, True], ids=["plain", "corr"])
+    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    def test_eval_and_training_passes_give_the_same_loss(self, monkeypatch, n_layers,
+                                                         with_corr, masked, tile):
+        """The loss of forward_probs' active probabilities equals forward_backward's, bit
+        for bit: the evaluation and the training forward pass compute the same thing."""
+        monkeypatch.setattr(network, "HEAD_TILE", tile)
+        model, doc, gold = self.model_doc_gold(n_layers, with_corr)
+        mask = self.MASK if masked else None
+        active = slice(None) if mask is None else mask == 1
+        probs = forward_probs(doc, model.enc, model.head, mask, corr=model.corr,
+                              corr_inputs=model.corr_inputs)
+        for loss in (LossConfig(), ASL):
+            train_loss, _ = forward_backward(doc, model.enc, model.head, gold, mask, loss,
+                                             corr=model.corr, corr_inputs=model.corr_inputs)
+            assert loss_and_grad(probs[active], gold[active], loss)[0] == train_loss
 
     @pytest.mark.parametrize("n_layers", [0, 1, 2])
     def test_real_rows_match_the_unpadded_chunk_count(self, n_layers):
@@ -584,7 +589,15 @@ class TestGradcheck:
         assert rep.per_tensor["W_cl"][0] == (0, 0)
 
     def test_correction_layer_gradients(self):
-        rep = gradcheck(1, LossConfig(), with_correction=True, seed=4)
+        n_labels, d_emb = network.GRADCHECK_LABELS, 5
+        rng = derive_rng(4, "gradcheck")
+        model = init_level_model(network.GRADCHECK_VOCAB, network.GRADCHECK_C,
+                                 network.GRADCHECK_HIDDEN, n_labels, 1, 0, rng, d_emb)
+        model.corr_inputs = rng.normal(0.0, 0.1, size=(n_labels, d_emb))
+        c, s = network.GRADCHECK_C, network.GRADCHECK_S
+        doc = make_doc(rng, network.GRADCHECK_VOCAB, c, s, t=c * s - 3)  # gradcheck's document
+        gold = (rng.random(n_labels) < 0.3).astype(np.float64)
+        rep = check_gradients(model, doc, gold, LossConfig())
         assert rep.max_rel_err < 1e-4
         assert "corr.W" in rep.per_tensor and "corr.b" in rep.per_tensor
 
@@ -614,7 +627,7 @@ class TestLevelModel:
     @pytest.mark.parametrize("with_corr", [False, True])
     def test_init_draws_as_the_separate_initializers_did(self, n_layers, with_corr):
         """Every trained tensor and the generator's state after the draws match, so a
-        caller's later draws (gradcheck's corr.E and document) are unchanged too."""
+        caller's later draws (gradcheck's document and gold) are unchanged too."""
         d_emb = 5 if with_corr else None
         rng, ref_rng = derive_rng(3, n_layers), derive_rng(3, n_layers)
         model = init_level_model(50, 8, 8, 20, n_layers, 2, rng, d_emb)
