@@ -5,11 +5,11 @@ Layout (all integers little-endian u32, all floats little-endian f64):
     magic "XRLT" | version | n_meta | n_meta * (klen, key, vlen, value)
     | n_tensors | per tensor: (nlen, name, rank, dims..., row-major f64 data)
 
-Metadata keys and values are UTF-8 strings; tensor names are unique; a tensor's rank
-is at most MAX_RANK, and the product of its nonzero dims times 8 bytes fits numpy's
-size limit (a zero-size tensor can still name huge dims). The reader rejects a
-truncated or malformed header and trailing bytes with ParseError. The format carries no checksum, so a changed byte inside a
-tensor's float payload cannot be detected: it reads back as another number.
+Metadata keys and values are UTF-8 strings; metadata keys and tensor names are unique;
+a tensor's rank is at most MAX_RANK, and the product of its nonzero dims times 8 bytes
+fits numpy's size limit (a zero-size tensor can still name huge dims). The reader rejects
+a truncated or malformed header and trailing bytes with ParseError. The format carries no
+checksum: a changed byte inside a tensor's float payload reads back as another number.
 """
 
 from __future__ import annotations
@@ -118,6 +118,8 @@ def read_container(path: str):
         metadata = {}
         for _ in range(r.u32()):
             key = r.string()
+            if key in metadata:
+                raise ParseError(f"{path}: duplicate metadata key {key!r}")
             metadata[key] = r.string()
         tensors = {}
         for _ in range(r.u32()):
@@ -139,7 +141,39 @@ def read_container(path: str):
 
 
 # ---------------------------------------------------------------------------
-# model checkpoints
+# model and embedding checkpoints
+
+
+def _read_checked(path: str, kind: str, keys: dict, layout_of):
+    """(metadata, settings, tensors) of a ``kind`` container, settings holding the parsed
+    ``keys``; the tensors must be exactly ``layout_of(settings, tensors)``'s (name, shape)
+    pairs, each finite. Raises ParseError naming the first key or tensor that does not."""
+    metadata, tensors = read_container(path)
+    if metadata.get("kind") != kind:
+        raise ParseError(f"{path}: container kind is {metadata.get('kind')!r}, expected {kind!r}")
+    settings = {}
+    for key, parse in keys.items():
+        if key not in metadata:
+            raise ParseError(f"{path}: metadata key {key!r} is missing")
+        try:
+            settings[key] = parse(metadata[key])
+        except ValueError:
+            raise ParseError(f"{path}: metadata key {key!r} has a malformed value "
+                             f"{metadata[key]!r}") from None
+    expected = set()  # read lazily: a huge n_layers stops at its first missing block
+    for name, shape in layout_of(settings, tensors):
+        if name not in tensors:
+            raise ParseError(f"{path}: missing tensor {name!r}")
+        if tensors[name].shape != shape:
+            raise ParseError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
+                             f"expected {shape}")
+        if not np.all(np.isfinite(tensors[name])):
+            raise ParseError(f"{path}: tensor {name!r} has non-finite values")
+        expected.add(name)
+    unused = sorted(set(tensors) - expected)
+    if unused:
+        raise ParseError(f"{path}: tensors {unused} unused by a {kind} checkpoint")
+    return metadata, settings, tensors
 
 
 def save_model(path: str, model, cfg) -> None:
@@ -161,9 +195,11 @@ def save_model(path: str, model, cfg) -> None:
     write_container(path, metadata, dict(model.tensors()))
 
 
-# metadata every model checkpoint carries (save_model writes it), with its parser
+# metadata every model or embedding checkpoint carries (save_model or save_embeddings
+# writes it), with its parser
 MODEL_KEYS = {"level": int, "n_layers": int, "vocab_size": int, "c": int, "s": int,
               "negative_sampling": lambda raw: bool(int(raw)), "binary_threshold": float}
+EMBEDDING_KEYS = {"dim": int, "ball_eps": float}
 
 
 def load_model(path: str):
@@ -171,47 +207,20 @@ def load_model(path: str):
 
     The tensors must be finite and match network.level_layout for the metadata and the
     widths h, L and d of the file's emb, W_la and corr.W (0 where that tensor is missing
-    or has too few axes; corr.* is expected exactly when corr.W is present); raises
-    ParseError naming the first MODEL_KEYS entry (missing or malformed) or tensor that
-    does not.
+    or has too few axes; corr.* is expected exactly when corr.W is present).
     """
-    metadata, tensors = read_container(path)
-    if metadata.get("kind") != "level-model":
-        raise ParseError(f"{path}: container does not hold a model")
-    settings = {}
-    for key, parse in MODEL_KEYS.items():
-        if key not in metadata:
-            raise ParseError(f"{path}: metadata key {key!r} is missing")
-        try:
-            settings[key] = parse(metadata[key])
-        except ValueError:
-            raise ParseError(
-                f"{path}: metadata key {key!r} has a malformed value {metadata[key]!r}"
-            ) from None
-    n_layers = settings["n_layers"]
 
-    def width(name, axis):
-        t = tensors.get(name)
-        return t.shape[axis] if t is not None and t.ndim > axis else 0
+    def layout(settings, tensors):
+        def width(name, axis):
+            t = tensors.get(name)
+            return t.shape[axis] if t is not None and t.ndim > axis else 0
 
-    d_emb = width("corr.W", 0) if "corr.W" in tensors else None
-    layout = level_layout(settings["vocab_size"], settings["c"], width("emb", 1),
-                          width("W_la", 0), n_layers, d_emb)
-    expected = set()
-    for name, shape in layout:
-        if name not in tensors:
-            raise ParseError(f"{path}: missing tensor {name!r}")
-        if tensors[name].shape != shape:
-            raise ParseError(
-                f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {shape}"
-            )
-        if not np.all(np.isfinite(tensors[name])):
-            raise ParseError(f"{path}: tensor {name!r} has non-finite values")
-        expected.add(name)
-    unused = sorted(set(tensors) - expected)
-    if unused:
-        raise ParseError(f"{path}: tensors {unused} unused by a model with n_layers={n_layers}")
-    model = LevelModel.from_tensors(tensors, n_layers, settings["level"],
+        d_emb = width("corr.W", 0) if "corr.W" in tensors else None
+        return level_layout(settings["vocab_size"], settings["c"], width("emb", 1),
+                            width("W_la", 0), settings["n_layers"], d_emb)
+
+    metadata, settings, tensors = _read_checked(path, "level-model", MODEL_KEYS, layout)
+    model = LevelModel.from_tensors(tensors, settings["n_layers"], settings["level"],
                                     metadata.get("provenance", "random"))
     return model, settings
 
@@ -228,33 +237,14 @@ def save_embeddings(path: str, emb, extra_metadata: dict | None = None) -> None:
 def load_embeddings(path: str, tree):
     """Returns (metadata, PoincareEmbeddings) for an embedding checkpoint of ``tree``.
 
-    Rows follow ``flatten_tree(tree)``; the virtual root is not stored and
-    loads at the origin. Each E<k> must be finite.
+    Rows follow ``flatten_tree(tree)``; the virtual root is not stored and loads at the
+    origin. The tensors must be exactly E1..E4, finite and shaped (level k nodes, dim).
     """
-    metadata, tensors = read_container(path)
-    if metadata.get("kind") != "poincare":
-        raise ParseError(f"{path}: container does not hold embeddings")
-    try:
-        dim = int(metadata["dim"])
-        ball_eps = float(metadata["ball_eps"])
-    except (KeyError, ValueError):
-        raise ParseError(
-            f"{path}: embedding metadata needs an integer 'dim' and a float 'ball_eps'"
-        ) from None
     flat = flatten_tree(tree)
-    blocks = []
-    for k, rows in enumerate(flat.level_slices, start=1):
-        name = f"E{k}"
-        if name not in tensors:
-            raise ParseError(f"{path}: missing tensor {name}")
-        want = (rows.stop - rows.start, dim)
-        if tensors[name].shape != want:
-            raise ParseError(
-                f"{path}: tensor {name} has shape {tensors[name].shape}, expected {want} "
-                f"(level {k} nodes of the tree by metadata dim)"
-            )
-        if not np.all(np.isfinite(tensors[name])):
-            raise ParseError(f"{path}: tensor {name} has non-finite values")
-        blocks.append(tensors[name])
-    vectors = np.vstack([np.zeros((1, dim))] + blocks)
+    metadata, settings, tensors = _read_checked(
+        path, "poincare", EMBEDDING_KEYS, lambda settings, _: [
+            (f"E{k}", (rows.stop - rows.start, settings["dim"]))
+            for k, rows in enumerate(flat.level_slices, start=1)])
+    dim, ball_eps = settings["dim"], settings["ball_eps"]
+    vectors = np.vstack([np.zeros((1, dim))] + [tensors[f"E{k}"] for k in range(1, 5)])
     return metadata, PoincareEmbeddings(flat.names, flat.level_slices, vectors, ball_eps)

@@ -297,9 +297,7 @@ def _encode_fwd(doc: ChunkedDocument, enc: EncoderParams, dropout: float = 0.0,
              "ln2": ln2c, "b2": b2, "f1": f1, "g1": g1, "tanh1": tanh1, "mask_a": mask_a}
         )
         x = x_next
-    H = x.reshape(s * c, enc.hidden)
-    cache["H"] = H
-    return H, cache
+    return x.reshape(s * c, enc.hidden), cache
 
 
 def _flat_outer(a, b):

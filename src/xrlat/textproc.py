@@ -88,6 +88,8 @@ class Vocabulary:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ParseError(f"{path}:{lineno}: expected 'token<TAB>id'")
+            if parts[0] in token_to_id:
+                raise ParseError(f"{path}:{lineno}: token {parts[0]!r} appears twice")
             try:
                 token_to_id[parts[0]] = int(parts[1])
             except ValueError:

@@ -439,12 +439,7 @@ def train_xr_lat(data: PreparedDataset, tree: CodeTree, cfg: TrainConfig,
         elif cfg.bootstrap == "equal":
             model = bootstrap_equal(prev_model, tree.indexing_matrix(k))
         else:
-            E_k = embeddings.level(k)
-            if E_k.shape[0] != n_labels:
-                raise ConfigError(
-                    f"embeddings for level {k} have {E_k.shape[0]} rows, tree has {n_labels}"
-                )
-            model = bootstrap_hyperc(prev_model, tree.indexing_matrix(k), E_k)
+            model = bootstrap_hyperc(prev_model, tree.indexing_matrix(k), embeddings.level(k))
 
         masks = None
         if k > 1 and cfg.negative_sampling:

@@ -82,6 +82,8 @@ NOT_UTF8 = b"\xff\xfe"
 MALFORMED_CONTAINERS = [
     pytest.param([(NOT_UTF8, b"v")], [], "string at byte 12 is not UTF-8", id="meta-key"),
     pytest.param([(b"k", NOT_UTF8)], [], "string at byte 17 is not UTF-8", id="meta-value"),
+    pytest.param([(b"kind", b"level-model"), (b"kind", b"poincare")], [],
+                 "duplicate metadata key 'kind'", id="duplicate-meta-key"),
     pytest.param([], [(NOT_UTF8, (1,), bytes(8))], "string at byte 16 is not UTF-8",
                  id="tensor-name"),
     # 2^31 * 2^31 * 4 elements wrap an int64 element count to 0

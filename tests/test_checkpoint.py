@@ -249,8 +249,10 @@ class TestModelCheckpoint:
         (lambda meta, t: t.update({"corr.W": np.array(1.0)}),
          "tensor 'corr.W' has shape (), expected (0, 8)"),
         (lambda meta, t: t.pop("corr.W"), "tensors ['corr.E', 'corr.b'] unused"),
+        # the layout is read lazily, so a huge n_layers stops at its first missing block
+        (lambda meta, t: meta.update(n_layers="9" * 30), "missing tensor 'blk2.q'"),
     ], ids=["no-corr.E", "no-emb", "emb-1d", "vocab_size", "c", "pos-inf", "unused",
-            "corr.W-scalar", "no-corr.W"])
+            "corr.W-scalar", "no-corr.W", "n_layers-huge"])
     def test_tensor_table_mismatch_names_tensor(self, tmp_path, edit, named):
         model = self._model(with_corr=True)
         cfg = TrainConfig(c=4, s=2, hidden_size=8, n_layers=2, seed=5)
@@ -320,4 +322,29 @@ class TestEmbeddingCheckpoint:
         write_container(path, meta, tensors)
         with pytest.raises(ParseError) as exc:
             load_embeddings(path, demo_tree)
-        assert str(exc.value) == f"{path}: tensor E2 has non-finite values"
+        assert str(exc.value) == f"{path}: tensor 'E2' has non-finite values"
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda meta, t: t.update(E5=t["E4"]), "tensors ['E5'] unused by a poincare checkpoint"),
+        (lambda meta, t: meta.pop("dim"), "metadata key 'dim' is missing"),
+        (lambda meta, t: meta.update(ball_eps="tiny"),
+         "metadata key 'ball_eps' has a malformed value 'tiny'"),
+    ], ids=["extra-E5", "no-dim", "ball_eps"])
+    def test_contract_mismatch_names_key_or_tensor(self, tmp_path, demo_tree, edit, message):
+        emb = train_poincare(demo_tree, dim=4, epochs=0, lr=0.1, seed=4)
+        path = str(tmp_path / "emb.ckpt")
+        save_embeddings(path, emb)
+        meta, tensors = read_container(path)
+        edit(meta, tensors)
+        write_container(path, meta, tensors)
+        with pytest.raises(ParseError) as exc:
+            load_embeddings(path, demo_tree)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_model_checkpoint_rejected(self, tmp_path, demo_tree):
+        path = str(tmp_path / "m.ckpt")
+        save_model(path, init_level_model(20, 4, 8, 3, 0, 1, derive_rng(2)),
+                   TrainConfig(c=4, s=2, hidden_size=8, n_layers=0, seed=5))
+        with pytest.raises(ParseError) as exc:
+            load_embeddings(path, demo_tree)
+        assert str(exc.value) == f"{path}: container kind is 'level-model', expected 'poincare'"

@@ -330,7 +330,7 @@ class TestTrainCommand:
                           max_steps=4, embeddings=path)
         capsys.readouterr()
         assert main(["train", "xr-lat", "--config", cfg]) == 1
-        assert capsys.readouterr().err == f"error: {path}: tensor E2 has non-finite values\n"
+        assert capsys.readouterr().err == f"error: {path}: tensor 'E2' has non-finite values\n"
         assert not os.path.exists(str(tmp_path / "run" / "level1.ckpt"))
 
 
@@ -642,6 +642,21 @@ class TestEvalCommand:
         assert main(["eval", "--ckpt", ckpt, "--tree", demo_tree_path,
                      "--dataset", small_dataset, "--vocab", bad_vocab]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad_vocab}: 3 ids, but {ckpt} ")
+
+    def test_repeated_vocab_token_exit_1_naming_line(self, tmp_path, demo_tree_path,
+                                                     small_dataset, capsys):
+        run = self._trained_run(tmp_path, demo_tree_path, small_dataset, max_steps=1)
+        vocab = os.path.join(run, "vocab.txt")
+        with open(vocab) as fh:
+            lines = fh.read().splitlines()
+        with open(vocab, "a") as fh:
+            fh.write(lines[1] + "\n")  # the first token again
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", os.path.join(run, "flat.ckpt"), "--tree", demo_tree_path,
+                     "--dataset", small_dataset, "--vocab", vocab]) == 1
+        token = lines[1].split("\t")[0]
+        assert capsys.readouterr().err == (
+            f"error: {vocab}:{len(lines) + 1}: token {token!r} appears twice\n")
 
 
 @pytest.fixture(scope="module")

@@ -101,6 +101,14 @@ class TestVocabAndTokenize:
         with pytest.raises(ParseError):
             Vocabulary.load(str(path))
 
+    @pytest.mark.parametrize("repeat_id", ["2", "3"], ids=["same-id", "other-id"])
+    def test_vocab_load_rejects_repeated_token(self, tmp_path, repeat_id):
+        path = tmp_path / "dup.txt"
+        path.write_text(f"a\t2\nb\t3\na\t{repeat_id}\n")
+        with pytest.raises(ParseError) as exc:
+            Vocabulary.load(str(path))
+        assert str(exc.value) == f"{path}:3: token 'a' appears twice"
+
 
 class TestChunk:
     def test_padding_in_last_chunk(self):
