@@ -22,7 +22,7 @@ import struct
 
 import numpy as np
 
-from .hyperbolic import PoincareEmbeddings, flatten_tree
+from .hyperbolic import BALL_EPS, PoincareEmbeddings, flatten_tree, outside_ball
 from .network import LevelModel, level_layout
 from .util import ParseError, atomic_write_bytes
 
@@ -227,7 +227,7 @@ def load_model(path: str):
 
 def save_embeddings(path: str, emb, extra_metadata: dict | None = None) -> None:
     """Store per-level Poincare matrices as tensors E1..E4."""
-    metadata = {"kind": "poincare", "dim": emb.dim, "ball_eps": repr(emb.ball_eps)}
+    metadata = {"kind": "poincare", "dim": emb.dim, "ball_eps": repr(BALL_EPS)}
     if extra_metadata:
         metadata.update(extra_metadata)
     tensors = {f"E{k}": emb.level(k) for k in range(1, 5)}
@@ -238,13 +238,22 @@ def load_embeddings(path: str, tree):
     """Returns (metadata, PoincareEmbeddings) for an embedding checkpoint of ``tree``.
 
     Rows follow ``flatten_tree(tree)``; the virtual root is not stored and loads at the
-    origin. The tensors must be exactly E1..E4, finite and shaped (level k nodes, dim).
+    origin. The tensors must be exactly E1..E4, finite and shaped (level k nodes, dim),
+    ``ball_eps`` must lie in (0, 1), and every row must have norm <= 1 - ball_eps.
     """
     flat = flatten_tree(tree)
     metadata, settings, tensors = _read_checked(
         path, "poincare", EMBEDDING_KEYS, lambda settings, _: [
             (f"E{k}", (rows.stop - rows.start, settings["dim"]))
             for k, rows in enumerate(flat.level_slices, start=1)])
-    dim, ball_eps = settings["dim"], settings["ball_eps"]
-    vectors = np.vstack([np.zeros((1, dim))] + [tensors[f"E{k}"] for k in range(1, 5)])
-    return metadata, PoincareEmbeddings(flat.names, flat.level_slices, vectors, ball_eps)
+    ball_eps = settings["ball_eps"]
+    if not 0.0 < ball_eps < 1.0:
+        raise ParseError(f"{path}: metadata key 'ball_eps' must lie in (0, 1), "
+                         f"got {metadata['ball_eps']!r}")
+    for k in range(1, 5):
+        rows = outside_ball(tensors[f"E{k}"], ball_eps)
+        if rows.size:
+            raise ParseError(f"{path}: tensor 'E{k}' row {rows[0]} lies outside the Poincare "
+                             f"ball (norm above 1 - ball_eps = {1.0 - ball_eps!r})")
+    vectors = np.vstack([np.zeros((1, settings["dim"]))] + [tensors[f"E{k}"] for k in range(1, 5)])
+    return metadata, PoincareEmbeddings(flat.names, flat.level_slices, vectors)

@@ -1,11 +1,11 @@
 """Poincare-ball embeddings of hierarchy nodes, trained by Riemannian SGD.
 
-All tree nodes (virtual root plus the four levels) are embedded in the open
-unit ball. Training minimizes, for each parent-child edge, the softmax
-ranking loss of the edge distance against the distances to uniformly sampled
-non-neighbor nodes. The Riemannian gradient is the Euclidean gradient scaled
-by ((1 - |theta|^2)^2) / 4, and rows are projected back inside radius
-1 - BALL_EPS after every update.
+All tree nodes (virtual root plus the four levels) lie in the ball of radius
+1 - BALL_EPS, the rule ``outside_ball`` checks. Training minimizes, for each
+parent-child edge, the softmax ranking loss of the edge distance against the
+distances to uniformly sampled non-neighbor nodes, in one array step over the
+child and its distinct candidates: each row's Euclidean gradient is scaled by
+((1 - |theta|^2)^2) / 4, applied, and a row that left the ball is projected back.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .code_tree import CodeTree, N_LEVELS
-from .util import DataError, derive_rng
+from .util import DataError, NumericsError, derive_rng
 
 BALL_EPS = 1e-5
 INIT_RADIUS = 1e-3
@@ -42,29 +42,21 @@ class FlatTree:
 
 
 def flatten_tree(tree: CodeTree) -> FlatTree:
-    names = ["<root>"]
-    level_slices = []
-    offset = 1
-    parents = [-1]
-    prev_offset = 0
+    names, parents, level_slices = ["<root>"], [np.array([-1])], []
+    above = 0  # flat index of the level above's first node: the root for level 1
     for k in range(1, N_LEVELS + 1):
         lvl = tree.level(k)
-        level_slices.append(slice(offset, offset + lvl.size))
-        if k == 1:
-            parents.extend([0] * lvl.size)
-        else:
-            parents.extend((lvl.parents + prev_offset).tolist())
+        level_slices.append(slice(len(names), len(names) + lvl.size))
+        parents.append(lvl.parents + above)  # level 1's parents are all 0
+        above = len(names)
         names.extend(lvl.names)
-        prev_offset = offset
-        offset += lvl.size
-    return FlatTree(names, np.array(parents, dtype=np.int64), level_slices)
+    return FlatTree(names, np.concatenate(parents).astype(np.int64), level_slices)
 
 
 def edge_set(tree: CodeTree) -> np.ndarray:
     """(n_edges, 2) array of (parent, child) flat indices over all levels and the root."""
     flat = flatten_tree(tree)
-    children = np.arange(1, len(flat.names), dtype=np.int64)
-    return np.stack([flat.parent[children], children], axis=1)
+    return np.stack([flat.parent[1:], np.arange(1, len(flat.names), dtype=np.int64)], axis=1)
 
 
 @dataclass
@@ -74,7 +66,6 @@ class PoincareEmbeddings:
     names: list
     level_slices: list
     vectors: np.ndarray  # (n_nodes, dim) float64
-    ball_eps: float = BALL_EPS
     epoch_max_norms: list = field(default_factory=list)
 
     @property
@@ -94,12 +85,15 @@ def _init_vectors(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     return direction * radius[:, np.newaxis]
 
 
-def _project_row(vectors: np.ndarray, idx: int) -> None:
-    norm = np.linalg.norm(vectors[idx])
-    limit = 1.0 - BALL_EPS
-    if norm >= limit:
-        # shave a hair below the limit so rounding cannot push the norm back over it
-        vectors[idx] *= limit * (1.0 - 1e-12) / norm
+def _sq_norms(X: np.ndarray) -> np.ndarray:
+    """x @ x for each row x of X, one BLAS dot per row (so equal to the 1-D product)."""
+    return np.matmul(X[:, np.newaxis, :], X[:, :, np.newaxis])[:, 0, 0]
+
+
+def outside_ball(X: np.ndarray, ball_eps: float = BALL_EPS) -> np.ndarray:
+    """Indices of the rows of X whose norm is not at most 1 - ball_eps."""
+    with np.errstate(over="ignore"):  # a norm too large to square is outside
+        return np.flatnonzero(~(np.sqrt(_sq_norms(X)) <= 1.0 - ball_eps))
 
 
 def _distance_batch(u: np.ndarray, X: np.ndarray):
@@ -138,30 +132,26 @@ def _distance_grads(u, X, alpha, beta, sq, gamma):
 def _edge_loss_and_grads(vectors: np.ndarray, child: int, parent: int, negs: np.ndarray):
     """Softmax ranking loss of one edge against its sampled negatives.
 
-    Candidates are the true parent followed by the negatives; the loss is
-    -log softmax(-distance) of the true parent. Returns (loss, {index: grad}).
+    Candidates are the true parent followed by the negatives (none of them the
+    child); the loss is -log softmax(-distance) of the true parent. Returns
+    (loss, rows, grads): rows are the child, then its distinct candidates in
+    ascending order, and grads[i] is the loss gradient at vectors[rows[i]]; a
+    negative drawn twice sums both draws.
     """
     cand = np.concatenate([[parent], negs]).astype(np.int64)
     u = vectors[child]
     X = vectors[cand]
     dist, alpha, beta, sq, gamma = _distance_batch(u, X)
-    shifted = -dist + dist.min()
-    e = np.exp(shifted)
-    w = e / e.sum()
+    e = np.exp(-dist + dist.min())
     loss = dist[0] + np.log(e.sum()) - dist.min()
-    # dL/ddist_j = [j == 0] - w_j
-    coeff = -w
+    coeff = -(e / e.sum())  # dL/ddist_j = [j == 0] - softmax(-dist)_j
     coeff[0] += 1.0
     du_rows, dx_rows = _distance_grads(u, X, alpha, beta, sq, gamma)
-    grads = {int(child): coeff @ du_rows}
-    for j, idx in enumerate(cand):
-        g = coeff[j] * dx_rows[j]
-        idx = int(idx)
-        if idx in grads:
-            grads[idx] = grads[idx] + g
-        else:
-            grads[idx] = g
-    return float(loss), grads
+    distinct, slot = np.unique(cand, return_inverse=True)
+    grads = np.zeros((1 + distinct.size, vectors.shape[1]))
+    grads[0] = coeff @ du_rows
+    np.add.at(grads, slot + 1, coeff[:, np.newaxis] * dx_rows)
+    return float(loss), np.concatenate([[child], distinct]), grads
 
 
 def _sample_negatives(rng, parent: list, n_children: list, child: int, k: int) -> np.ndarray:
@@ -189,7 +179,8 @@ def train_poincare(tree: CodeTree, dim: int = 50, epochs: int = 50, lr: float = 
     """Embed every tree node in the Poincare ball; deterministic per seed.
 
     The first 10 epochs run at lr/10 (burn-in). epochs=0 returns the seeded
-    initialization untouched (all norms <= the 0.001 init radius).
+    initialization untouched (all norms <= the 0.001 init radius). A step that leaves
+    a row non-finite or too large to square raises NumericsError naming epoch and edge.
     """
     if dim < 2:
         raise DataError(f"embedding dim must be >= 2, got {dim}")
@@ -203,21 +194,29 @@ def train_poincare(tree: CodeTree, dim: int = 50, epochs: int = 50, lr: float = 
     n = len(flat.names)
     rng = derive_rng(seed, "poincare")
     vectors = _init_vectors(n, dim, rng)
-    edges = edge_set(tree)
     parents = flat.parent.tolist()
     n_children = np.bincount(flat.parent[1:], minlength=n).tolist()
 
     result = PoincareEmbeddings(flat.names, flat.level_slices, vectors)
     for epoch in range(epochs):
         cur_lr = lr / 10.0 if epoch < BURN_IN_EPOCHS else lr
-        for e in rng.permutation(len(edges)):
-            parent, child = int(edges[e, 0]), int(edges[e, 1])
+        for child in (rng.permutation(n - 1) + 1).tolist():  # edge e ends at node e + 1
             negs = _sample_negatives(rng, parents, n_children, child, n_negatives)
-            _, grads = _edge_loss_and_grads(vectors, child, parent, negs)
-            for idx, g in grads.items():
-                scale = (1.0 - vectors[idx] @ vectors[idx]) ** 2 / 4.0
-                vectors[idx] -= cur_lr * scale * g
-                _project_row(vectors, idx)
+            _, rows, grads = _edge_loss_and_grads(vectors, child, parents[child], negs)
+            V = vectors[rows]
+            # float_power: C pow(), as a scalar ** 2; an array ** 2 is x * x, which rounds apart
+            scale = np.float_power(1.0 - _sq_norms(V), 2) / 4.0
+            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                V -= (cur_lr * scale)[:, np.newaxis] * grads
+                norm = np.sqrt(_sq_norms(V))
+            if not np.all(np.isfinite(norm)):
+                raise NumericsError(f"epoch {epoch + 1}, edge {flat.names[parents[child]]} -> "
+                                    f"{flat.names[child]}: a Poincare step left a row non-finite"
+                                    " or too large to square", tensor="embeddings", step=epoch + 1)
+            over = norm >= 1.0 - BALL_EPS
+            # shave a hair below the limit so rounding cannot push the norm back over it
+            V[over] *= ((1.0 - BALL_EPS) * (1.0 - 1e-12) / norm[over])[:, np.newaxis]
+            vectors[rows] = V
         result.epoch_max_norms.append(float(np.linalg.norm(vectors, axis=1).max()))
-        assert result.epoch_max_norms[-1] <= 1.0 - BALL_EPS, "ball invariant violated"
+        assert outside_ball(vectors).size == 0, "ball invariant violated"
     return result

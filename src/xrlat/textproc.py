@@ -193,8 +193,12 @@ def synth_corpus(
         )
     if not 0.0 <= trigger_prob <= 1.0:
         raise ConfigError(f"trigger_prob must be in [0, 1], got {trigger_prob}")
-    if filler_vocab < 1 or doc_len < 1:
-        raise ConfigError("filler_vocab and doc_len must be >= 1")
+    # doc_len: the most tokens a model reads (chunk drops the rest); filler_vocab: the
+    # range of the int64 sampler
+    for key, value, top in (("doc_len", doc_len, MAX_CHUNK_LEN * MAX_CHUNKS),
+                            ("filler_vocab", filler_vocab, np.iinfo(np.int64).max)):
+        if not 1 <= value <= top:
+            raise ConfigError(f"{key} must be in [1, {top}], got {value!r}")
     rng = derive_rng(seed, "synth")
     docs = []
     rows = []

@@ -329,7 +329,13 @@ class TestEmbeddingCheckpoint:
         (lambda meta, t: meta.pop("dim"), "metadata key 'dim' is missing"),
         (lambda meta, t: meta.update(ball_eps="tiny"),
          "metadata key 'ball_eps' has a malformed value 'tiny'"),
-    ], ids=["extra-E5", "no-dim", "ball_eps"])
+        *[(lambda meta, t, v=v: meta.update(ball_eps=v),
+           f"metadata key 'ball_eps' must lie in (0, 1), got {v!r}")
+          for v in ("0.0", "1.0", "nan")],
+        (lambda meta, t: t.update(E2=t["E2"] * 1e200),  # a norm too large to square
+         "tensor 'E2' row 0 lies outside the Poincare ball (norm above 1 - ball_eps = 0.99999)"),
+    ], ids=["extra-E5", "no-dim", "ball_eps", "ball_eps-0", "ball_eps-1", "ball_eps-nan",
+            "E2-outside-ball"])
     def test_contract_mismatch_names_key_or_tensor(self, tmp_path, demo_tree, edit, message):
         emb = train_poincare(demo_tree, dim=4, epochs=0, lr=0.1, seed=4)
         path = str(tmp_path / "emb.ckpt")
@@ -340,6 +346,21 @@ class TestEmbeddingCheckpoint:
         with pytest.raises(ParseError) as exc:
             load_embeddings(path, demo_tree)
         assert str(exc.value) == f"{path}: {message}"
+
+    def test_row_on_the_ball_limit_loads(self, tmp_path, demo_tree):
+        """A row at exactly norm 1 - ball_eps is inside; a hair further out is not."""
+        emb = train_poincare(demo_tree, dim=4, epochs=0, lr=0.1, seed=4)
+        path = str(tmp_path / "emb.ckpt")
+        save_embeddings(path, emb)
+        meta, tensors = read_container(path)
+        meta["ball_eps"] = "0.5"
+        tensors["E4"][3] = [0.5, 0.0, 0.0, 0.0]
+        write_container(path, meta, tensors)
+        assert load_embeddings(path, demo_tree)[1].level(4)[3, 0] == 0.5
+        tensors["E4"][3, 0] = np.nextafter(0.5, 1.0)
+        write_container(path, meta, tensors)
+        with pytest.raises(ParseError, match="tensor 'E4' row 3 lies outside"):
+            load_embeddings(path, demo_tree)
 
     def test_model_checkpoint_rejected(self, tmp_path, demo_tree):
         path = str(tmp_path / "m.ckpt")

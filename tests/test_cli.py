@@ -112,7 +112,13 @@ class TestDataCommand:
 
     @pytest.mark.parametrize("flag,value", [("--n-docs", "-3"),
                                             ("--codes-per-doc-mean", "-1"),
-                                            ("--codes-per-doc-mean", "1e19")])
+                                            ("--codes-per-doc-mean", "1e19"),
+                                            ("--doc-len", "0"),
+                                            ("--doc-len", "262145"),
+                                            ("--doc-len", "1000000000000"),
+                                            ("--filler-vocab", "0"),
+                                            ("--filler-vocab", "9223372036854775808"),
+                                            ("--filler-vocab", "1000000000000000000000")])
     def test_synth_bad_count_exit_1(self, tmp_path, demo_tree_path, capsys, flag, value):
         out = str(tmp_path / "bad.tsv")
         args = ["data", "synth", "--tree", demo_tree_path, "--out", out, "--n-docs", "5"]
@@ -208,6 +214,15 @@ class TestEmbedCommand:
         assert main(["embed", "--tree", demo_tree_path, "--out", out, "--dim", "5",
                      "--epochs", "1", "--lr", lr]) == 1
         assert "error: lr must be finite and > 0" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_overflowing_lr_exit_2_writes_nothing(self, tmp_path, demo_tree_path, capsys):
+        """--lr 1e300 overflows the first step: a numeric error naming the epoch and edge,
+        not all-zero embeddings."""
+        out = str(tmp_path / "e")
+        assert main(["embed", "--tree", demo_tree_path, "--out", out, "--lr", "1e300"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: epoch 1, edge ") and " -> " in err
         assert not os.path.exists(out)
 
     def test_negative_negatives_exit_1(self, tmp_path, demo_tree_path, capsys):
@@ -331,6 +346,22 @@ class TestTrainCommand:
         capsys.readouterr()
         assert main(["train", "xr-lat", "--config", cfg]) == 1
         assert capsys.readouterr().err == f"error: {path}: tensor 'E2' has non-finite values\n"
+        assert not os.path.exists(str(tmp_path / "run" / "level1.ckpt"))
+
+    def test_embeddings_outside_ball_exit_1_naming_tensor(self, tmp_path, demo_tree_path,
+                                                          small_dataset, capsys):
+        emb_dir = str(tmp_path / "emb")
+        assert main(["embed", "--tree", demo_tree_path, "--out", emb_dir,
+                     "--dim", "5", "--epochs", "3", "--seed", "4"]) == 0
+        path = os.path.join(emb_dir, "embeddings.ckpt")
+        meta, tensors = read_container(path)
+        tensors["E2"] *= 1000.0
+        write_container(path, meta, tensors)
+        cfg = base_config(tmp_path, demo_tree_path, small_dataset, bootstrap="hyperc",
+                          max_steps=4, embeddings=path)
+        capsys.readouterr()
+        assert main(["train", "xr-lat", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: tensor 'E2' row ")
         assert not os.path.exists(str(tmp_path / "run" / "level1.ckpt"))
 
 

@@ -5,15 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xrlat.hyperbolic import (
+    BALL_EPS,
+    BURN_IN_EPOCHS,
+    _distance_batch,
+    _distance_grads,
     _edge_loss_and_grads,
+    _init_vectors,
     _sample_negatives,
     edge_set,
     flatten_tree,
+    outside_ball,
     poincare_distance,
     train_poincare,
 )
 from xrlat.code_tree import parse_hierarchy, sized_hierarchy_lines
-from xrlat.util import DataError, derive_rng
+from xrlat.util import DataError, NumericsError, derive_rng
 
 from conftest import random_tree
 
@@ -97,6 +103,49 @@ def sample_negatives_from_sets(rng, n_nodes, forbidden, k):
     return out
 
 
+def per_row_reference(tree, dim, epochs, lr, n_negatives, seed):
+    """train_poincare's vectors as a per-row loop makes them: each edge's gradients go into
+    a dict keyed by row, then each row is scaled, stepped and projected on its own.
+    Returns (vectors, repeated negatives, projections)."""
+    flat = flatten_tree(tree)
+    n = len(flat.names)
+    rng = derive_rng(seed, "poincare")
+    vectors = _init_vectors(n, dim, rng)
+    edges = edge_set(tree)
+    parents = flat.parent.tolist()
+    n_children = np.bincount(flat.parent[1:], minlength=n).tolist()
+    limit = 1.0 - BALL_EPS
+    repeats = projections = 0
+    for epoch in range(epochs):
+        cur_lr = lr / 10.0 if epoch < BURN_IN_EPOCHS else lr
+        for e in rng.permutation(len(edges)):
+            parent, child = int(edges[e, 0]), int(edges[e, 1])
+            negs = _sample_negatives(rng, parents, n_children, child, n_negatives)
+            cand = np.concatenate([[parent], negs])
+            u, X = vectors[child], vectors[cand]
+            dist, alpha, beta, sq, gamma = _distance_batch(u, X)
+            e = np.exp(-dist + dist.min())
+            coeff = -(e / e.sum())
+            coeff[0] += 1.0
+            du_rows, dx_rows = _distance_grads(u, X, alpha, beta, sq, gamma)
+            grads = {child: coeff @ du_rows}
+            for j, idx in enumerate(cand.tolist()):
+                g = coeff[j] * dx_rows[j]
+                if idx in grads:
+                    grads[idx] = grads[idx] + g
+                    repeats += 1
+                else:
+                    grads[idx] = g
+            for idx, g in grads.items():
+                scale = (1.0 - vectors[idx] @ vectors[idx]) ** 2 / 4.0
+                vectors[idx] -= cur_lr * scale * g
+                norm = np.linalg.norm(vectors[idx])
+                if norm >= limit:
+                    vectors[idx] *= limit * (1.0 - 1e-12) / norm
+                    projections += 1
+    return vectors, repeats, projections
+
+
 class TestNegativeSampling:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -151,7 +200,7 @@ class TestTraining:
 
     def test_edges_closer_than_non_edges(self, demo_tree):
         emb = train_poincare(demo_tree, dim=10, epochs=60, lr=0.1, n_negatives=10, seed=7)
-        assert all(m <= 1.0 - emb.ball_eps for m in emb.epoch_max_norms)
+        assert all(m <= 1.0 - BALL_EPS for m in emb.epoch_max_norms)
         edges = edge_set(demo_tree)
         edge_mean = np.mean(
             [poincare_distance(emb.vectors[p], emb.vectors[c]) for p, c in edges]
@@ -165,6 +214,31 @@ class TestTraining:
             if i != j and (min(i, j), max(i, j)) not in adj:
                 non.append(poincare_distance(emb.vectors[i], emb.vectors[j]))
         assert edge_mean < np.mean(non)
+
+    @pytest.mark.parametrize("lr", [1e300, 1e200])
+    def test_overflowing_step_raises_numerics_error(self, demo_tree, lr):
+        """A step whose row overflows (1e300) or whose squared norm does (1e200) stops
+        training at that edge, with no numpy warning (the suite turns warnings into errors)."""
+        message = r"^epoch 1, edge \S+ -> \S+: a Poincare step left a row non-finite"
+        with pytest.raises(NumericsError, match=message) as exc:
+            train_poincare(demo_tree, dim=4, epochs=1, lr=lr)
+        assert exc.value.step == 1 and exc.value.tensor == "embeddings"
+
+    def test_large_finite_step_is_projected(self, demo_tree):
+        emb = train_poincare(demo_tree, dim=4, epochs=2, lr=1e100)
+        assert outside_ball(emb.vectors).size == 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_array_step_matches_per_row_loop(self, seed):
+        """Twenty epochs on a small random tree, where ten negatives repeat nodes and lr 2
+        drives rows to the ball's edge, end in the bytes of the per-row loop. (At seeds 1
+        and 2 an array ** 2 in place of the pow() square already moves a bit.)"""
+        tree = random_tree(derive_rng(31, seed))
+        epochs = BURN_IN_EPOCHS + 10
+        got = train_poincare(tree, dim=5, epochs=epochs, lr=2.0, seed=seed)
+        want, repeats, projections = per_row_reference(tree, 5, epochs, 2.0, 10, seed)
+        assert repeats > 0 and projections > 0
+        assert got.vectors.tobytes() == want.tobytes()
 
     def test_realistic_scale_shapes(self):
         tree = parse_hierarchy(sized_hierarchy_lines((36, 279, 1167, 8929)))
@@ -206,16 +280,17 @@ class TestRiemannianGradient:
         n = len(flat.names)
         vectors = rng.uniform(-0.3, 0.3, size=(n, 5))
         child, parent = 40, int(flat.parent[40])
-        negs = np.array([3, 17, 90, 101])
-        _, grads = _edge_loss_and_grads(vectors, child, parent, negs)
+        negs = np.array([3, 17, 17, 90])  # 17 drawn twice: its row sums both draws
+        _, rows, grads = _edge_loss_and_grads(vectors, child, parent, negs)
+        assert rows.tolist() == [child] + sorted({parent, 3, 17, 90})
         eps = 1e-6
-        for idx, grad in grads.items():
+        for idx, grad in zip(rows, grads):
             for d in range(vectors.shape[1]):
                 orig = vectors[idx, d]
                 vectors[idx, d] = orig + eps
-                lp, _ = _edge_loss_and_grads(vectors, child, parent, negs)
+                lp, _, _ = _edge_loss_and_grads(vectors, child, parent, negs)
                 vectors[idx, d] = orig - eps
-                lm, _ = _edge_loss_and_grads(vectors, child, parent, negs)
+                lm, _, _ = _edge_loss_and_grads(vectors, child, parent, negs)
                 vectors[idx, d] = orig
                 numeric = (lp - lm) / (2 * eps)
                 assert abs(grad[d] - numeric) / max(abs(grad[d]), abs(numeric), 1e-8) < 1e-4

@@ -195,12 +195,19 @@ class TestSynthCorpus:
                                         dict(codes_per_doc_mean=float("nan")),
                                         dict(codes_per_doc_mean=float("inf")),
                                         dict(codes_per_doc_mean=82.0),
-                                        dict(codes_per_doc_mean=1e19)])
+                                        dict(codes_per_doc_mean=1e19),
+                                        dict(doc_len=0), dict(doc_len=2**18 + 1),
+                                        dict(filler_vocab=0), dict(filler_vocab=2**63)])
     def test_bad_counts_rejected(self, demo_tree, kwargs):
         args = dict(n_docs=5, seed=1)
         args.update(kwargs)
         with pytest.raises(ConfigError):
             synth_corpus(demo_tree, **args)
+
+    def test_largest_doc_len_and_filler_vocab(self, demo_tree):
+        """doc_len may reach the 2**18 tokens a model reads, and filler ids the int64 range."""
+        docs, _ = synth_corpus(demo_tree, 1, doc_len=2**18, filler_vocab=2**63 - 1, seed=2)
+        assert len(docs[0].text.split()) == 2**18
 
     def test_every_doc_has_a_code(self, demo_tree):
         _, labels = synth_corpus(demo_tree, 50, codes_per_doc_mean=0.01, seed=5)
