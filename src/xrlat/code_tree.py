@@ -67,10 +67,15 @@ class CodeTree:
     """The 4-level hierarchy below a virtual root (level 0, a single node)."""
 
     levels: tuple[TreeLevel, ...]
+    # T of levels 1..4, built once: the cascade asks for one per document and level
+    _matrices: tuple[IndexingMatrix, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.levels) != N_LEVELS:
             raise DataError(f"tree must have exactly {N_LEVELS} levels")
+        n_cols = (1,) + self.nodes_per_level[:-1]
+        object.__setattr__(self, "_matrices", tuple(
+            IndexingMatrix(lvl.parents, n) for lvl, n in zip(self.levels, n_cols)))
 
     @property
     def nodes_per_level(self) -> tuple[int, ...]:
@@ -84,12 +89,12 @@ class CodeTree:
 
     def indexing_matrix(self, k: int) -> IndexingMatrix:
         """T at level k: maps level-k nodes to their level-(k-1) parents."""
-        lvl = self.level(k)
-        n_cols = 1 if k == 1 else self.level(k - 1).size
-        return IndexingMatrix(lvl.parents, n_cols)
+        self.level(k)  # checks k
+        return self._matrices[k - 1]
 
     def leaf_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.level(N_LEVELS).names)}
+        names = self.level(N_LEVELS).names
+        return dict(zip(names, range(len(names))))
 
 
 @dataclass
@@ -132,57 +137,66 @@ def _parse_numbered(numbered, path: str | None) -> CodeTree:
     """parse_hierarchy over (line number, line) pairs of the file ``path``; errors name
     ``<path>:<line number>``, or ``line <line number>`` when path is None."""
     where = "line " if path is None else f"{path}:"
-    # parent_path_of[k][name] = tuple of ancestor names (levels 1..k-1)
-    parent_path_of: list[dict] = [dict() for _ in range(N_LEVELS)]
-    seen_paths: set[tuple] = set()
-    n_data_lines = 0
+    # parent_of[k][name] = the name of the parent of the level-(k + 1) node ``name``
+    parent_of: list[dict] = [dict() for _ in range(N_LEVELS)]
+    chapters, blocks, categories, leaves = parent_of
 
     for lineno, raw in numbered:
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         parts = line.split("/")
-        if len(parts) != N_LEVELS or any(not p.strip() for p in parts):
+        if len(parts) == N_LEVELS:
+            chapter, block, category, leaf = parts
+            parts = chapter, block, category, leaf = (
+                chapter.strip(), block.strip(), category.strip(), leaf.strip())
+        if len(parts) != N_LEVELS or not all(parts):
             raise ParseError(
                 f"{where}{lineno}: expected 4 non-empty '/'-separated components, got {line!r}"
             )
-        parts = tuple(p.strip() for p in parts)
-        if ";" in parts[3] or "\t" in parts[3]:
-            raise ParseError(f"{where}{lineno}: leaf code {parts[3]!r} contains ';' or a TAB, "
+        if ";" in leaf or "\t" in leaf:
+            raise ParseError(f"{where}{lineno}: leaf code {leaf!r} contains ';' or a TAB, "
                              "which separate the fields of a dataset line")
-        if parts in seen_paths:
+        n_leaves = len(leaves)
+        chapters[chapter] = None
+        # top-down, so each node's parent already has one recorded path: checking the
+        # parent's name checks the node's whole ancestry
+        if (blocks.setdefault(block, chapter) != chapter
+                or categories.setdefault(category, block) != block
+                or leaves.setdefault(leaf, category) != category):
+            raise _moved_node(where, lineno, parent_of, parts)
+        if len(leaves) == n_leaves:  # a known leaf under its own parent: the same path
             raise ParseError(f"{where}{lineno}: duplicate code path {'/'.join(parts)!r}")
-        seen_paths.add(parts)
-        n_data_lines += 1
-        for k in range(N_LEVELS):
-            name, ancestry = parts[k], parts[:k]
-            prior = parent_path_of[k].get(name)
-            if prior is None:
-                parent_path_of[k][name] = ancestry
-            elif prior != ancestry:
-                raise ParseError(
-                    f"{where}{lineno}: node {name!r} at level {k + 1} already has parent path "
-                    f"{'/'.join(prior) or '<root>'!r}"
-                )
 
-    if n_data_lines == 0:
+    if not leaves:
         source = "" if path is None else f"{path}: "
         raise ParseError(f"{source}hierarchy is empty (no data lines)")
 
     levels = []
     index_of_prev: dict[str, int] = {}
     for k in range(N_LEVELS):
-        names = tuple(sorted(parent_path_of[k]))
-        index_of = {name: i for i, name in enumerate(names)}
+        names = tuple(sorted(parent_of[k]))
         if k == 0:
             parents = np.zeros(len(names), dtype=np.int64)
         else:
-            parents = np.array(
-                [index_of_prev[parent_path_of[k][n][-1]] for n in names], dtype=np.int64
-            )
+            parent_names = map(parent_of[k].__getitem__, names)
+            parents = np.fromiter(map(index_of_prev.__getitem__, parent_names),
+                                  dtype=np.int64, count=len(names))
         levels.append(TreeLevel(names, parents))
-        index_of_prev = index_of
+        index_of_prev = dict(zip(names, range(len(names))))
     return CodeTree(tuple(levels))
+
+
+def _moved_node(where: str, lineno: int, parent_of: list[dict], parts) -> ParseError:
+    """The error for the line's topmost node whose recorded parent is not the line's,
+    naming the path recorded above it."""
+    k = next(k for k in range(1, N_LEVELS) if parent_of[k][parts[k]] != parts[k - 1])
+    prior, name = [], parts[k]
+    for j in range(k, 0, -1):
+        name = parent_of[j][name]
+        prior.append(name)
+    return ParseError(f"{where}{lineno}: node {parts[k]!r} at level {k + 1} already has parent "
+                      f"path {'/'.join(reversed(prior))!r}")
 
 
 def build_tree(path: str) -> CodeTree:

@@ -21,6 +21,8 @@ from .util import DataError, NumericsError, derive_rng
 BALL_EPS = 1e-5
 INIT_RADIUS = 1e-3
 BURN_IN_EPOCHS = 10
+MAX_DIM = 1024  # bounds the (nodes, dim) vectors: 85 MB for the ICD-sized tree's 10,412 nodes
+MAX_NEGATIVES = 1024  # bounds the negatives sampled per edge, and so the rows a step updates
 
 
 def poincare_distance(u, v) -> float:
@@ -178,18 +180,20 @@ def train_poincare(tree: CodeTree, dim: int = 50, epochs: int = 50, lr: float = 
                    n_negatives: int = 10, seed: int = 0) -> PoincareEmbeddings:
     """Embed every tree node in the Poincare ball; deterministic per seed.
 
-    The first 10 epochs run at lr/10 (burn-in). epochs=0 returns the seeded
-    initialization untouched (all norms <= the 0.001 init radius). A step that leaves
-    a row non-finite or too large to square raises NumericsError naming epoch and edge.
+    dim must be in [2, MAX_DIM] and n_negatives in [1, MAX_NEGATIVES], checked before
+    anything is allocated. The first 10 epochs run at lr/10 (burn-in). epochs=0 returns
+    the seeded initialization untouched (all norms <= the 0.001 init radius). A step that
+    leaves a row non-finite or too large to square raises NumericsError naming epoch and
+    edge.
     """
-    if dim < 2:
-        raise DataError(f"embedding dim must be >= 2, got {dim}")
+    if not 2 <= dim <= MAX_DIM:
+        raise DataError(f"embedding dim must be in [2, {MAX_DIM}], got {dim}")
     if not 0.0 < lr < math.inf:
         raise DataError(f"lr must be finite and > 0, got {lr}")
     if epochs < 0:
         raise DataError(f"epochs must be >= 0, got {epochs}")
-    if n_negatives < 1:
-        raise DataError(f"n_negatives must be >= 1, got {n_negatives}")
+    if not 1 <= n_negatives <= MAX_NEGATIVES:
+        raise DataError(f"n_negatives must be in [1, {MAX_NEGATIVES}], got {n_negatives}")
     flat = flatten_tree(tree)
     n = len(flat.names)
     rng = derive_rng(seed, "poincare")

@@ -11,6 +11,7 @@ import re
 import string
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -26,30 +27,25 @@ DATASET_HEADER = "# xrlat-dataset v1"
 VOCAB_HEADER = "# xrlat-vocab v1"
 
 _SURROGATE_RE = re.compile(r"\[\*\*.*?\*\*\]", re.DOTALL)
-_SPECIAL_RUN_RE = re.compile(r"={2,}|-{2,}|_{2,}")
-_WS_RE = re.compile(r"\s+")
+_SPECIAL_RUN_RE = re.compile(r"([=_-])\1+")  # a run of two or more of one of =, _, -
 
 
 def clean_text(raw: str) -> str:
     """Strip de-identification surrogates and runs of =, -, _; collapse whitespace.
 
     ``[** ... **]`` spans (non-greedy, possibly containing whitespace) and any
-    run of two or more ``=``, ``-`` or ``_`` are replaced by a space, then
-    whitespace runs collapse to single spaces. Idempotent; may return "".
+    run of two or more of one of ``=``, ``-`` or ``_`` are replaced by a space,
+    then whitespace (``str.isspace``) runs collapse to single spaces and the ends
+    are stripped. Idempotent; may return "".
     """
-    s = _SURROGATE_RE.sub(" ", raw)
-    s = _SPECIAL_RUN_RE.sub(" ", s)
-    return _WS_RE.sub(" ", s).strip()
+    s = _SPECIAL_RUN_RE.sub(" ", _SURROGATE_RE.sub(" ", raw))
+    return " ".join(s.split())
 
 
 def words(text: str) -> list[str]:
-    """Lowercased whitespace tokens with leading/trailing punctuation stripped."""
-    out = []
-    for tok in text.lower().split():
-        tok = tok.strip(string.punctuation)
-        if tok:
-            out.append(tok)
-    return out
+    """Lowercased whitespace tokens with leading/trailing ``string.punctuation``
+    stripped; tokens left empty are dropped."""
+    return list(filter(None, map(str.strip, text.lower().split(), repeat(string.punctuation))))
 
 
 @dataclass
@@ -63,9 +59,6 @@ class Vocabulary:
     def size(self) -> int:
         """Total id count including PAD and UNK."""
         return len(self.token_to_id) + 2
-
-    def id_for(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
 
     def save(self, path: str) -> None:
         lines = [f"{VOCAB_HEADER} min_frequency={self.min_frequency}"]
@@ -120,7 +113,8 @@ def build_vocab(texts, min_frequency: int = 1) -> Vocabulary:
 
 def tokenize(text: str, vocab: Vocabulary) -> np.ndarray:
     """Token ids for a cleaned text; out-of-vocabulary words map to UNK, never PAD."""
-    return np.array([vocab.id_for(w) for w in words(text)], dtype=np.int64)
+    get = vocab.token_to_id.get
+    return np.array([get(w, UNK_ID) for w in words(text)], dtype=np.int64)
 
 
 @dataclass
@@ -258,7 +252,7 @@ def read_dataset(path: str, tree: CodeTree) -> list[RawDocument]:
         if not names:
             raise DataError(f"{path}:{lineno}: document {doc_id!r} has no codes")
         try:
-            codes = np.unique(np.array([leaf_of[n] for n in names], dtype=np.int64))
+            codes = np.array(sorted({leaf_of[n] for n in names}), dtype=np.int64)
         except KeyError as exc:
             raise DataError(f"{path}:{lineno}: unknown code {exc.args[0]!r}") from None
         docs.append(RawDocument(doc_id, codes, text))

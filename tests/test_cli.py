@@ -17,6 +17,7 @@ from xrlat.checkpoint import MODEL_KEYS, read_container, write_container
 from xrlat.cli import main
 from xrlat.code_tree import sized_hierarchy_lines
 from xrlat.config import resolve_config
+from xrlat.hyperbolic import MAX_DIM, MAX_NEGATIVES
 from xrlat.network import HEAD_TILE
 from xrlat.training import TrainConfig
 from xrlat.util import ConfigError
@@ -230,6 +231,19 @@ class TestEmbedCommand:
         assert main(["embed", "--tree", demo_tree_path, "--out", out, "--dim", "4",
                      "--epochs", "1", "--negatives", "-1"]) == 1
         assert "n_negatives" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--negatives", f"n_negatives must be in [1, {MAX_NEGATIVES}], got 1000000000000"),
+        ("--dim", f"embedding dim must be in [2, {MAX_DIM}], got 1000000000000"),
+    ])
+    def test_huge_size_exit_1_before_allocating(self, tmp_path, demo_tree_path, capsys,
+                                                flag, message):
+        """A size past its cap is a user error, not a MemoryError from the allocation."""
+        out = str(tmp_path / "e")
+        assert main(["embed", "--tree", demo_tree_path, "--out", out, "--epochs", "0",
+                     flag, "1000000000000"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not os.path.exists(out)
 
     def test_epochs_zero_init_only(self, tmp_path, demo_tree_path):

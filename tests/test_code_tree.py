@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from xrlat.code_tree import (
     LabelMatrix,
+    _parse_numbered,
     build_tree,
     hierarchy_lines,
     parse_hierarchy,
@@ -159,3 +160,121 @@ def test_label_matrix_rejects_out_of_range():
 def test_label_matrix_rows_sorted_unique():
     lm = LabelMatrix(5, [[3, 1, 3, 0]])
     assert lm.rows[0].tolist() == [0, 1, 3]
+
+
+def full_ancestry_parse(lines, path=None):
+    """The parser as first written: each node's whole ancestry tuple is recorded and
+    compared, and every full path is kept in a set. ``parse_hierarchy`` must accept,
+    reject and word its errors exactly as this does."""
+    where = "line " if path is None else f"{path}:"
+    parent_path_of = [dict() for _ in range(4)]
+    seen_paths = set()
+    n_data_lines = 0
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("/")
+        if len(parts) != 4 or any(not p.strip() for p in parts):
+            raise ParseError(
+                f"{where}{lineno}: expected 4 non-empty '/'-separated components, got {line!r}"
+            )
+        parts = tuple(p.strip() for p in parts)
+        if ";" in parts[3] or "\t" in parts[3]:
+            raise ParseError(f"{where}{lineno}: leaf code {parts[3]!r} contains ';' or a TAB, "
+                             "which separate the fields of a dataset line")
+        if parts in seen_paths:
+            raise ParseError(f"{where}{lineno}: duplicate code path {'/'.join(parts)!r}")
+        seen_paths.add(parts)
+        n_data_lines += 1
+        for k in range(4):
+            name, ancestry = parts[k], parts[:k]
+            prior = parent_path_of[k].get(name)
+            if prior is None:
+                parent_path_of[k][name] = ancestry
+            elif prior != ancestry:
+                raise ParseError(
+                    f"{where}{lineno}: node {name!r} at level {k + 1} already has parent path "
+                    f"{'/'.join(prior) or '<root>'!r}"
+                )
+    if n_data_lines == 0:
+        source = "" if path is None else f"{path}: "
+        raise ParseError(f"{source}hierarchy is empty (no data lines)")
+    levels = []
+    index_of_prev = {}
+    for k in range(4):
+        names = tuple(sorted(parent_path_of[k]))
+        if k == 0:
+            parents = np.zeros(len(names), dtype=np.int64)
+        else:
+            parents = np.array([index_of_prev[parent_path_of[k][n][-1]] for n in names],
+                               dtype=np.int64)
+        levels.append((names, parents))
+        index_of_prev = {name: i for i, name in enumerate(names)}
+    return levels
+
+
+FAULTS = ("duplicate", "move", "components", "blank", "separator", "comment", "padded",
+          "fresh", "cross-level")
+
+
+@st.composite
+def faulty_hierarchies(draw):
+    """A random 4-level tree's lines in random order, with up to four injected lines:
+    duplicates, a node under a second parent (at any level), wrong component counts,
+    blank components, ';' or TAB in a leaf or an inner node, comments and blank lines,
+    padded copies, fresh paths and names reused across levels."""
+    tree = random_tree(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), (3, 5, 8, 12))
+    lines = draw(st.permutations(hierarchy_lines(tree)))
+    for _ in range(draw(st.integers(0, 4))):
+        fault = draw(st.sampled_from(FAULTS))
+        parts = draw(st.sampled_from(lines)).strip().split("/")
+        if len(parts) != 4 or not all(p.strip() for p in parts):
+            parts = ["x", "y", "z", "w"]
+        parts = [p.strip() for p in parts]
+        fresh = [f"f{k}n{draw(st.integers(0, 2))}" for k in range(4)]
+        if fault == "move":  # the node keeps its name under another line's ancestors
+            k = draw(st.integers(1, 3))
+            other = draw(st.sampled_from(lines)).strip().split("/")
+            if len(other) == 4:
+                parts = [p.strip() for p in other[:k]] + parts[k:k + 1] + (
+                    parts[k + 1:] if draw(st.booleans()) else fresh[k + 1:])
+        elif fault == "components":
+            parts = parts[:draw(st.sampled_from([1, 2, 3]))] if draw(st.booleans()) else (
+                parts + fresh[:draw(st.integers(1, 2))])
+        elif fault == "blank":
+            parts[draw(st.integers(0, 3))] = draw(st.sampled_from(["", " ", "\t"]))
+        elif fault == "separator":
+            k = draw(st.integers(0, 3))
+            parts = fresh[:k] + [parts[k] + draw(st.sampled_from([";1", "\t1", ";"]))] + (
+                fresh[k + 1:])
+        elif fault == "comment":
+            parts = [draw(st.sampled_from(["# a/b/c/d", "  #x", "", "   ", "#"]))]
+        elif fault == "padded":
+            parts = [f" {p}\t" for p in parts]
+        elif fault == "fresh":
+            parts = fresh
+        elif fault == "cross-level":  # names are unique within a level, not across levels
+            k, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+            parts = fresh[:j] + [parts[k]] + fresh[j + 1:]
+        lines.insert(draw(st.integers(0, len(lines))), "/".join(parts))
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(faulty_hierarchies(), st.sampled_from([None, "tree.txt"]))
+def test_parser_matches_full_ancestry_parser(lines, path):
+    """The parent-name checks accept, reject and word their errors (line, node, level
+    and prior path) exactly as the full-ancestry parser did."""
+    try:
+        expected = full_ancestry_parse(lines, path)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            _parse_numbered(enumerate(lines, start=1), path)
+        assert str(got.value) == str(exc)
+        return
+    tree = _parse_numbered(enumerate(lines, start=1), path)
+    for level, (names, parents) in zip(tree.levels, expected):
+        assert level.names == names
+        assert level.parents.dtype == parents.dtype
+        assert level.parents.tolist() == parents.tolist()

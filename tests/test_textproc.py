@@ -1,4 +1,5 @@
 import hashlib
+import re
 import string
 from pathlib import Path
 
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xrlat.cli import main
 from xrlat.textproc import (
     PAD_ID,
+    UNK_ID,
     Vocabulary,
     build_vocab,
     chunk,
@@ -253,3 +256,71 @@ class TestDatasetIO:
 def test_words_helper():
     assert words("Alpha, beta; GAMMA.") == ["alpha", "beta", "gamma"]
     assert words("--- ,,, ") == []
+
+
+# The text rules as first written, with three regexes, an append loop and a per-word
+# method lookup: clean_text, words and tokenize must keep their every output.
+_OLD_SURROGATE_RE = re.compile(r"\[\*\*.*?\*\*\]", re.DOTALL)
+_OLD_SPECIAL_RUN_RE = re.compile(r"={2,}|-{2,}|_{2,}")
+_OLD_WS_RE = re.compile(r"\s+")
+
+
+def old_clean_text(raw):
+    s = _OLD_SURROGATE_RE.sub(" ", raw)
+    s = _OLD_SPECIAL_RUN_RE.sub(" ", s)
+    return _OLD_WS_RE.sub(" ", s).strip()
+
+
+def old_words(text):
+    out = []
+    for tok in text.lower().split():
+        tok = tok.strip(string.punctuation)
+        if tok:
+            out.append(tok)
+    return out
+
+
+def old_tokenize(text, vocab):
+    return np.array([vocab.token_to_id.get(w, UNK_ID) for w in old_words(text)], dtype=np.int64)
+
+
+# Unicode whitespace beyond ASCII: the file, group, record and unit separators, NEL,
+# no-break space, line separator and ideographic space
+UNICODE_SPACE = "\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"
+TEXT_ALPHABET = "=-_[*]" + string.punctuation + "aBcDxYz09Éß" + " \t\n\r\x0b\x0c" + (
+    UNICODE_SPACE)
+TEXT_PIECES = ["[**", "**]", "==", "--", "__", "=-", "-_", "**", "[*", "*]"]
+raw_texts = st.lists(st.sampled_from(TEXT_PIECES) | st.text(TEXT_ALPHABET, max_size=4),
+                     max_size=40).map("".join)
+
+
+class TestTextRulesUnchanged:
+    @settings(max_examples=200, deadline=None)
+    @given(raw_texts, raw_texts)
+    def test_clean_words_and_tokenize_match_the_first_rules(self, raw, other):
+        cleaned = clean_text(raw)
+        assert cleaned == old_clean_text(raw)
+        assert words(raw) == old_words(raw)
+        assert words(cleaned) == old_words(cleaned)
+        vocab = build_vocab([old_clean_text(other), cleaned[: len(cleaned) // 2]], 1)
+        ids = tokenize(cleaned, vocab)
+        expected = old_tokenize(cleaned, vocab)
+        assert ids.dtype == expected.dtype and ids.tolist() == expected.tolist()
+
+    def test_whitespace_is_str_isspace_on_every_code_point(self):
+        """The old rule collapsed `re`'s \\s; clean_text and words split on str.isspace.
+        They agree on every code point."""
+        every = "".join(map(chr, range(0x110000)))
+        assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+        assert " ".join(every.split()) == _OLD_WS_RE.sub(" ", every).strip()
+
+    def test_data_clean_writes_the_first_rules_bytes(self, tmp_path):
+        lines = ["seen on [**2151-7-16**] at [**Hospital\u20281807**] ok",
+                 "ab==cd --- ef __ g=-h -_- x---=== y", "\x1c lead\x85and\xa0trail\u3000 ",
+                 "[**open [**nested**] **] tail", "\t", "", "[** ** ]", "Mixed CASE, punct!"]
+        raw = tmp_path / "raw.txt"
+        raw.write_bytes("\n".join(lines).encode("utf-8") + b"\n")
+        out = tmp_path / "clean.txt"
+        assert main(["data", "clean", "--input", str(raw), "--output", str(out)]) == 0
+        expected = "\n".join(old_clean_text(line) for line in lines) + "\n"
+        assert out.read_bytes() == expected.encode("utf-8")
