@@ -102,20 +102,22 @@ class LabelMatrix:
     """Binary instance-by-label assignments in sparse row form.
 
     Each row holds the sorted, duplicate-free positive label indices of one
-    instance.
+    instance; one np.unique over the keys row * n_labels + label makes all rows so.
     """
 
     n_labels: int
     rows: list = field(default_factory=list)
 
     def __post_init__(self):
-        cleaned = []
-        for row in self.rows:
-            arr = np.unique(np.asarray(row, dtype=np.int64))
-            if arr.size and (arr[0] < 0 or arr[-1] >= self.n_labels):
-                raise DataError("label index out of range")
-            cleaned.append(arr)
-        self.rows = cleaned
+        arrays = [np.asarray(row, dtype=np.int64).reshape(-1) for row in self.rows]
+        flat = np.concatenate([np.empty(0, dtype=np.int64)] + arrays)
+        if flat.size and (flat.min() < 0 or flat.max() >= self.n_labels):
+            raise DataError("label index out of range")
+        row_ids = np.repeat(np.arange(len(arrays)), [a.size for a in arrays])
+        keys = np.unique(row_ids * self.n_labels + flat)
+        row_of, labels = np.divmod(keys, self.n_labels)
+        starts = np.searchsorted(row_of, np.arange(len(arrays) + 1)).tolist()
+        self.rows = [labels[a:b] for a, b in zip(starts, starts[1:])]
 
     @property
     def n_instances(self) -> int:
@@ -226,8 +228,7 @@ def propagate_labels(labels: LabelMatrix, T: IndexingMatrix) -> LabelMatrix:
         raise DataError(
             f"label matrix has {labels.n_labels} labels but indexing matrix has {T.rows} rows"
         )
-    rows = [np.unique(T.parent_index[row]) for row in labels.rows]
-    return LabelMatrix(T.n_cols, rows)
+    return LabelMatrix(T.n_cols, [T.parent_index[row] for row in labels.rows])
 
 
 def tree_stats(tree: CodeTree) -> str:

@@ -155,7 +155,7 @@ class LevelModel:
 
     def effective_w_la(self) -> np.ndarray:
         """Attention queries actually used: base W_la plus the correction, if any."""
-        return _effective_w_la(self.head, self.corr, self.corr_inputs, slice(None))[0]
+        return _effective_w_la(self, slice(None))[0]
 
 
 def level_layout(vocab_size: int, c: int, h: int, n_labels: int, n_layers: int,
@@ -405,14 +405,13 @@ def _head_bwd(dp, hc, W_la_eff, W_cl):
     return dW_la, dW_cl, dlogits, dHr
 
 
-def _effective_w_la(head: HeadParams, corr: Optional[CorrectionLayer],
-                    corr_inputs: Optional[np.ndarray], active):
+def _effective_w_la(model: LevelModel, active):
     """Attention queries W_la + E.W + b for the ``active`` rows; returns (W_eff, E_act)."""
-    base = head.W_la[active]
-    if corr is None:
+    base = model.head.W_la[active]
+    if model.corr is None:
         return base, None
-    E_act = corr_inputs[active]
-    return base + E_act @ corr.W + corr.b, E_act
+    E_act = model.corr_inputs[active]
+    return base + E_act @ model.corr.W + model.corr.b, E_act
 
 
 def _label_tiles(active, n_labels: int) -> list:
@@ -448,16 +447,44 @@ def _run_tiles(fn, items) -> list:
     return [f.result() for f in futures]
 
 
-def _head_tiles_fwd(Hr, head: HeadParams, corr: Optional[CorrectionLayer],
-                    corr_inputs: Optional[np.ndarray], tiles: list) -> list:
-    """(W_eff, E_act, W_cl, head cache) of each tile's forward over the real rows Hr."""
-    def tile_fwd(tile):
-        rows = tile[1]
-        W_eff, E_act = _effective_w_la(head, corr, corr_inputs, rows)
-        W_cl = head.W_cl[rows]
-        return W_eff, E_act, W_cl, _head_fwd(Hr, W_eff, W_cl, head.b_cl[rows])[1]
+def _forward(doc: ChunkedDocument, model: LevelModel, active, dropout=0.0, rng=None):
+    """The encoder, then the head tiles over the ``active`` labels and H's real-token rows.
+    Returns (H, encoder cache, tiles, each tile's (W_eff, E_act, W_cl, head cache))."""
+    H, enc_cache = _encode_fwd(doc, model.enc, dropout, rng)
+    Hr, head = H[:doc.n_real], model.head
 
-    return _run_tiles(tile_fwd, tiles)
+    def tile_fwd(tile):
+        W_eff, E_act = _effective_w_la(model, tile[1])
+        W_cl = head.W_cl[tile[1]]
+        return W_eff, E_act, W_cl, _head_fwd(Hr, W_eff, W_cl, head.b_cl[tile[1]])[1]
+
+    tiles = _label_tiles(active, model.n_labels)
+    return H, enc_cache, tiles, _run_tiles(tile_fwd, tiles)
+
+
+def _loss(doc: ChunkedDocument, model: LevelModel, gold, mask, loss_cfg: LossConfig,
+          dropout: float, rng: Optional[np.random.Generator]):
+    """forward_backward's forward half, which check_gradients also runs alone: _forward
+    over the unmasked labels, then the loss. Returns (loss, dL/dp, _forward's result)."""
+    active = slice(None) if mask is None else np.flatnonzero(np.asarray(mask))
+    if mask is not None and active.size == 0:
+        raise DataError("no unmasked labels to compute a loss over")
+    H, enc_cache, tiles, fwd = _forward(doc, model, active, dropout, rng)
+    p = np.concatenate([hc["p"] for *_, hc in fwd])
+    loss, dp = loss_and_grad(p, np.asarray(gold)[active], loss_cfg)
+
+    # An inf logit saturates p and keeps the loss finite, yet makes NaN gradients.
+    if not (np.isfinite(loss) and all(np.all(np.isfinite(hc["logits"])) for *_, hc in fwd)):
+        # the softmax overwrote the scores; only this error path recomputes them
+        for name, parts in (("H", [H]),
+                            ("attention_scores", (hc["Hr"] @ W_eff.T for W_eff, *_, hc in fwd)),
+                            ("label_vectors", (hc["d"] for *_, hc in fwd)),
+                            ("logits", (hc["logits"] for *_, hc in fwd)),
+                            ("probabilities", [p])):
+            if not all(np.all(np.isfinite(t)) for t in parts):
+                raise NumericsError(f"non-finite values in {name}", tensor=name)
+        raise NumericsError("non-finite loss", tensor="loss")
+    return loss, dp, (H, enc_cache, tiles, fwd)
 
 
 def forward_probs(doc: ChunkedDocument, enc: EncoderParams, head: HeadParams,
@@ -466,15 +493,11 @@ def forward_probs(doc: ChunkedDocument, enc: EncoderParams, head: HeadParams,
                   corr_inputs: Optional[np.ndarray] = None) -> np.ndarray:
     """Evaluation-mode forward pass; masked labels are skipped and score 0."""
     probs = np.zeros(head.n_labels)
-    if mask is None:
-        active = slice(None)  # every label, as views of the head rows
-    else:
-        active = np.flatnonzero(np.asarray(mask))
-        if active.size == 0:
-            return probs
-    H, _ = _encode_fwd(doc, enc)
-    tiles = _label_tiles(active, head.n_labels)
-    fwd = _head_tiles_fwd(H[:doc.n_real], head, corr, corr_inputs, tiles)
+    active = slice(None) if mask is None else np.flatnonzero(np.asarray(mask))
+    if mask is not None and active.size == 0:
+        return probs
+    model = LevelModel(enc, head, 0, corr=corr, corr_inputs=corr_inputs)
+    _, _, tiles, fwd = _forward(doc, model, active)
     for (_, rows), (*_, hc) in zip(tiles, fwd):
         probs[rows] = hc["p"]
     return probs
@@ -499,35 +522,10 @@ def forward_backward(doc: ChunkedDocument, params: EncoderParams, head: HeadPara
     correction layer are added in tile order on the calling thread, so the result
     does not depend on the number of workers.
     """
-    if mask is None:
-        active = slice(None)  # every label, as views of the head rows
-    else:
-        active = np.flatnonzero(np.asarray(mask))
-        if active.size == 0:
-            raise DataError("no unmasked labels to compute a loss over")
-    gold = np.asarray(gold)
-
-    H, enc_cache = _encode_fwd(doc, params, dropout=dropout, rng=rng)
-    Hr = H[:doc.n_real]
-    tiles = _label_tiles(active, head.n_labels)
-    fwd = _head_tiles_fwd(Hr, head, corr, corr_inputs, tiles)
-    p = np.concatenate([hc["p"] for *_, hc in fwd])
-    loss, dp = loss_and_grad(p, gold[active], loss_cfg)
-
-    # An inf logit saturates p and keeps the loss finite, yet makes NaN gradients.
-    if not (np.isfinite(loss) and all(np.all(np.isfinite(hc["logits"])) for *_, hc in fwd)):
-        # the softmax overwrote the scores; only this error path recomputes them
-        for name, parts in (("H", [H]),
-                            ("attention_scores", (Hr @ W_eff.T for W_eff, *_ in fwd)),
-                            ("label_vectors", (hc["d"] for *_, hc in fwd)),
-                            ("logits", (hc["logits"] for *_, hc in fwd)),
-                            ("probabilities", [p])):
-            if not all(np.all(np.isfinite(t)) for t in parts):
-                raise NumericsError(f"non-finite values in {name}", tensor=name)
-        raise NumericsError("non-finite loss", tensor="loss")
-
+    model = LevelModel(enc=params, head=head, level=0, corr=corr, corr_inputs=corr_inputs)
+    loss, dp, (H, enc_cache, tiles, fwd) = _loss(doc, model, gold, mask, loss_cfg, dropout, rng)
     if grads is None:
-        grads = zero_grads(LevelModel(params, head, 0, corr=corr))
+        grads = zero_grads(model)
 
     def tile_bwd(item):
         (pos, rows), (W_eff, E_act, W_cl, hc) = item
@@ -584,7 +582,8 @@ class GradcheckReport:
 def check_gradients(model: LevelModel, doc: ChunkedDocument, gold: np.ndarray,
                     loss: LossConfig, mask: Optional[np.ndarray] = None,
                     dropout: float = 0.0) -> GradcheckReport:
-    """Compare forward_backward's gradients with central differences of its own loss.
+    """Compare forward_backward's gradients with central differences of its own loss,
+    evaluated by its forward half (_loss) alone, with no backward.
 
     Checks every coordinate of ``model.trainable()`` under the label ``mask``; every
     call draws the same dropout masks, from a generator rebuilt for each call.
@@ -594,12 +593,11 @@ def check_gradients(model: LevelModel, doc: ChunkedDocument, gold: np.ndarray,
     gradient sits below the floor are effectively held to an absolute tolerance of
     1e-8 instead of a meaningless ratio of two noise-dominated numbers.
     """
-    def run():
-        return forward_backward(doc, model.enc, model.head, gold, mask, loss,
-                                corr=model.corr, corr_inputs=model.corr_inputs,
-                                dropout=dropout, rng=derive_rng("gradcheck", "dropout"))
+    def loss_at():
+        return _loss(doc, model, gold, mask, loss, dropout, derive_rng("gradcheck", "dropout"))[0]
 
-    _, grads = run()
+    _, grads = forward_backward(doc, model.enc, model.head, gold, mask, loss, model.corr,
+                                model.corr_inputs, dropout, derive_rng("gradcheck", "dropout"))
     eps = GRADCHECK_EPS
     per_tensor = {}
     max_rel, worst = 0.0, ""
@@ -609,9 +607,9 @@ def check_gradients(model: LevelModel, doc: ChunkedDocument, gold: np.ndarray,
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            lp = run()[0]
+            lp = loss_at()
             flat[i] = orig - eps
-            lm = run()[0]
+            lm = loss_at()
             flat[i] = orig
             numeric = (lp - lm) / (2.0 * eps)
             analytic = grads[name].reshape(-1)[i]

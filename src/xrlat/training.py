@@ -51,6 +51,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 CLIP_NORM = 1.0  # global L2 bound on each step's averaged gradient
+MAX_HIDDEN = 1024  # largest hidden_size, the same bound as hyperbolic.MAX_DIM
 WARMUP_SHARE = 0.05  # the learning rate warms up over this share of max_steps
 
 # tensors with one row per label: under masks a step writes only its documents' rows
@@ -97,7 +98,7 @@ class TrainConfig:
             ("max_steps", self.max_steps >= 0, ">= 0"),
             ("seed", self.seed >= 0, ">= 0"),
             ("binary_threshold", 0.0 < self.binary_threshold < 1.0, "in (0, 1)"),
-            ("hidden_size", self.hidden_size >= 1, ">= 1"),
+            ("hidden_size", 1 <= self.hidden_size <= MAX_HIDDEN, f"in [1, {MAX_HIDDEN}]"),
             ("n_layers", self.n_layers in (0, 1, 2), "0, 1 or 2"),
             ("min_frequency", self.min_frequency >= 1, ">= 1"),
             ("log_interval", self.log_interval >= 1, ">= 1"),
@@ -209,8 +210,7 @@ class AdamW:
     first-touch order), with their moments compact in the leading rows of m and
     v. Each step gathers theta and g at those rows, updates the moments in place
     and scatters theta back. A row never touched has m = v = 0, so its exact
-    update is the decay term alone, applied in one pass over the tensor. A later
-    slice(None) step appends the untouched rows to ``rows``.
+    update is the decay term alone, applied in one pass over the tensor.
     """
 
     def __init__(self, model: LevelModel, weight_decay: float = 0.0):
@@ -222,16 +222,15 @@ class AdamW:
         self.rows = None  # the gathered rows once a masked first step has run
 
     def step(self, model: LevelModel, grads: dict, lr: float, rows=slice(None)) -> None:
-        """One update; ``rows`` (sorted label indices or slice(None)) bounds the HEAD_ROWS
-        rows where ``grads`` may be nonzero."""
+        """One update; ``rows`` (sorted label indices, or slice(None) if the first step's
+        was) bounds the HEAD_ROWS rows where ``grads`` may be nonzero."""
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
         if self.t == 1 and not isinstance(rows, slice):
             self.rows = np.empty(0, dtype=np.intp)
         if self.rows is not None:
-            new = (np.flatnonzero(~self.touched) if isinstance(rows, slice)
-                   else rows[~self.touched[rows]])
+            new = rows[~self.touched[rows]]
             self.touched[new] = True
             self.rows = np.concatenate([self.rows, new])
         for name, theta in model.trainable():

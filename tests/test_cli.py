@@ -304,6 +304,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("key,value", [
         ("log_interval", "0"), ("hidden_size", "-1"), ("hidden_size", "0"),
+        ("hidden_size", "1025"), ("hidden_size", "1000000000"),
         ("learning_rate", "-1e-3"), ("learning_rate", "inf"), ("weight_decay", "-0.1"),
         ("weight_decay", "nan"), ("n_layers", "3"), ("c", "0"), ("s", "0"), ("s", "513"),
         ("min_frequency", "0"), ("asl_gamma_pos", "-1"), ("asl_gamma_neg", "-2"),

@@ -162,6 +162,20 @@ def test_label_matrix_rows_sorted_unique():
     assert lm.rows[0].tolist() == [0, 1, 3]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.lists(st.integers(0, n - 1), max_size=8),
+                                             max_size=6))))
+def test_label_matrix_rows_equal_per_row_unique(case):
+    """The one np.unique over (row, label) keys gives every row, empty rows and an empty
+    matrix included, bitwise as an np.unique of that row alone."""
+    n_labels, rows = case
+    got = LabelMatrix(n_labels, rows).rows
+    assert len(got) == len(rows)
+    for row, want in zip(got, (np.unique(np.asarray(r, dtype=np.int64)) for r in rows)):
+        assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
+
+
 def full_ancestry_parse(lines, path=None):
     """The parser as first written: each node's whole ancestry tuple is recorded and
     compared, and every full path is kept in a set. ``parse_hierarchy`` must accept,

@@ -443,6 +443,27 @@ class TestPaddedDocument:
         monkeypatch.setattr(network, "HEAD_TILE", 3)
         self.check_finite_differences(n_layers, loss, with_corr, self.MASK if masked else None)
 
+    def test_gradcheck_numeric_side_runs_no_backward(self, monkeypatch):
+        """check_gradients runs the head and encoder backward once, for its analytic side.
+        Each finite-difference loss comes from forward_backward's forward half (_loss)
+        alone, which at the unperturbed point gives forward_backward's loss bit for bit."""
+        model, doc, gold = self.model_doc_gold(1, with_corr=True)
+        calls = dict.fromkeys(("_head_bwd", "_encode_bwd", "_loss"), 0)
+        for name in calls:
+            def counted(*args, _fn=getattr(network, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(network, name, counted)
+        assert check_gradients(model, doc, gold, ASL, self.MASK, dropout=0.1).ok()
+        n_coords = sum(t.size for _, t in model.trainable())
+        assert calls == {"_head_bwd": 1, "_encode_bwd": 1, "_loss": 1 + 2 * n_coords}
+        train_loss, _ = forward_backward(doc, model.enc, model.head, gold, self.MASK, ASL,
+                                         model.corr, model.corr_inputs, 0.1,
+                                         derive_rng("gradcheck", "dropout"))
+        numeric_loss = network._loss(doc, model, gold, self.MASK, ASL, 0.1,
+                                     derive_rng("gradcheck", "dropout"))[0]
+        assert np.float64(numeric_loss).tobytes() == np.float64(train_loss).tobytes()
+
     @pytest.mark.parametrize("tile", [3, network.HEAD_TILE], ids=["tile3", "tile-default"])
     @pytest.mark.parametrize("masked", [True, False], ids=["masked", "unmasked"])
     @pytest.mark.parametrize("with_corr", [False, True], ids=["plain", "corr"])
