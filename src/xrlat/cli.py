@@ -144,7 +144,7 @@ def _cmd_data(args) -> int:
     return 0
 
 
-def _load_or_build_vocab(run, tree, raw_docs):
+def _load_or_build_vocab(run, raw_docs):
     if run.vocab and os.path.exists(run.vocab):
         return textproc.Vocabulary.load(run.vocab)
     vocab = textproc.build_vocab(
@@ -167,7 +167,7 @@ def _cmd_train(args) -> int:
 
     tree = code_tree.build_tree(run.tree)
     raw_docs = textproc.read_dataset(run.dataset, tree)
-    vocab = _load_or_build_vocab(run, tree, raw_docs)
+    vocab = _load_or_build_vocab(run, raw_docs)
     data = training.prepare_dataset(raw_docs, vocab, tree, run.train.c, run.train.s)
 
     started = time.time()
@@ -216,8 +216,8 @@ def _read_scores(path: str, doc_ids, n_labels: int) -> np.ndarray:
 
 
 def _load_models_for_eval(args, tree):
-    """Returns (models, cfg, vocab_size): a LevelModel or a 4-chain, the TrainConfig of
-    its chunking and chain settings, and the vocabulary size it was trained with."""
+    """Returns (models, cfg, vocab_size): the flat model or the 4-chain as a list, the
+    TrainConfig of its chunking and chain settings, and the vocabulary size it was trained with."""
     paths = ([args.ckpt] if args.ckpt else
              [os.path.join(args.chain, f"level{k}.ckpt") for k in range(1, 5)])
     models, settings = [], None
@@ -242,7 +242,7 @@ def _load_models_for_eval(args, tree):
                     f"{path}: {key} is {level_settings[key]} but {paths[0]} has {settings[key]}"
                 )
         models.append(model)
-    return (models[0] if args.ckpt else models), cfg, settings["vocab_size"]
+    return models, cfg, settings["vocab_size"]
 
 
 def _cmd_eval(args) -> int:

@@ -1,10 +1,11 @@
-"""Losses, optimizer, bootstrapping, dynamic negative sampling, and training loops.
+"""Training and prediction: optimizer, bootstrapping, the cascade step, and the loops.
 
 Two regimes are provided: a flat code-level classifier trained over the full
 label set, and a waterfall chain of four sub-models (chapter, block,
 category, code) where each child level can be initialized from its trained
 parent (bootstrapping) and restricted per instance to children of parents
-that are gold or predicted positive (dynamic negative sampling).
+that are gold or predicted positive (dynamic negative sampling). One cascade
+step, ``_child_masks``, builds those masks in training and, without gold, in prediction.
 """
 
 from __future__ import annotations
@@ -318,7 +319,7 @@ def _train_level(docs, label_rows, masks, model: LevelModel, cfg: TrainConfig,
                  log_path: Optional[str] = None):
     """Run the optimizer for cfg.max_steps over the documents; returns step history.
 
-    ``masks`` is either None (all labels active) or one uint8 vector per
+    ``masks`` is either None (all labels active) or one uint8 row per
     document. Each step adds its documents' gradients, in batch order, into
     one buffer that is zeroed before the step. Under masks a step writes only
     the HEAD_ROWS rows in the union of its documents' masks, so only those rows
@@ -405,6 +406,24 @@ def _level_probs(model: LevelModel, doc: ChunkedDocument, mask) -> np.ndarray:
                          corr=model.corr, corr_inputs=model.corr_inputs)
 
 
+def _child_masks(model: LevelModel, docs, masks, T: IndexingMatrix, threshold: float,
+                 gold_rows=None) -> np.ndarray:
+    """The cascade step: each document's mask for the level below ``model``, keeping the
+    children of the labels that score at or above ``threshold`` under the document's mask
+    (``masks`` None: all labels) or, with ``gold_rows`` (``model``'s label rows), are gold.
+
+    The masks are the rows of one array: a small array per document, alive across the
+    forwards between them, fragments the heap and raises the peak resident size."""
+    out = np.empty((len(docs), T.rows), dtype=np.uint8)
+    for i, doc in enumerate(docs):
+        p = _level_probs(model, doc, None if masks is None else masks[i])
+        if gold_rows is None:
+            out[i] = inference_mask(p, T, threshold)
+        else:
+            out[i] = training_mask(p, _dense_row(gold_rows, i, model.n_labels), T, threshold)
+    return out
+
+
 def train_xr_lat(data: PreparedDataset, tree: CodeTree, cfg: TrainConfig,
                  out_dir: Optional[str] = None,
                  embeddings: Optional[PoincareEmbeddings] = None):
@@ -425,30 +444,22 @@ def train_xr_lat(data: PreparedDataset, tree: CodeTree, cfg: TrainConfig,
     for k in (4, 3, 2):
         label_mat = propagate_labels(label_mat, tree.indexing_matrix(k))
         level_rows[k - 1] = label_mat.rows
-    sizes = tree.nodes_per_level
 
     models, histories = [], []
-    prev_model: Optional[LevelModel] = None
-    prev_masks = None
+    masks = None
     for k in range(1, 5):
-        n_labels = sizes[k - 1]
         if k == 1 or cfg.bootstrap == "none":
-            model = init_level_model(data.vocab.size, cfg.c, cfg.hidden_size, n_labels,
-                                     cfg.n_layers, k, derive_rng(cfg.seed, "init", k))
+            model = init_level_model(data.vocab.size, cfg.c, cfg.hidden_size,
+                                     tree.nodes_per_level[k - 1], cfg.n_layers, k,
+                                     derive_rng(cfg.seed, "init", k))
         elif cfg.bootstrap == "equal":
-            model = bootstrap_equal(prev_model, tree.indexing_matrix(k))
+            model = bootstrap_equal(models[-1], tree.indexing_matrix(k))
         else:
-            model = bootstrap_hyperc(prev_model, tree.indexing_matrix(k), embeddings.level(k))
+            model = bootstrap_hyperc(models[-1], tree.indexing_matrix(k), embeddings.level(k))
 
-        masks = None
         if k > 1 and cfg.negative_sampling:
-            T_k = tree.indexing_matrix(k)
-            masks = []
-            for i, doc in enumerate(data.docs):
-                parent_mask = None if prev_masks is None else prev_masks[i]
-                p_parent = _level_probs(prev_model, doc, parent_mask)
-                y_parent = _dense_row(level_rows[k - 1], i, sizes[k - 2])
-                masks.append(training_mask(p_parent, y_parent, T_k, cfg.binary_threshold))
+            masks = _child_masks(models[-1], data.docs, masks, tree.indexing_matrix(k),
+                                 cfg.binary_threshold, level_rows[k - 1])
 
         log_path = os.path.join(out_dir, f"train_level{k}.log") if out_dir else None
         history = _train_level(data.docs, level_rows[k], masks, model, cfg, log_path)
@@ -456,7 +467,6 @@ def train_xr_lat(data: PreparedDataset, tree: CodeTree, cfg: TrainConfig,
             checkpoint.save_model(os.path.join(out_dir, f"level{k}.ckpt"), model, cfg)
         models.append(model)
         histories.append(history)
-        prev_model, prev_masks = model, masks
     return models, histories
 
 
@@ -464,33 +474,22 @@ def train_xr_lat(data: PreparedDataset, tree: CodeTree, cfg: TrainConfig,
 # prediction
 
 
-def predict(models, doc: ChunkedDocument, tree: CodeTree, cfg: TrainConfig) -> np.ndarray:
-    """Code-level probabilities for one document.
-
-    A single model runs one full forward pass. A four-model chain with
-    negative sampling cascades level 1 to 4, masking each level's labels to
-    children of parents predicted positive (masked codes score exactly 0);
-    without negative sampling only the final model is scored, over all codes.
-    """
-    if isinstance(models, LevelModel):
-        return _level_probs(models, doc, None)
-    models = list(models)
-    if len(models) != 4:
-        raise ConfigError(f"expected 1 or 4 models, got {len(models)}")
-    if not cfg.negative_sampling:
-        return _level_probs(models[3], doc, None)
-    mask = None
-    p = None
-    for k in range(1, 5):
-        p = _level_probs(models[k - 1], doc, mask)
-        if k < 4:
-            mask = inference_mask(p, tree.indexing_matrix(k + 1), cfg.binary_threshold)
-    return p
-
-
 def predict_dataset(models, data: PreparedDataset, tree: CodeTree, cfg: TrainConfig) -> np.ndarray:
-    """Stacked predict() scores, one row per document."""
+    """Code-level probabilities, one row per document.
+
+    ``models`` is one flat model (bare or in a list) or a four-model chain. A
+    chain with negative sampling cascades level 1 to 4, each level scored under
+    the masks the level above built (masked codes score exactly 0); without
+    negative sampling, as for a flat model, the last model scores every code.
+    """
+    models = [models] if isinstance(models, LevelModel) else list(models)
+    if len(models) not in (1, 4):
+        raise ConfigError(f"expected 1 or 4 models, got {len(models)}")
     keep_freed_memory()
-    rows = [predict(models, d, tree, cfg) for d in data.docs]
-    n_labels = tree.nodes_per_level[-1]
-    return np.stack(rows) if rows else np.zeros((0, n_labels))
+    masks = [None] * len(data.docs)
+    if len(models) == 4 and cfg.negative_sampling:
+        for k in (1, 2, 3):
+            masks = _child_masks(models[k - 1], data.docs, masks, tree.indexing_matrix(k + 1),
+                                 cfg.binary_threshold)
+    rows = [_level_probs(models[-1], d, m) for d, m in zip(data.docs, masks)]
+    return np.stack(rows) if rows else np.zeros((0, tree.nodes_per_level[-1]))

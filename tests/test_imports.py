@@ -1,5 +1,5 @@
 """The package binds no names, every import sits at module top, the modules import no cycle,
-and only the two input readers open files."""
+only the two input readers open files, and one cascade step builds the chain's masks."""
 
 import ast
 import os
@@ -56,19 +56,36 @@ def test_package_imports_are_acyclic():
         visit(name)
 
 
-def test_only_the_two_readers_call_open():
-    """Text inputs read through util.text_lines, which numbers lines and rejects bytes that
-    are not UTF-8, and checkpoints through checkpoint.read_container; no other code in the
-    package calls open() (writes go through os.fdopen in util.atomic_write_bytes)."""
-    callers = set()
-    for name, tree in _modules():
+def _callers(callees):
+    """{callee: the "module.function" names that call it}, for calls by bare name or as an
+    attribute anywhere in the package (module-level calls read "module.<module>")."""
+    found = {name: set() for name in callees}
+    for mod, tree in _modules():
         scope = {}
         for node in ast.walk(tree):  # breadth first: a node's scope is set before its children's
             in_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             for child in ast.iter_child_nodes(node):
                 scope[child] = node.name if in_def else scope.get(node, "<module>")
             func = getattr(node, "func", None)
-            if isinstance(node, ast.Call) and (getattr(func, "id", None) == "open"
-                                               or getattr(func, "attr", None) == "open"):
-                callers.add(f"{name}.{scope.get(node, '<module>')}")
-    assert callers == {"util.text_lines", "checkpoint.read_container"}
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if isinstance(node, ast.Call) and name in found:
+                found[name].add(f"{mod}.{scope.get(node, '<module>')}")
+    return found
+
+
+def test_only_the_two_readers_call_open():
+    """Text inputs read through util.text_lines, which numbers lines and rejects bytes that
+    are not UTF-8, and checkpoints through checkpoint.read_container; no other code in the
+    package calls open() (writes go through os.fdopen in util.atomic_write_bytes)."""
+    assert _callers(["open"]) == {"open": {"util.text_lines", "checkpoint.read_container"}}
+
+
+def test_one_cascade_step_builds_the_masks():
+    """Chain training and prediction share one cascade step: only training._child_masks
+    calls the mask builders (training_mask's own call of inference_mask aside), and only
+    training._level_probs runs forward_probs, so a second cascade loop cannot come back."""
+    assert _callers(["training_mask", "inference_mask", "forward_probs"]) == {
+        "training_mask": {"training._child_masks"},
+        "inference_mask": {"training._child_masks", "training.training_mask"},
+        "forward_probs": {"training._level_probs"},
+    }

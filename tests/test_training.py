@@ -9,7 +9,13 @@ from xrlat.code_tree import LabelMatrix, parse_hierarchy, propagate_labels
 from xrlat import training
 from xrlat.hyperbolic import PoincareEmbeddings, flatten_tree
 from xrlat.losses import LossConfig, loss_and_grad
-from xrlat.network import CorrectionLayer, forward_backward, init_level_model, zero_grads
+from xrlat.network import (
+    CorrectionLayer,
+    forward_backward,
+    forward_probs,
+    init_level_model,
+    zero_grads,
+)
 from xrlat.textproc import build_vocab, clean_text, synth_corpus
 from xrlat.training import (
     ADAM_BETA1,
@@ -25,7 +31,7 @@ from xrlat.training import (
     clip_gradients,
     inference_mask,
     lr_at,
-    predict,
+    predict_dataset,
     prepare_dataset,
     train_flat,
     train_xr_lat,
@@ -494,10 +500,7 @@ class TestTrainingLoops:
     def test_xr_lat_hyperc_uses_embeddings(self, demo_tree, tiny_setup):
         data, cfg0 = tiny_setup
         cfg = TrainConfig(**{**cfg0.__dict__, "bootstrap": "hyperc", "max_steps": 5})
-        flat = flatten_tree(demo_tree)
-        vectors = derive_rng(31).normal(0, 0.1, size=(len(flat.names), 6))
-        embeddings = PoincareEmbeddings(flat.names, flat.level_slices, vectors)
-        models, _ = train_xr_lat(data, demo_tree, cfg, embeddings=embeddings)
+        models, _ = train_xr_lat(data, demo_tree, cfg, embeddings=random_embeddings(demo_tree))
         assert all(m.corr is not None for m in models[1:])
         assert models[0].corr is None
 
@@ -548,39 +551,131 @@ class TestRowSparseLevel:
                 assert a[:8].tobytes() != b[:8].tobytes(), name
 
 
-class TestPredict:
-    def _chain(self, demo_tree, tiny_setup, sampling=True):
-        data, cfg0 = tiny_setup
-        cfg = TrainConfig(**{**cfg0.__dict__, "negative_sampling": sampling, "max_steps": 10})
-        models, _ = train_xr_lat(data, demo_tree, cfg)
-        return data, cfg, models
+def level_probs(model, doc, mask):
+    return forward_probs(doc, model.enc, model.head, mask, corr=model.corr,
+                         corr_inputs=model.corr_inputs)
 
+
+def random_embeddings(tree):
+    flat = flatten_tree(tree)
+    vectors = derive_rng(31).normal(0, 0.1, size=(len(flat.names), 6))
+    return PoincareEmbeddings(flat.names, flat.level_slices, vectors)
+
+
+class TestChainMasks:
+    @pytest.mark.parametrize("bootstrap, sampling", [("equal", True), ("hyperc", True),
+                                                     ("none", False)])
+    def test_levels_train_on_teacher_forced_masks(self, demo_tree, tiny_setup, monkeypatch,
+                                                  bootstrap, sampling):
+        """Level k trains on the children of level k-1's labels that are gold or score at
+        or above binary_threshold under level k-1's own training mask; level 1, and every
+        level without negative sampling, trains unmasked. The chain is trained so that
+        some parents pass on their score alone, and some that a mask hides would have
+        passed unmasked."""
+        data, cfg0 = tiny_setup
+        cfg = TrainConfig(**{**cfg0.__dict__, "learning_rate": 1e-2, "bootstrap": bootstrap,
+                             "negative_sampling": sampling})
+        recorded = []
+        train_level = training._train_level
+
+        def record(docs, label_rows, masks, model, cfg, log_path=None):
+            recorded.append(masks)
+            return train_level(docs, label_rows, masks, model, cfg, log_path)
+
+        monkeypatch.setattr(training, "_train_level", record)
+        models, _ = train_xr_lat(data, demo_tree, cfg, embeddings=random_embeddings(demo_tree))
+        if not sampling:
+            assert recorded == [None] * 4
+            return
+        gold = {4: [np.asarray(r) for r in data.labels.rows]}
+        for k in (4, 3, 2):
+            gold[k - 1] = [demo_tree.indexing_matrix(k).parent_index[g] for g in gold[k]]
+        thr = cfg.binary_threshold
+        assert recorded[0] is None
+        masks = [None] * len(data.docs)
+        scored_in = hidden_would_pass = 0
+        for k in (2, 3, 4):
+            parent_index = demo_tree.indexing_matrix(k).parent_index
+            want = []
+            for i, doc in enumerate(data.docs):
+                p = level_probs(models[k - 2], doc, masks[i])
+                on = p >= thr
+                scored_in += int(on.sum()) - int(on[gold[k - 1][i]].sum())
+                on[gold[k - 1][i]] = True
+                want.append(on[parent_index].astype(np.uint8))
+                if masks[i] is not None:
+                    unmasked = level_probs(models[k - 2], doc, None)
+                    hidden_would_pass += int(np.sum((unmasked >= thr) & (masks[i] == 0)))
+            assert len(recorded[k - 1]) == len(data.docs)
+            for i, (got, w) in enumerate(zip(recorded[k - 1], want)):
+                assert got.dtype == np.uint8 and got.tobytes() == w.tobytes(), (k, i)
+            masks = want
+        assert scored_in > 0 and hidden_would_pass > 0
+
+
+def cascade_oracle(models, docs, tree, threshold):
+    """Per document, level by level: each model's probabilities under the mask that
+    inference_mask built from the level above; the last level's, one row per document."""
+    rows = []
+    for doc in docs:
+        mask = None
+        for model in models:
+            p = level_probs(model, doc, mask)
+            if model.level < 4:
+                mask = inference_mask(p, tree.indexing_matrix(model.level + 1), threshold)
+        rows.append(p)
+    return np.stack(rows)
+
+
+@pytest.fixture(scope="module")
+def live_chain(demo_tree, tiny_setup):
+    """A chain whose cascade at binary_threshold 0.4 keeps codes for 17 of the 48
+    documents, and the prediction config that sets that threshold."""
+    data, cfg0 = tiny_setup
+    cfg = TrainConfig(**{**cfg0.__dict__, "learning_rate": 1e-2})
+    models, _ = train_xr_lat(data, demo_tree, cfg)
+    return models, TrainConfig(**{**cfg.__dict__, "binary_threshold": 0.4})
+
+
+class TestPredict:
     def test_flat_output_length(self, demo_tree, tiny_setup):
         data, cfg = tiny_setup
         model, _ = train_flat(data, demo_tree, cfg)
-        p = predict(model, data.docs[0], demo_tree, cfg)
-        assert p.shape == (81,)
+        p = predict_dataset(model, data, demo_tree, cfg)
+        assert p.shape == (len(data.docs), 81)
         assert np.all((p >= 0) & (p <= 1))
+        want = cascade_oracle([model], data.docs, demo_tree, cfg.binary_threshold)
+        assert p.tobytes() == want.tobytes()
+        assert predict_dataset([model], data, demo_tree, cfg).tobytes() == p.tobytes()
 
-    def test_cascade_collapse_when_level1_silent(self, demo_tree, tiny_setup):
-        data, cfg, models = self._chain(demo_tree, tiny_setup)
-        silenced = models[0]
-        silenced.head.b_cl[:] = -20.0  # force all chapter probabilities below threshold
-        p = predict(models, data.docs[0], demo_tree, cfg)
+    def test_masked_cascade_equals_unmasked_on_surviving_codes(self, demo_tree, tiny_setup,
+                                                               live_chain):
+        data, _ = tiny_setup
+        models, cfg = live_chain
+        p = predict_dataset(models, data, demo_tree, cfg)
+        want = cascade_oracle(models, data.docs, demo_tree, cfg.binary_threshold)
+        assert p.tobytes() == want.tobytes()
+        kept = p != 0.0
+        assert 0 < kept.any(axis=1).sum() < len(data.docs)
+        full = predict_dataset(models[3], data, demo_tree, cfg)
+        assert np.array_equal(p[kept], full[kept])
+        with pytest.raises(ConfigError, match="expected 1 or 4 models, got 2"):
+            predict_dataset(models[:2], data, demo_tree, cfg)
+
+    def test_cascade_collapse_when_level1_silent(self, demo_tree, tiny_setup, live_chain):
+        data, _ = tiny_setup
+        models, cfg = copy.deepcopy(live_chain)
+        models[0].head.b_cl[:] = -20.0  # force all chapter probabilities below threshold
+        p = predict_dataset(models, data, demo_tree, cfg)
         assert np.all(p == 0.0)
-
-    def test_masked_cascade_equals_unmasked_on_surviving_codes(self, demo_tree, tiny_setup):
-        data, cfg, models = self._chain(demo_tree, tiny_setup)
-        for doc in data.docs[:5]:
-            masked = predict(models, doc, demo_tree, cfg)
-            full = np.array(
-                [predict(models[3], doc, demo_tree, cfg)]
-            ).ravel()
-            zero = masked == 0.0
-            assert np.array_equal(masked[~zero], full[~zero])
+        want = cascade_oracle(models, data.docs, demo_tree, cfg.binary_threshold)
+        assert p.tobytes() == want.tobytes()
 
     def test_without_sampling_scores_level4_everywhere(self, demo_tree, tiny_setup):
-        data, cfg, models = self._chain(demo_tree, tiny_setup, sampling=False)
-        p = predict(models, data.docs[0], demo_tree, cfg)
-        full = predict(models[3], data.docs[0], demo_tree, cfg)
-        assert np.array_equal(p, full)
+        data, cfg0 = tiny_setup
+        cfg = TrainConfig(**{**cfg0.__dict__, "negative_sampling": False, "max_steps": 10})
+        models, _ = train_xr_lat(data, demo_tree, cfg)
+        p = predict_dataset(models, data, demo_tree, cfg)
+        want = cascade_oracle(models[3:], data.docs, demo_tree, cfg.binary_threshold)
+        assert p.tobytes() == want.tobytes()
+        assert p.tobytes() == predict_dataset(models[3], data, demo_tree, cfg).tobytes()
