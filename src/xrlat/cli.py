@@ -250,6 +250,8 @@ def _cmd_eval(args) -> int:
         raise ConfigError(f"--threshold must be in (0, 1), got {args.threshold}")
     if args.topk < 0:
         raise ConfigError(f"--topk must be >= 0, got {args.topk}")
+    if args.topk and not args.out:
+        raise ConfigError("eval --topk requires --out")
     tree = code_tree.build_tree(args.tree)
     raw_docs = textproc.read_dataset(args.dataset, tree)
     n_labels = tree.nodes_per_level[-1]
@@ -311,8 +313,6 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit:
-        raise
     except Exception as exc:  # internal failure
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

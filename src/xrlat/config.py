@@ -51,8 +51,6 @@ class RunConfig:
 
     def echo(self) -> None:
         """Write the resolved configuration into the output directory."""
-        if not self.out_dir:
-            raise ConfigError("out_dir is required")
         os.makedirs(self.out_dir, exist_ok=True)
         atomic_write_text(os.path.join(self.out_dir, "config.txt"), self.echo_text())
 

@@ -56,14 +56,11 @@ def _asl_terms(p, y, cfg: LossConfig):
 
     loss = -np.mean(y * pos_term + (1.0 - y) * neg_term)
 
-    # d(-pos_term)/dp = gp (1-p)^(gp-1) log p - (1-p)^gp / p
-    if gp == 0.0:
-        dpos = -1.0 / pc
-    else:
-        dpos = gp * np.power(one_minus, gp - 1.0) * log_p - pos_focus / pc
+    # d(-pos_term)/dp = gp (1-p)^(gp-1) log p - (1-p)^gp / p; finite at gp = 0 as 1-p >= P_CLAMP
+    dpos = gp * np.power(one_minus, gp - 1.0) * log_p - pos_focus / pc
     # d(-neg_term)/dp = -(gn pm^(gn-1) log(1-pm) - pm^gn/(1-pm)); zero where pm == 0
     active = pm > 0.0
-    if gn == 0.0:
+    if gn == 0.0:  # with a margin pm can be subnormal, where power(pm, -1) overflows
         dneg = np.where(active, 1.0 / (1.0 - pm), 0.0)
     else:
         pm_safe = np.where(active, pm, 1.0)

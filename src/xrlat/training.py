@@ -170,16 +170,20 @@ def bootstrap_hyperc(parent: LevelModel, T: IndexingMatrix, E_child: np.ndarray,
 # dynamic negative sampling
 
 
-def training_mask(p_parent, y_parent, T: IndexingMatrix, threshold: float) -> np.ndarray:
-    """Child labels whose parent is gold or predicted positive: binary(p + y) gathered by T.
+def training_mask(p_parent, gold_parent, T: IndexingMatrix, threshold: float) -> np.ndarray:
+    """Child labels whose parent is gold or predicted positive, for the parent
+    probabilities ``p_parent`` and the parent's sorted gold label indices ``gold_parent``.
 
-    binary(x) = 1 iff x >= threshold, so a gold parent (y = 1) always passes.
+    The paper's rule is binary(p + y) gathered by T, with y the dense gold row and
+    binary(x) = 1 iff x >= threshold. For p in [0, 1] and threshold in (0, 1), p + 1
+    passes and p + 0 is p, so setting each gold parent's p to 1 is the same rule.
     """
-    p_parent = np.asarray(p_parent, dtype=np.float64)
-    y_parent = np.asarray(y_parent, dtype=np.float64)
-    if p_parent.shape != y_parent.shape:
-        raise DataError(f"parent vectors differ in shape: {p_parent.shape} and {y_parent.shape}")
-    return inference_mask(p_parent + y_parent, T, threshold)
+    p = np.array(p_parent, dtype=np.float64)
+    gold = np.asarray(gold_parent, dtype=np.intp)
+    if gold.size and (gold.min() < 0 or gold.max() >= p.size):
+        raise DataError(f"gold parent indices {gold.min()}..{gold.max()} outside [0, {p.size})")
+    p[gold] = 1.0
+    return inference_mask(p, T, threshold)
 
 
 def inference_mask(p_parent, T: IndexingMatrix, threshold: float) -> np.ndarray:
@@ -305,12 +309,6 @@ def prepare_dataset(raw_docs, vocab: Vocabulary, tree: CodeTree, c: int, s: int)
     return PreparedDataset(docs, LabelMatrix(n_leaves, rows), vocab)
 
 
-def _dense_row(rows, i, n_labels) -> np.ndarray:
-    y = np.zeros(n_labels, dtype=np.uint8)
-    y[rows[i]] = 1
-    return y
-
-
 # ---------------------------------------------------------------------------
 # training loops
 
@@ -321,9 +319,10 @@ def _train_level(docs, label_rows, masks, model: LevelModel, cfg: TrainConfig,
 
     ``masks`` is either None (all labels active) or one uint8 row per
     document. Each step adds its documents' gradients, in batch order, into
-    one buffer that is zeroed before the step. Under masks a step writes only
-    the HEAD_ROWS rows in the union of its documents' masks, so only those rows
-    are zeroed, scaled and clipped, and AdamW is told which they are.
+    one buffer, and zeroes the rows it wrote once AdamW has read them. Under
+    masks a step writes only the HEAD_ROWS rows in the union of its documents'
+    masks, so only those rows are zeroed, scaled and clipped, and AdamW is told
+    which they are.
     """
     n_docs = len(docs)
     if n_docs == 0:
@@ -333,9 +332,7 @@ def _train_level(docs, label_rows, masks, model: LevelModel, cfg: TrainConfig,
     opt = AdamW(model, weight_decay=cfg.weight_decay)
     loss_cfg = cfg.loss_config()
     history = []
-    log_lines = []
     grads = zero_grads(model)
-    rows = slice(None)  # HEAD_ROWS rows the last step wrote
 
     step = 0
     while step < cfg.max_steps:
@@ -350,16 +347,14 @@ def _train_level(docs, label_rows, masks, model: LevelModel, cfg: TrainConfig,
                 if cfg.dropout > 0.0
                 else [None] * len(batch)
             )
-            for name, g in grads.items():
-                g[_rows_of(name, rows)] = 0.0
-            if masks is not None:
-                rows = np.flatnonzero(np.any([masks[i] for i in batch], axis=0))
+            rows = slice(None) if masks is None else np.flatnonzero(masks[batch].any(axis=0))
             losses = []
             try:
                 for i, rng in zip((int(i) for i in batch), rngs):
+                    gold = np.zeros(model.n_labels, dtype=np.uint8)
+                    gold[label_rows[i]] = 1
                     loss, _ = forward_backward(
-                        docs[i], model.enc, model.head,
-                        _dense_row(label_rows, i, model.n_labels),
+                        docs[i], model.enc, model.head, gold,
                         None if masks is None else masks[i], loss_cfg,
                         corr=model.corr, corr_inputs=model.corr_inputs,
                         dropout=cfg.dropout, rng=rng, grads=grads,
@@ -376,12 +371,14 @@ def _train_level(docs, label_rows, masks, model: LevelModel, cfg: TrainConfig,
             clip_gradients(grads, CLIP_NORM, rows)
             lr = lr_at(step, cfg.learning_rate, cfg.max_steps)
             opt.step(model, grads, lr, rows)
+            for name, g in grads.items():
+                g[_rows_of(name, rows)] = 0.0
             history.append((step, lr, batch_loss))
-            if (step + 1) % cfg.log_interval == 0 or step + 1 == cfg.max_steps:
-                log_lines.append(f"{step}\t{lr:.6f}\t{batch_loss:.6f}")
             step += 1
     if log_path is not None:
-        atomic_write_text(log_path, "\n".join(log_lines) + ("\n" if log_lines else ""))
+        atomic_write_text(log_path, "".join(
+            f"{step}\t{lr:.6f}\t{loss:.6f}\n" for step, lr, loss in history
+            if (step + 1) % cfg.log_interval == 0 or step + 1 == cfg.max_steps))
     return history
 
 
@@ -420,7 +417,7 @@ def _child_masks(model: LevelModel, docs, masks, T: IndexingMatrix, threshold: f
         if gold_rows is None:
             out[i] = inference_mask(p, T, threshold)
         else:
-            out[i] = training_mask(p, _dense_row(gold_rows, i, model.n_labels), T, threshold)
+            out[i] = training_mask(p, gold_rows[i], T, threshold)
     return out
 
 
@@ -486,10 +483,12 @@ def predict_dataset(models, data: PreparedDataset, tree: CodeTree, cfg: TrainCon
     if len(models) not in (1, 4):
         raise ConfigError(f"expected 1 or 4 models, got {len(models)}")
     keep_freed_memory()
-    masks = [None] * len(data.docs)
-    if len(models) == 4 and cfg.negative_sampling:
-        for k in (1, 2, 3):
-            masks = _child_masks(models[k - 1], data.docs, masks, tree.indexing_matrix(k + 1),
+    masks = None
+    if cfg.negative_sampling:
+        for k, model in enumerate(models[:-1], start=2):
+            masks = _child_masks(model, data.docs, masks, tree.indexing_matrix(k),
                                  cfg.binary_threshold)
-    rows = [_level_probs(models[-1], d, m) for d, m in zip(data.docs, masks)]
-    return np.stack(rows) if rows else np.zeros((0, tree.nodes_per_level[-1]))
+    scores = np.empty((len(data.docs), tree.nodes_per_level[-1]))
+    for i, doc in enumerate(data.docs):
+        scores[i] = _level_probs(models[-1], doc, None if masks is None else masks[i])
+    return scores

@@ -89,7 +89,7 @@ def test_criterion_2_oracle_equivalence():
         y = (rng.random(T.n_cols) < 0.3).astype(float)
         pos = {j for j in range(T.n_cols) if p[j] + y[j] >= 0.5}
         want_train = [1 if int(T.parent_index[c]) in pos else 0 for c in range(T.rows)]
-        assert training_mask(p, y, T, 0.5).tolist() == want_train
+        assert training_mask(p, np.flatnonzero(y), T, 0.5).tolist() == want_train
         pos_inf = {j for j in range(T.n_cols) if p[j] >= 0.5}
         want_inf = [1 if int(T.parent_index[c]) in pos_inf else 0 for c in range(T.rows)]
         assert inference_mask(p, T, 0.5).tolist() == want_inf

@@ -569,14 +569,18 @@ class TestEvalCommand:
         return main(["eval", "--scores", scores_path, "--tree", demo_tree_path,
                      "--dataset", ds, *extra])
 
-    @pytest.mark.parametrize("flag,value", [("--threshold", "1.5"), ("--threshold", "-2"),
-                                            ("--threshold", "0"), ("--threshold", "1"),
-                                            ("--threshold", "nan"), ("--topk", "-3")])
-    def test_bad_eval_flag_exit_1(self, tmp_path, demo_tree_path, capsys, flag, value):
+    @pytest.mark.parametrize("flag,value,with_out", [
+        ("--threshold", "1.5", True), ("--threshold", "-2", True), ("--threshold", "0", True),
+        ("--threshold", "1", True), ("--threshold", "nan", True), ("--topk", "-3", True),
+        ("--topk", "5", False)])
+    def test_bad_eval_flag_exit_1(self, tmp_path, demo_tree_path, capsys, flag, value,
+                                  with_out):
+        """A bad flag value, or --topk without --out (it writes topk.txt there), exits 1
+        before any score is read."""
         row = " ".join(["0.5"] * 81)
         out = str(tmp_path / "ev")
         rc = self._eval_scores(tmp_path, demo_tree_path, [f"doc0\t{row}", f"doc1\t{row}"],
-                               "--out", out, flag, value)
+                               *(("--out", out) if with_out else ()), flag, value)
         assert rc == 1
         assert flag in capsys.readouterr().err
         assert not os.path.exists(out)

@@ -170,13 +170,13 @@ class TestMasks:
     def test_predicted_parent_passes(self):
         tree = parse_hierarchy(["A/A1/A11/x1", "A/A1/A12/x2", "A/A2/A21/x3"])
         T = tree.indexing_matrix(3)  # categories -> blocks
-        mask = training_mask([0.6, 0.1], [0.0, 0.0], T, 0.5)
+        mask = training_mask([0.6, 0.1], np.flatnonzero([0, 0]), T, 0.5)
         assert mask.tolist() == [1, 1, 0]
 
     def test_gold_parent_always_passes(self):
         tree = parse_hierarchy(["A/A1/A11/x1", "A/A2/A21/x2"])
         T = tree.indexing_matrix(3)
-        mask = training_mask([0.0, 0.0], [0.0, 1.0], T, 0.5)
+        mask = training_mask([0.0, 0.0], np.flatnonzero([0, 1]), T, 0.5)
         assert mask.tolist() == [0, 1]
 
     def test_inference_mask_is_training_mask_with_zero_gold(self):
@@ -185,7 +185,7 @@ class TestMasks:
         T = tree.indexing_matrix(4)
         p = rng.random(T.n_cols)
         assert np.array_equal(
-            inference_mask(p, T, 0.5), training_mask(p, np.zeros(T.n_cols), T, 0.5)
+            inference_mask(p, T, 0.5), training_mask(p, np.flatnonzero(np.zeros(T.n_cols)), T, 0.5)
         )
 
     def test_empty_inference_mask(self):
@@ -200,7 +200,7 @@ class TestMasks:
             T = tree.indexing_matrix(4)
             p = rng.random(T.n_cols)
             y = (rng.random(T.n_cols) < 0.3).astype(float)
-            got = training_mask(p, y, T, 0.5)
+            got = training_mask(p, np.flatnonzero(y), T, 0.5)
             positive_parents = {j for j in range(T.n_cols) if p[j] + y[j] >= 0.5}
             want = [1 if int(T.parent_index[c]) in positive_parents else 0
                     for c in range(T.rows)]
@@ -216,13 +216,36 @@ class TestMasks:
         y_child = (rng.random(T.rows) < 0.3).astype(np.uint8)
         y_parent = np.zeros(T.n_cols)
         y_parent[np.unique(T.parent_index[y_child.astype(bool)])] = 1
-        mask = training_mask(p, y_parent, T, 0.5)
+        mask = training_mask(p, np.flatnonzero(y_parent), T, 0.5)
         assert np.all(mask[y_child.astype(bool)] == 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from(["empty", "all", "random"]),
+           st.one_of(st.floats(1e-12, 1e-3), st.floats(1e-3, 1 - 1e-3),
+                     st.floats(1 - 1e-3, 1 - 1e-12)))
+    def test_equals_paper_rule_over_random_trees(self, seed, gold, threshold):
+        """Gold as label indices gives binary(p + y) gathered by T, for empty, all-gold and
+        random gold rows and thresholds in (0, 1) near both ends."""
+        rng = np.random.default_rng(seed)
+        T = random_tree(rng).indexing_matrix(int(rng.integers(2, 5)))
+        p = rng.random(T.n_cols)
+        p[rng.random(T.n_cols) < 0.2] = threshold  # scores exactly at the threshold pass
+        y = {"empty": np.zeros(T.n_cols), "all": np.ones(T.n_cols),
+             "random": (rng.random(T.n_cols) < 0.3).astype(float)}[gold]
+        want = ((p + y) >= threshold)[T.parent_index].astype(np.uint8)
+        got = training_mask(p, np.flatnonzero(y), T, threshold)
+        assert got.dtype == np.uint8 and got.tobytes() == want.tobytes()
 
     def test_dimension_mismatch(self):
         tree = parse_hierarchy(["A/A1/A11/x1"])
         with pytest.raises(DataError):
-            training_mask([0.5, 0.5], [0, 0], tree.indexing_matrix(4), 0.5)
+            training_mask([0.5, 0.5], np.flatnonzero([0, 0]), tree.indexing_matrix(4), 0.5)
+
+    @pytest.mark.parametrize("gold", [[0, 2], [-1], [1, 3]])
+    def test_gold_index_out_of_range(self, gold):
+        T = parse_hierarchy(["A/A1/A11/x1", "A/A1/A12/x2"]).indexing_matrix(4)
+        with pytest.raises(DataError, match="gold parent indices"):
+            training_mask([0.2, 0.7], np.array(gold), T, 0.5)
 
 
 class TestBootstrap:
@@ -537,7 +560,7 @@ class TestRowSparseLevel:
         E = derive_rng(42).normal(0.0, 0.1, size=(9, 5))
         init = bootstrap_hyperc(parent, demo_tree.indexing_matrix(2), E)
         mask_rng = derive_rng(43)
-        masks = [np.eye(9, dtype=np.uint8)[mask_rng.integers(8)] for _ in data.docs]
+        masks = np.stack([np.eye(9, dtype=np.uint8)[mask_rng.integers(8)] for _ in data.docs])
 
         model, ref = copy.deepcopy(init), copy.deepcopy(init)
         _train_level(data.docs, labels.rows, masks, model, cfg)
@@ -670,6 +693,17 @@ class TestPredict:
         assert np.all(p == 0.0)
         want = cascade_oracle(models, data.docs, demo_tree, cfg.binary_threshold)
         assert p.tobytes() == want.tobytes()
+
+    def test_empty_dataset(self, demo_tree, tiny_setup, live_chain):
+        """No documents give a (0, codes) matrix, for a flat model and a cascading chain."""
+        data, _ = tiny_setup
+        models, cfg = live_chain
+        empty = prepare_dataset([], data.vocab, demo_tree, cfg.c, cfg.s)
+        flat = init_level_model(data.vocab.size, cfg.c, cfg.hidden_size, 81, cfg.n_layers, 4,
+                                derive_rng(cfg.seed, "init", 4))
+        for m in (flat, models):
+            p = predict_dataset(m, empty, demo_tree, cfg)
+            assert p.shape == (0, 81) and p.dtype == np.float64
 
     def test_without_sampling_scores_level4_everywhere(self, demo_tree, tiny_setup):
         data, cfg0 = tiny_setup
