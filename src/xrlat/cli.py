@@ -173,7 +173,7 @@ def _cmd_train(args) -> int:
     started = time.time()
     if args.train_command == "plm-icd":
         _, history = training.train_flat(data, tree, run.train, out_dir=run.out_dir)
-        ckpts = ["flat.ckpt"]
+        levels = training.FLAT_LEVELS
     else:
         embeddings = None
         if run.train.bootstrap == "hyperc":
@@ -183,12 +183,13 @@ def _cmd_train(args) -> int:
         _, histories = training.train_xr_lat(data, tree, run.train, out_dir=run.out_dir,
                                              embeddings=embeddings)
         history = histories[-1]
-        ckpts = [f"level{k}.ckpt" for k in range(1, 5)]
+        levels = training.CHAIN_LEVELS
     elapsed = time.time() - started
     final_loss = history[-1][2] if history else float("nan")
     print(f"trained {len(data.docs)} docs, {run.train.max_steps} steps/level "
           f"in {elapsed:.1f}s (wall); final loss {final_loss:.6f}")
-    print(f"checkpoints: {', '.join(os.path.join(run.out_dir, c) for c in ckpts)}")
+    paths = (os.path.join(run.out_dir, f"{stem}.ckpt") for _, stem in levels)
+    print(f"checkpoints: {', '.join(paths)}")
     return 0
 
 
@@ -218,10 +219,10 @@ def _read_scores(path: str, doc_ids, n_labels: int) -> np.ndarray:
 def _load_models_for_eval(args, tree):
     """Returns (models, cfg, vocab_size): the flat model or the 4-chain as a list, the
     TrainConfig of its chunking and chain settings, and the vocabulary size it was trained with."""
-    paths = ([args.ckpt] if args.ckpt else
-             [os.path.join(args.chain, f"level{k}.ckpt") for k in range(1, 5)])
+    levels = training.FLAT_LEVELS if args.ckpt else training.CHAIN_LEVELS
+    paths = [args.ckpt or os.path.join(args.chain, f"{stem}.ckpt") for _, stem in levels]
     models, settings = [], None
-    for k, path in zip(range(5 - len(paths), 5), paths):
+    for (k, _), path in zip(levels, paths):
         model, level_settings = checkpoint.load_model(path)
         if model.level != k:
             raise ConfigError(f"{path}: expected level {k}, found {model.level}")

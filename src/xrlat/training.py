@@ -1,10 +1,10 @@
 """Training and prediction: optimizer, bootstrapping, the cascade step, and the loops.
 
-Two regimes are provided: a flat code-level classifier trained over the full
-label set, and a waterfall chain of four sub-models (chapter, block,
-category, code) where each child level can be initialized from its trained
-parent (bootstrapping) and restricted per instance to children of parents
-that are gold or predicted positive (dynamic negative sampling). One cascade
+Two regimes share one level loop: a flat code-level classifier trained over the
+full label set (the one-level chain), and a waterfall chain of four sub-models
+(chapter, block, category, code) where each child level can be initialized from
+its trained parent (bootstrapping) and restricted per instance to children of
+parents that are gold or predicted positive (dynamic negative sampling). One cascade
 step, ``_child_masks``, builds those masks in training and, without gold, in prediction.
 """
 
@@ -59,6 +59,10 @@ WARMUP_SHARE = 0.05  # the learning rate warms up over this share of max_steps
 HEAD_ROWS = ("W_la", "W_cl", "b_cl")
 
 BOOTSTRAP_MODES = ("none", "equal", "hyperc")
+
+# (tree level, checkpoint stem) of each model a training writes: flat is the one-level chain
+FLAT_LEVELS = ((4, "flat"),)
+CHAIN_LEVELS = ((1, "level1"), (2, "level2"), (3, "level3"), (4, "level4"))
 
 
 @dataclass
@@ -317,6 +321,10 @@ def _train_level(docs, label_rows, masks, model: LevelModel, cfg: TrainConfig,
                  log_path: Optional[str] = None):
     """Run the optimizer for cfg.max_steps over the documents; returns step history.
 
+    With B = ceil(documents / batch_size) batches per epoch, step s takes batch
+    s mod B of epoch s div B; each epoch is a fresh permutation of the documents,
+    drawn at its first batch from derive_rng(seed, "data", level).
+
     ``masks`` is either None (all labels active) or one uint8 row per
     document. Each step adds its documents' gradients, in batch order, into
     one buffer, and zeroes the rows it wrote once AdamW has read them. Under
@@ -329,52 +337,43 @@ def _train_level(docs, label_rows, masks, model: LevelModel, cfg: TrainConfig,
         raise DataError("cannot train on an empty dataset")
     keep_freed_memory()
     data_rng = derive_rng(cfg.seed, "data", model.level)
+    n_batches = math.ceil(n_docs / cfg.batch_size)
     opt = AdamW(model, weight_decay=cfg.weight_decay)
     loss_cfg = cfg.loss_config()
     history = []
     grads = zero_grads(model)
 
-    step = 0
-    while step < cfg.max_steps:
-        order = data_rng.permutation(n_docs)
-        for start in range(0, n_docs, cfg.batch_size):
-            if step >= cfg.max_steps:
-                break
-            batch = order[start : start + cfg.batch_size]
-            step_ss = np.random.SeedSequence([cfg.seed, model.level, step])
-            rngs = (
-                [np.random.default_rng(s) for s in step_ss.spawn(len(batch))]
-                if cfg.dropout > 0.0
-                else [None] * len(batch)
-            )
-            rows = slice(None) if masks is None else np.flatnonzero(masks[batch].any(axis=0))
-            losses = []
-            try:
-                for i, rng in zip((int(i) for i in batch), rngs):
-                    gold = np.zeros(model.n_labels, dtype=np.uint8)
-                    gold[label_rows[i]] = 1
-                    loss, _ = forward_backward(
-                        docs[i], model.enc, model.head, gold,
-                        None if masks is None else masks[i], loss_cfg,
-                        corr=model.corr, corr_inputs=model.corr_inputs,
-                        dropout=cfg.dropout, rng=rng, grads=grads,
-                    )
-                    losses.append(loss)
-            except NumericsError as exc:
-                raise NumericsError(
-                    f"{exc} at step {step}", tensor=exc.tensor, step=step
-                ) from None
-            batch_loss = float(np.mean(losses))
-            inv = 1.0 / len(batch)
-            for name, g in grads.items():
-                g[_rows_of(name, rows)] *= inv
-            clip_gradients(grads, CLIP_NORM, rows)
-            lr = lr_at(step, cfg.learning_rate, cfg.max_steps)
-            opt.step(model, grads, lr, rows)
-            for name, g in grads.items():
-                g[_rows_of(name, rows)] = 0.0
-            history.append((step, lr, batch_loss))
-            step += 1
+    for step in range(cfg.max_steps):
+        start = step % n_batches * cfg.batch_size
+        if start == 0:
+            order = data_rng.permutation(n_docs)
+        batch = order[start : start + cfg.batch_size]
+        step_ss = np.random.SeedSequence([cfg.seed, model.level, step])
+        rows = slice(None) if masks is None else np.flatnonzero(masks[batch].any(axis=0))
+        losses = []
+        try:
+            for i, seed in zip((int(i) for i in batch), step_ss.spawn(len(batch))):
+                gold = np.zeros(model.n_labels, dtype=np.uint8)
+                gold[label_rows[i]] = 1
+                loss, _ = forward_backward(
+                    docs[i], model.enc, model.head, gold,
+                    None if masks is None else masks[i], loss_cfg,
+                    corr=model.corr, corr_inputs=model.corr_inputs,
+                    dropout=cfg.dropout, rng=np.random.default_rng(seed), grads=grads,
+                )
+                losses.append(loss)
+        except NumericsError as exc:
+            raise NumericsError(f"{exc} at step {step}", tensor=exc.tensor, step=step) from None
+        batch_loss = float(np.mean(losses))
+        inv = 1.0 / len(batch)
+        for name, g in grads.items():
+            g[_rows_of(name, rows)] *= inv
+        clip_gradients(grads, CLIP_NORM, rows)
+        lr = lr_at(step, cfg.learning_rate, cfg.max_steps)
+        opt.step(model, grads, lr, rows)
+        for name, g in grads.items():
+            g[_rows_of(name, rows)] = 0.0
+        history.append((step, lr, batch_loss))
     if log_path is not None:
         atomic_write_text(log_path, "".join(
             f"{step}\t{lr:.6f}\t{loss:.6f}\n" for step, lr, loss in history
@@ -384,17 +383,12 @@ def _train_level(docs, label_rows, masks, model: LevelModel, cfg: TrainConfig,
 
 def train_flat(data: PreparedDataset, tree: CodeTree, cfg: TrainConfig,
                out_dir: Optional[str] = None):
-    """Train a single code-level model with every label active.
+    """Train the one-level chain: a single code-level model with every label active.
 
     Returns (model, history); with out_dir set, also writes flat.ckpt and
     train_flat.log there.
     """
-    model = init_level_model(data.vocab.size, cfg.c, cfg.hidden_size, tree.nodes_per_level[-1],
-                             cfg.n_layers, 4, derive_rng(cfg.seed, "init", 4))
-    log_path = os.path.join(out_dir, "train_flat.log") if out_dir else None
-    history = _train_level(data.docs, data.labels.rows, None, model, cfg, log_path)
-    if out_dir:
-        checkpoint.save_model(os.path.join(out_dir, "flat.ckpt"), model, cfg)
+    (model,), (history,) = _train_levels(data, tree, cfg, FLAT_LEVELS, out_dir)
     return model, history
 
 
@@ -421,31 +415,28 @@ def _child_masks(model: LevelModel, docs, masks, T: IndexingMatrix, threshold: f
     return out
 
 
-def train_xr_lat(data: PreparedDataset, tree: CodeTree, cfg: TrainConfig,
-                 out_dir: Optional[str] = None,
-                 embeddings: Optional[PoincareEmbeddings] = None):
-    """Waterfall-train the four-level model chain.
+def _train_levels(data: PreparedDataset, tree: CodeTree, cfg: TrainConfig, levels,
+                  out_dir: Optional[str] = None,
+                  embeddings: Optional[PoincareEmbeddings] = None):
+    """Train one model per (level, checkpoint stem) of ``levels``, coarse to fine.
 
-    Level 1 trains with full masks from a random init. Each subsequent level
-    is initialized per cfg.bootstrap and, when cfg.negative_sampling is on,
-    trained per instance only on children of parents that are gold or were
-    predicted positive by the (frozen) parent model. Returns
-    (models, histories).
+    The first level trains with every label active from a random init. Each
+    later level is initialized per cfg.bootstrap from the one before it and,
+    when cfg.negative_sampling is on, trained per instance only on children of
+    parents that are gold or were predicted positive by the (frozen) model
+    above. With out_dir set, each level writes train_<stem>.log and then
+    <stem>.ckpt there. Returns (models, histories).
     """
-    if cfg.bootstrap == "hyperc" and embeddings is None:
-        raise ConfigError("bootstrap=hyperc requires Poincare embeddings")
-
-    level_rows = [None] * 5  # 1-based
-    level_rows[4] = data.labels.rows
-    label_mat = data.labels
-    for k in (4, 3, 2):
+    first = levels[0][0]
+    label_mat, level_rows = data.labels, {4: data.labels.rows}
+    for k in range(4, first, -1):
         label_mat = propagate_labels(label_mat, tree.indexing_matrix(k))
         level_rows[k - 1] = label_mat.rows
 
     models, histories = [], []
     masks = None
-    for k in range(1, 5):
-        if k == 1 or cfg.bootstrap == "none":
+    for k, stem in levels:
+        if k == first or cfg.bootstrap == "none":
             model = init_level_model(data.vocab.size, cfg.c, cfg.hidden_size,
                                      tree.nodes_per_level[k - 1], cfg.n_layers, k,
                                      derive_rng(cfg.seed, "init", k))
@@ -453,18 +444,25 @@ def train_xr_lat(data: PreparedDataset, tree: CodeTree, cfg: TrainConfig,
             model = bootstrap_equal(models[-1], tree.indexing_matrix(k))
         else:
             model = bootstrap_hyperc(models[-1], tree.indexing_matrix(k), embeddings.level(k))
-
-        if k > 1 and cfg.negative_sampling:
+        if k > first and cfg.negative_sampling:
             masks = _child_masks(models[-1], data.docs, masks, tree.indexing_matrix(k),
                                  cfg.binary_threshold, level_rows[k - 1])
-
-        log_path = os.path.join(out_dir, f"train_level{k}.log") if out_dir else None
+        log_path = os.path.join(out_dir, f"train_{stem}.log") if out_dir else None
         history = _train_level(data.docs, level_rows[k], masks, model, cfg, log_path)
         if out_dir:
-            checkpoint.save_model(os.path.join(out_dir, f"level{k}.ckpt"), model, cfg)
+            checkpoint.save_model(os.path.join(out_dir, f"{stem}.ckpt"), model, cfg)
         models.append(model)
         histories.append(history)
     return models, histories
+
+
+def train_xr_lat(data: PreparedDataset, tree: CodeTree, cfg: TrainConfig,
+                 out_dir: Optional[str] = None,
+                 embeddings: Optional[PoincareEmbeddings] = None):
+    """Waterfall-train the four-level chain of CHAIN_LEVELS; returns (models, histories)."""
+    if cfg.bootstrap == "hyperc" and embeddings is None:
+        raise ConfigError("bootstrap=hyperc requires Poincare embeddings")
+    return _train_levels(data, tree, cfg, CHAIN_LEVELS, out_dir, embeddings)
 
 
 # ---------------------------------------------------------------------------

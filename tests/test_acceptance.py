@@ -203,11 +203,14 @@ def test_criterion_4_ablation_degeneracy(demo_tree):
         log_interval=1000,
     )
     data = prepare_dataset(docs, vocab, demo_tree, cfg.c, cfg.s)
-    _, flat_hist = train_flat(data, demo_tree, cfg)
-    _, chain_hists = train_xr_lat(data, demo_tree, cfg)
+    flat, flat_hist = train_flat(data, demo_tree, cfg)
+    chain, chain_hists = train_xr_lat(data, demo_tree, cfg)
     same = flat_hist == chain_hists[3] and len(flat_hist) >= 200
-    report(4, "bootstrap=none + sampling=off level-4 trajectory equals flat", same,
-           f"{len(flat_hist)} steps, exact float equality")
+    tensors = [(name, t.tobytes()) for name, t in flat.tensors()]
+    same_tensors = tensors == [(name, t.tobytes()) for name, t in chain[3].tensors()]
+    report(4, "bootstrap=none + sampling=off level-4 trajectory and tensors equal flat",
+           same and same_tensors,
+           f"{len(flat_hist)} steps, exact float equality; {len(tensors)} tensors bitwise")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The package binds no names, every import sits at module top, the modules import no cycle,
-only the two input readers open files, and one cascade step builds the chain's masks."""
+only the two input readers open files, one cascade step builds the chain's masks, and one
+level loop trains and saves every model."""
 
 import ast
 import os
@@ -88,4 +89,16 @@ def test_one_cascade_step_builds_the_masks():
         "training_mask": {"training._child_masks"},
         "inference_mask": {"training._child_masks", "training.training_mask"},
         "forward_probs": {"training._level_probs"},
+    }
+
+
+def test_one_level_loop_trains_every_model():
+    """Flat and chain training share one level loop: only training._train_levels runs a
+    level's steps, saves a model and bootstraps a level (bootstrap_hyperc's own call of
+    bootstrap_equal aside), so a second training loop cannot come back."""
+    assert _callers(["_train_level", "save_model", "bootstrap_equal", "bootstrap_hyperc"]) == {
+        "_train_level": {"training._train_levels"},
+        "save_model": {"training._train_levels"},
+        "bootstrap_equal": {"training._train_levels", "training.bootstrap_hyperc"},
+        "bootstrap_hyperc": {"training._train_levels"},
     }

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xrlat.checkpoint import load_model
 from xrlat.code_tree import LabelMatrix, parse_hierarchy, propagate_labels
 from xrlat import training
 from xrlat.hyperbolic import PoincareEmbeddings, flatten_tree
@@ -539,19 +540,46 @@ class TestTrainingLoops:
         with pytest.raises(DataError):
             train_flat(empty, demo_tree, cfg)
 
+    def test_flat_ignores_chain_settings(self, demo_tree, tiny_setup, tmp_path):
+        """Flat training is the one-level chain: its one level is the first, so it is never
+        bootstrapped (hyperc needs no embeddings) and never masked, and every bootstrap
+        and negative_sampling setting writes the same tensors and log."""
+        data, cfg0 = tiny_setup
+        written = set()
+        for bootstrap in ("none", "equal", "hyperc"):
+            for sampling in (True, False):
+                cfg = TrainConfig(**{**cfg0.__dict__, "max_steps": 6, "bootstrap": bootstrap,
+                                     "negative_sampling": sampling})
+                out = tmp_path / f"{bootstrap}-{sampling}"
+                out.mkdir()
+                train_flat(data, demo_tree, cfg, out_dir=str(out))
+                model, _ = load_model(str(out / "flat.ckpt"))
+                assert model.level == 4 and model.provenance == "random"
+                written.add((b"".join(name.encode() + t.tobytes() for name, t in model.tensors()),
+                             (out / "train_flat.log").read_bytes()))
+        assert len(written) == 1
+
 
 class TestRowSparseLevel:
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
-    def test_masked_level_equals_dense_loop(self, demo_tree, tiny_setup, weight_decay):
+    @pytest.mark.parametrize("weight_decay, batch_size, max_steps, dropout", [
+        pytest.param(0.0, 4, 12, 0.1, id="0.0"),
+        pytest.param(0.1, 4, 12, 0.1, id="0.1"),
+        pytest.param(0.0, 5, 23, 0.1, id="epochs-dropout0.1"),
+        pytest.param(0.0, 5, 23, 0.0, id="epochs-dropout0"),
+    ])
+    def test_masked_level_equals_dense_loop(self, demo_tree, tiny_setup, weight_decay,
+                                            batch_size, max_steps, dropout):
         """A masked bootstrap-hyperc level (with corr.*) trains to the dense loop's bytes.
 
         Each document's mask holds one of labels 0-7, so a step's rows change from step
         to step and label 8 is never touched; at weight_decay 0 its head row keeps its
-        initial bytes.
+        initial bytes. Batch 4 × 12 steps over the 48 documents is one epoch of full
+        batches; batch 5 × 23 steps makes ten batches per epoch, the last of 3 documents,
+        and reaches a third epoch.
         """
         data, cfg0 = tiny_setup
-        cfg = TrainConfig(**{**cfg0.__dict__, "batch_size": 4, "max_steps": 12,
-                             "weight_decay": weight_decay})
+        cfg = TrainConfig(**{**cfg0.__dict__, "batch_size": batch_size, "max_steps": max_steps,
+                             "weight_decay": weight_decay, "dropout": dropout})
         labels = data.labels
         for k in (4, 3):
             labels = propagate_labels(labels, demo_tree.indexing_matrix(k))
