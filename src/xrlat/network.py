@@ -247,14 +247,14 @@ def _dropout_mask(shape, p, rng):
 
 def _encode_fwd(doc: ChunkedDocument, enc: EncoderParams, dropout: float = 0.0,
                 rng: Optional[np.random.Generator] = None):
-    """Encode each chunk independently and concatenate to an (s * c)-by-h matrix H.
+    """Encode each chunk independently and concatenate to a (chunks * c)-by-h matrix H.
 
     With zero transformer blocks H degenerates to
     ``emb[token] + pos[position-within-chunk]``. The attention masks padding keys,
     so the first n_real rows of H do not depend on the padding. Returns (H, cache).
     """
     ids = doc.chunks
-    s, c = ids.shape
+    c = ids.shape[1]
     if c > enc.chunk_len:
         raise DataError(f"chunk length {c} exceeds positional table size {enc.chunk_len}")
     if ids.min() < 0 or ids.max() >= enc.vocab_size:
@@ -265,12 +265,9 @@ def _encode_fwd(doc: ChunkedDocument, enc: EncoderParams, dropout: float = 0.0,
     if mask0 is not None:
         x = x * mask0
 
-    # Padding keys get -inf scores so they cannot influence real tokens. Chunks
-    # that are entirely padding are left unmasked to keep the softmax defined, so
-    # the mask ends with the chunk that holds the last real token.
-    key_mask = np.zeros(s * c)
-    key_mask[doc.n_real : -(-doc.n_real // c) * c] = -np.inf
-    key_mask = key_mask.reshape(s, 1, c)  # broadcast over query positions
+    # -inf on padding keys (every chunk holds a real token, so each softmax row is defined)
+    key_mask = np.zeros((len(ids), 1, c))  # broadcast over query positions
+    key_mask.reshape(-1)[doc.n_real:] = -np.inf
 
     cache = {"ids": ids, "mask0": mask0, "blocks": []}
     scale = 1.0 / np.sqrt(enc.hidden)
@@ -297,17 +294,17 @@ def _encode_fwd(doc: ChunkedDocument, enc: EncoderParams, dropout: float = 0.0,
              "ln2": ln2c, "b2": b2, "f1": f1, "g1": g1, "tanh1": tanh1, "mask_a": mask_a}
         )
         x = x_next
-    return x.reshape(s * c, enc.hidden), cache
+    return x.reshape(-1, enc.hidden), cache
 
 
 def _flat_outer(a, b):
-    """sum over (s, c) of outer products: (s, c, i) x (s, c, j) -> (i, j)."""
+    """sum over (chunks, c) of outer products: (chunks, c, i) x (chunks, c, j) -> (i, j)."""
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
 def _encode_bwd(dH: np.ndarray, cache: dict, enc: EncoderParams, grads: dict) -> None:
-    s, c = cache["ids"].shape
-    dx = dH.reshape(s, c, enc.hidden)
+    c = cache["ids"].shape[1]
+    dx = dH.reshape(-1, c, enc.hidden)
     scale = 1.0 / np.sqrt(enc.hidden)
     for i in range(len(enc.blocks) - 1, -1, -1):
         blk, bc = enc.blocks[i], cache["blocks"][i]
@@ -368,14 +365,12 @@ def _head_fwd(Hr, W_la_eff, W_cl, b_cl):
 
     d_j = sum_t alpha_tj h_t with alpha_tj = e_tj / z_j, e_tj = exp(s_tj - max_t s_tj)
     for the scores s_tj = h_t . W_la_eff[j], and z_j = sum_t e_tj. The callers pass
-    H[:n_real], so padding rows never enter the result. The scores are token-major,
-    (r, A): every reduction and broadcast runs along contiguous rows of A labels. They
-    are exponentiated in place, the forward's only (r, A) array, and alpha is never
-    formed: d is (e.T @ Hr) scaled by 1 / z.
+    H[:n_real], at least one row since chunk rejects an empty document, so padding rows
+    never enter the result. The scores are token-major, (r, A): every reduction and broadcast runs
+    along contiguous rows of A labels. They are exponentiated in place, the forward's
+    only (r, A) array, and alpha is never formed: d is (e.T @ Hr) scaled by 1 / z.
     Returns (p, cache); the cache holds ``e`` (r, A), ``inv_z`` (A,) and ``d`` (A, h).
     """
-    if Hr.shape[0] == 0:
-        raise DataError("cannot attend over a document whose tokens are all padding")
     e = Hr @ W_la_eff.T  # (r, A)
     e -= e.max(axis=0)
     np.exp(e, out=e)

@@ -21,7 +21,7 @@ from .util import ConfigError, DataError, ParseError, atomic_write_text, derive_
 PAD_ID = 0
 UNK_ID = 1
 MAX_CHUNK_LEN = 512
-MAX_CHUNKS = 512  # bounds a document's token buffer, c * s, at 2**18 tokens
+MAX_CHUNKS = 512  # bounds the tokens a document keeps, c * s, at 2**18
 
 DATASET_HEADER = "# xrlat-dataset v1"
 VOCAB_HEADER = "# xrlat-vocab v1"
@@ -119,10 +119,10 @@ def tokenize(text: str, vocab: Vocabulary) -> np.ndarray:
 
 @dataclass
 class ChunkedDocument:
-    """A document laid out as s chunks of exactly c token ids: its first n_real
-    slots in row-major order hold its tokens, the rest hold PAD (id 0)."""
+    """A document laid out as ceil(n_real / c) chunks of exactly c token ids: its first
+    n_real slots in row-major order hold its tokens, the last chunk's tail holds PAD (0)."""
 
-    chunks: np.ndarray  # (s, c) int64
+    chunks: np.ndarray  # (ceil(n_real / c), c) int64
     n_real: int
 
 
@@ -135,17 +135,20 @@ def check_chunk_geometry(c: int, s: int) -> None:
 
 
 def chunk(tokens, c: int, s: int) -> ChunkedDocument:
-    """Lay the first min(t, c*s) tokens into s chunks of c; pad the tail.
+    """Lay the first n = min(t, c*s) tokens into ceil(n / c) chunks of c; PAD fills
+    the last chunk's tail.
 
-    Documents longer than c * s are truncated; shorter ones are padded with PAD.
-    Raises ConfigError for a geometry check_chunk_geometry rejects.
+    Documents longer than c * s are truncated. Raises ConfigError for a geometry
+    check_chunk_geometry rejects and DataError for an empty token sequence.
     """
     check_chunk_geometry(c, s)
     tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.size == 0:
+        raise DataError("cannot chunk a document with no tokens")
     n = min(tokens.size, c * s)
-    flat = np.zeros(c * s, dtype=np.int64)
+    flat = np.zeros(-(-n // c) * c, dtype=np.int64)
     flat[:n] = tokens[:n]
-    return ChunkedDocument(flat.reshape(s, c), n)
+    return ChunkedDocument(flat.reshape(-1, c), n)
 
 
 @dataclass

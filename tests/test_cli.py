@@ -279,6 +279,31 @@ class TestTrainCommand:
             assert os.path.exists(os.path.join(run, f"level{k}.ckpt"))
             assert os.path.exists(os.path.join(run, f"train_level{k}.log"))
 
+    def test_short_documents_at_the_largest_geometry(self, tmp_path, demo_tree_path):
+        """A 24-token document at c = s = 512 is one chunk, so a transformer block attends
+        over one (c, c) array, not s of them (once a MemoryError, exit 2)."""
+        data = str(tmp_path / "short.tsv")
+        assert main(["data", "synth", "--tree", demo_tree_path, "--out", data,
+                     "--n-docs", "8", "--doc-len", "24", "--seed", "3"]) == 0
+        cfg = base_config(tmp_path, demo_tree_path, data, max_steps=2)
+        assert main(["train", "plm-icd", "--config", cfg, "--set", "n_layers=1",
+                     "--set", "c=512", "--set", "s=512"]) == 0
+        assert os.path.exists(str(tmp_path / "run" / "flat.ckpt"))
+
+    def test_document_without_tokens_exit_1_naming_it(self, tmp_path, demo_tree_path,
+                                                      small_dataset, capsys):
+        """A document whose text cleans to nothing exits 1 naming its id, before chunk."""
+        data = str(tmp_path / "blank.tsv")
+        with open(small_dataset, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        code = lines[1].split(b"\t")[1]
+        with open(data, "wb") as fh:
+            fh.write(_insert_line(b"\n".join(lines), 3, b"blank\t" + code + b"\t[** Name **] --"))
+        cfg = base_config(tmp_path, demo_tree_path, data)
+        assert main(["train", "plm-icd", "--config", cfg]) == 1
+        assert (capsys.readouterr().err
+                == "error: document 'blank' has no tokens after cleaning\n")
+
     def test_unknown_config_key_exit_1_before_compute(self, tmp_path, demo_tree_path,
                                                       small_dataset, capsys):
         cfg = base_config(tmp_path, demo_tree_path, small_dataset, bogus_key=1)

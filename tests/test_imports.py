@@ -1,6 +1,6 @@
 """The package binds no names, every import sits at module top, the modules import no cycle,
-only the two input readers open files, one cascade step builds the chain's masks, and one
-level loop trains and saves every model."""
+only the two input readers open files, one cascade step builds the chain's masks, one
+level loop trains and saves every model, and only chunk builds a document."""
 
 import ast
 import os
@@ -102,3 +102,10 @@ def test_one_level_loop_trains_every_model():
         "bootstrap_equal": {"training._train_levels", "training.bootstrap_hyperc"},
         "bootstrap_hyperc": {"training._train_levels"},
     }
+
+
+def test_only_chunk_builds_a_document():
+    """textproc.chunk, which rejects an empty token sequence and pads only the last
+    chunk's tail, is the one constructor of ChunkedDocument in the package, so every
+    document's every chunk holds a real token."""
+    assert _callers(["ChunkedDocument"]) == {"ChunkedDocument": {"textproc.chunk"}}

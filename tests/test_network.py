@@ -132,8 +132,8 @@ class TestLabelAttention:
 
     def test_weights_sum_to_one_and_zero_on_padding(self):
         """The head attends over the n_real real rows only: changing the padding ids of a
-        document (a padded tail and an all-padding chunk) changes H's padding rows but
-        neither the probabilities nor any gradient."""
+        document (its last chunk's padded tail) changes H's padding rows but neither the
+        probabilities nor any gradient."""
         rng = derive_rng(8)
         model = init_level_model(30, 4, 8, 5, 1, 0, rng)
         enc, head = model.enc, model.head
@@ -143,7 +143,8 @@ class TestLabelAttention:
         assert alpha.shape == (5, 6)  # one weight per real token only
         assert np.all(np.abs(alpha.sum(axis=1) - 1.0) < 1e-12)
         tampered = chunk([3, 4, 5, 6, 7, 8], c=4, s=3)
-        tampered.chunks.reshape(-1)[doc.n_real:] = rng.integers(2, 30, size=6)
+        assert tampered.chunks.shape == (2, 4)  # two padding slots, in the last chunk
+        tampered.chunks.reshape(-1)[doc.n_real:] = rng.integers(2, 30, size=2)
         assert not np.array_equal(H[doc.n_real:], encode(tampered, enc)[doc.n_real:])
         assert (forward_probs(doc, enc, head).tobytes()
                 == forward_probs(tampered, enc, head).tobytes())
@@ -154,11 +155,8 @@ class TestLabelAttention:
             assert g1[name].tobytes() == g2[name].tobytes(), name
 
     def test_all_padding_rejected(self):
-        with pytest.raises(DataError):
-            attend(np.zeros((0, 2)), np.zeros((1, 2)))
-        model = init_level_model(10, 4, 2, 1, 1, 0, derive_rng(8))
-        with pytest.raises(DataError, match="all padding"):
-            forward_probs(chunk([], c=4, s=2), model.enc, model.head)
+        with pytest.raises(DataError, match="no tokens"):
+            chunk([], c=4, s=2)  # so no document reaches the head without a real row
 
 
 class TestClassify:
@@ -397,7 +395,7 @@ class TestForwardBackward:
 
 class TestPaddedDocument:
     """forward_backward on padding as training meets it: c=4, s=3 and five tokens make a
-    full chunk, a chunk with three padding slots and a chunk of padding only."""
+    full chunk and a chunk with three padding slots; s only caps the chunk count."""
 
     TOKENS = [3, 9, 4, 17, 5]
 
@@ -429,7 +427,7 @@ class TestPaddedDocument:
     @pytest.mark.parametrize("with_corr", [False, True], ids=["plain", "corr"])
     @pytest.mark.parametrize("loss", [LossConfig(), ASL], ids=["bce", "asl"])
     @pytest.mark.parametrize("n_layers", [0, 1, 2])
-    def test_finite_differences_with_an_all_padding_chunk(self, n_layers, loss, with_corr):
+    def test_finite_differences_with_a_padded_chunk(self, n_layers, loss, with_corr):
         self.check_finite_differences(n_layers, loss, with_corr, self.MASK)
 
     @pytest.mark.parametrize("masked", [True, False], ids=["masked", "unmasked"])
@@ -484,15 +482,15 @@ class TestPaddedDocument:
             assert loss_and_grad(probs[active], gold[active], loss)[0] == train_loss
 
     @pytest.mark.parametrize("n_layers", [0, 1, 2])
-    def test_real_rows_match_the_unpadded_chunk_count(self, n_layers):
-        """An all-padding chunk changes nothing the head sees: H's real rows and the
-        probabilities equal those at s=2, bit for bit."""
+    def test_s_past_the_real_chunks_builds_the_same_document(self, n_layers):
+        """s bounds the chunk count but adds no chunk: the five tokens make the same two
+        chunks at s=2 and s=3, and the same probabilities, bit for bit."""
         model = init_level_model(20, 4, 8, 6, n_layers, 0, derive_rng(33, n_layers))
         enc, head = model.enc, model.head
-        padded, snug = chunk(self.TOKENS, c=4, s=3), chunk(self.TOKENS, c=4, s=2)
-        assert padded.n_real == snug.n_real == 5
-        assert encode(padded, enc)[:5].tobytes() == encode(snug, enc)[:5].tobytes()
-        assert (forward_probs(padded, enc, head).tobytes()
+        roomy, snug = chunk(self.TOKENS, c=4, s=3), chunk(self.TOKENS, c=4, s=2)
+        assert roomy.n_real == snug.n_real == 5
+        assert np.array_equal(roomy.chunks, snug.chunks) and snug.chunks.shape == (2, 4)
+        assert (forward_probs(roomy, enc, head).tobytes()
                 == forward_probs(snug, enc, head).tobytes())
 
 
@@ -562,8 +560,6 @@ class TestLabelTiles:
         document has finished writing its gradient rows."""
         monkeypatch.setattr(network, "HEAD_TILE", 2)
         model = init_level_model(20, 4, 8, 6, 0, 0, derive_rng(43))
-        with pytest.raises(DataError, match="tokens are all padding"):
-            forward_probs(chunk([], 4, 2), model.enc, model.head)
         failure = RuntimeError("first tile")
         head_bwd = network._head_bwd
 

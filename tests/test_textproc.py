@@ -146,19 +146,27 @@ class TestChunk:
         with pytest.raises(ConfigError, match=message):
             TrainConfig(c=6, s=s)
 
+    def test_short_document_takes_only_its_chunks(self):
+        """s bounds the chunk count but does not pad to it: 24 tokens at c = s = 512 make
+        one chunk, not a 512 x 512 buffer of which 511 chunks are padding."""
+        doc = chunk(np.arange(2, 26), 512, 512)
+        assert doc.chunks.shape == (1, 512) and doc.n_real == 24
+        assert chunk(np.arange(2, 2 + 2**18 + 5), 512, 512).chunks.shape == (512, 512)
+
     @settings(max_examples=100, deadline=None)
     @given(
-        st.lists(st.integers(1, 500), max_size=40),
+        st.lists(st.integers(1, 500), min_size=1, max_size=40),
         st.integers(1, 8),
         st.integers(1, 5),
     )
     def test_roundtrip_recovers_prefix(self, tokens, c, s):
         doc = chunk(tokens, c, s)
         keep = min(len(tokens), c * s)
-        assert doc.chunks.shape == (s, c) and doc.n_real == keep
+        assert doc.chunks.shape == (-(-keep // c), c) and doc.n_real == keep
         flat = doc.chunks.reshape(-1)
         assert flat[:keep].tolist() == tokens[:keep]
-        assert np.all(flat[keep:] == PAD_ID)
+        # PAD only in the last chunk's tail: every chunk holds a real token
+        assert np.all(flat[keep:] == PAD_ID) and flat.size - keep < c
 
 
 class TestSynthCorpus:
