@@ -140,10 +140,9 @@ def top_codes(scores, k: int) -> np.ndarray:
 
     Ties go to the lower code index, as in a stable sort of the negated
     scores, where NaN sorts last. For 0 < k < L a row whose first k codes
-    share its best score (an all-zero row of a cascade) takes those. Any
-    other row finds its k-th highest score by a partition; the codes above
-    it and the lowest-index codes tied with it make exactly k, and only those
-    are sorted.
+    share its best score (an all-zero row of a cascade) takes those. The
+    other rows go to _top_k_rows in blocks of AUC_BLOCK_CELLS cells, so their
+    copies take no more memory than macro AUC's.
     """
     scores = np.asarray(scores)
     n_codes = scores.shape[-1]
@@ -153,9 +152,18 @@ def top_codes(scores, k: int) -> np.ndarray:
     out = np.empty((len(rows), k), dtype=np.intp)
     leading = np.all(rows[:, :k] == rows.max(axis=1, keepdims=True), axis=1)
     out[leading] = np.arange(k)
-
     rest = np.flatnonzero(~leading)
-    neg = -rows[rest]
+    step = max(1, AUC_BLOCK_CELLS // n_codes)
+    for block in np.split(rest, range(step, rest.size, step)):
+        out[block] = _top_k_rows(-rows[block], k)
+    return out.reshape(scores.shape[:-1] + (k,))
+
+
+def _top_k_rows(neg, k: int) -> np.ndarray:
+    """top_codes of the negated (n, L) rows ``neg``, 0 < k < L. Each row finds its k-th
+    highest score by a partition; the codes above it and the lowest-index codes tied
+    with it make exactly k, and only those are sorted."""
+    n_codes = neg.shape[1]
     kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
     top = neg < kth
     tied = neg == kth
@@ -170,8 +178,7 @@ def top_codes(scores, k: int) -> np.ndarray:
     top.flat[np.flatnonzero(tied)[first[np.arange(k) < need[:, np.newaxis]]]] = True
     cols = (np.flatnonzero(top) % n_codes).reshape(-1, k)  # ascending within each row
     order = np.argsort(np.take_along_axis(neg, cols, axis=1), axis=1, kind="stable")
-    out[rest] = np.take_along_axis(cols, order, axis=1)
-    return out.reshape(scores.shape[:-1] + (k,))
+    return np.take_along_axis(cols, order, axis=1)
 
 
 def precision_at_k(pred: PredictionSet, k: int) -> float:

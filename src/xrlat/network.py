@@ -33,15 +33,39 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def _gelu_fwd(x):
-    """tanh-approximation GELU; returns the tanh term for reuse in the backward pass."""
-    x2 = x * x
-    t = np.tanh(_GELU_C * (x + 0.044715 * x2 * x))
-    return 0.5 * x * (1.0 + t), t
+    """tanh-approximation GELU; returns the tanh term for reuse in the backward pass.
+
+    Works in two buffers. It halves (1 + t) where 0.5 * x * (1 + t) halves x: halving is
+    exact, so both round the same real product for every normal x.
+    """
+    t = x * x
+    t *= 0.044715
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= 0.5
+    y *= x
+    return y, t
 
 
 def _gelu_grad(x, t):
-    du = _GELU_C * (1.0 + 3.0 * 0.044715 * (x * x))
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+    """d GELU / dx = 0.5 (1 + t) + 0.5 x (1 - t^2) du, in two buffers; it halves
+    (1 - t^2) where the formula halves x, as _gelu_fwd does."""
+    du = x * x
+    du *= 3.0 * 0.044715
+    du += 1.0
+    du *= _GELU_C
+    b = t * t
+    np.subtract(1.0, b, out=b)
+    b *= 0.5
+    b *= x
+    b *= du
+    np.add(t, 1.0, out=du)
+    du *= 0.5
+    du += b
+    return du
 
 
 def _sigmoid(x):
@@ -207,23 +231,36 @@ def zero_grads(model: LevelModel) -> dict:
 # layer norm
 
 
+def _row_mean(x):
+    """x.mean(axis=-1, keepdims=True), bit for bit, without ndarray.mean's Python layer."""
+    m = np.add.reduce(x, axis=-1, keepdims=True)
+    m /= x.shape[-1]
+    return m
+
+
 def _ln_fwd(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv)
+    xc = x - _row_mean(x)
+    y = xc * xc
+    inv = 1.0 / np.sqrt(_row_mean(y) + LN_EPS)
+    xc *= inv  # xhat
+    np.multiply(xc, g, out=y)
+    y += b
+    return y, (xc, inv)
 
 
 def _ln_bwd(dy, cache, g):
     xhat, inv = cache
-    dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
-    dxhat = dy * g
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
+    axes = tuple(range(dy.ndim - 1))
+    t = dy * xhat
+    dg = np.add.reduce(t, axis=axes)
+    db = np.add.reduce(dy, axis=axes)
+    dx = dy * g  # dxhat
+    m1 = _row_mean(dx)
+    np.multiply(dx, xhat, out=t)
+    np.multiply(xhat, _row_mean(t), out=t)
+    dx -= m1
+    dx -= t
+    dx *= inv
     return dx, dg, db
 
 
@@ -243,6 +280,13 @@ def _dropout_mask(shape, p, rng):
 
 # ---------------------------------------------------------------------------
 # encoder
+
+
+def _project(x, w):
+    """x @ w for a (chunks, c, i) activation and an (i, j) block weight, as one 2-D GEMM
+    over the document's chunks * c rows: a 3-D @ runs one small GEMM per chunk. Every
+    product of an activation with a block weight goes through here."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (w.shape[1],))
 
 
 def _encode_fwd(doc: ChunkedDocument, enc: EncoderParams, dropout: float = 0.0,
@@ -273,21 +317,21 @@ def _encode_fwd(doc: ChunkedDocument, enc: EncoderParams, dropout: float = 0.0,
     scale = 1.0 / np.sqrt(enc.hidden)
     for blk in enc.blocks:
         a, ln1c = _ln_fwd(x, blk.ln1_g, blk.ln1_b)
-        q = a @ blk.q
-        k = a @ blk.k
-        v = a @ blk.v
+        q = _project(a, blk.q)
+        k = _project(a, blk.k)
+        v = _project(a, blk.v)
         scores = (q @ k.transpose(0, 2, 1)) * scale + key_mask
         p_attn = _softmax_last(scores)
         ctx = p_attn @ v
-        out = ctx @ blk.o
+        out = _project(ctx, blk.o)
         mask_a = _dropout_mask(out.shape, dropout, rng)
         if mask_a is not None:
             out = out * mask_a
         x1 = x + out
         b2, ln2c = _ln_fwd(x1, blk.ln2_g, blk.ln2_b)
-        f1 = b2 @ blk.ff1
+        f1 = _project(b2, blk.ff1)
         g1, tanh1 = _gelu_fwd(f1)
-        f2 = g1 @ blk.ff2
+        f2 = _project(g1, blk.ff2)
         x_next = x1 + f2
         cache["blocks"].append(
             {"a": a, "q": q, "k": k, "v": v, "p": p_attn, "ctx": ctx, "ln1": ln1c,
@@ -312,10 +356,10 @@ def _encode_bwd(dH: np.ndarray, cache: dict, enc: EncoderParams, grads: dict) ->
         df2 = dx
         dx1 = dx.copy()
         grads[f"blk{i}.ff2"] += _flat_outer(bc["g1"], df2)
-        dg1 = df2 @ blk.ff2.T
-        df1 = dg1 * _gelu_grad(bc["f1"], bc["tanh1"])
+        df1 = _project(df2, blk.ff2.T)
+        df1 *= _gelu_grad(bc["f1"], bc["tanh1"])
         grads[f"blk{i}.ff1"] += _flat_outer(bc["b2"], df1)
-        db2 = df1 @ blk.ff1.T
+        db2 = _project(df1, blk.ff1.T)
         dx_ln2, dg, db = _ln_bwd(db2, bc["ln2"], blk.ln2_g)
         grads[f"blk{i}.ln2_g"] += dg
         grads[f"blk{i}.ln2_b"] += db
@@ -326,7 +370,7 @@ def _encode_bwd(dH: np.ndarray, cache: dict, enc: EncoderParams, grads: dict) ->
         if bc["mask_a"] is not None:
             dout = dout * bc["mask_a"]
         grads[f"blk{i}.o"] += _flat_outer(bc["ctx"], dout)
-        dctx = dout @ blk.o.T
+        dctx = _project(dout, blk.o.T)
         dp = dctx @ bc["v"].transpose(0, 2, 1)
         dv = bc["p"].transpose(0, 2, 1) @ dctx
         p_attn = bc["p"]
@@ -337,7 +381,9 @@ def _encode_bwd(dH: np.ndarray, cache: dict, enc: EncoderParams, grads: dict) ->
         grads[f"blk{i}.q"] += _flat_outer(bc["a"], dq)
         grads[f"blk{i}.k"] += _flat_outer(bc["a"], dk)
         grads[f"blk{i}.v"] += _flat_outer(bc["a"], dv)
-        da = dq @ blk.q.T + dk @ blk.k.T + dv @ blk.v.T
+        da = _project(dq, blk.q.T)
+        da += _project(dk, blk.k.T)
+        da += _project(dv, blk.v.T)
         dx_ln1, dg, db = _ln_bwd(da, bc["ln1"], blk.ln1_g)
         grads[f"blk{i}.ln1_g"] += dg
         grads[f"blk{i}.ln1_b"] += db

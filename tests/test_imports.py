@@ -1,6 +1,7 @@
 """The package binds no names, every import sits at module top, the modules import no cycle,
 only the two input readers open files, one cascade step builds the chain's masks, one
-level loop trains and saves every model, and only chunk builds a document."""
+level loop trains and saves every model, only chunk builds a document, and one helper
+multiplies activations with the encoder's block weights."""
 
 import ast
 import os
@@ -109,3 +110,35 @@ def test_only_chunk_builds_a_document():
     chunk's tail, is the one constructor of ChunkedDocument in the package, so every
     document's every chunk holds a real token."""
     assert _callers(["ChunkedDocument"]) == {"ChunkedDocument": {"textproc.chunk"}}
+
+
+def test_block_weights_multiply_only_in_project():
+    """Each product of an activation with a block weight is one 2-D GEMM over a document's
+    chunks * c rows: no @ or np.matmul in network.py outside network._project takes a
+    block weight (blk.q, ..., blk.ff2, or its .T) as an operand, so a per-chunk 3-D
+    product cannot come back."""
+    weights = {"q", "k", "v", "o", "ff1", "ff2"}
+
+    def is_weight(node):
+        if isinstance(node, ast.Attribute) and node.attr == "T":
+            node = node.value
+        return isinstance(node, ast.Attribute) and node.attr in weights
+
+    tree = dict(_modules())["network"]
+    project = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_project")
+    inside = set(ast.walk(project))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.MatMult):
+            operands = [node.target, node.value]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "matmul":
+            operands = node.args
+        else:
+            continue
+        if node not in inside and any(map(is_weight, operands)):
+            found.append(f"network.py:{node.lineno}")
+    assert found == []
+    assert _callers(["_project"]) == {"_project": {"network._encode_fwd", "network._encode_bwd"}}

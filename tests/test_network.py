@@ -16,8 +16,12 @@ from xrlat.network import (
     LevelModel,
     _encode_bwd,
     _encode_fwd,
+    _gelu_fwd,
+    _gelu_grad,
     _head_bwd,
     _head_fwd,
+    _ln_bwd,
+    _ln_fwd,
     check_gradients,
     forward_backward,
     forward_probs,
@@ -106,6 +110,127 @@ class TestEncoder:
         h_tampered = encode(tampered, enc)
         assert np.array_equal(h_short[:3], h_tampered[:3])
         assert not np.array_equal(h_short[:3], encode(other, enc)[:3])
+
+
+def reference_gelu_fwd(x):
+    x2 = x * x
+    t = np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x2 * x))
+    return 0.5 * x * (1.0 + t), t
+
+
+def reference_gelu_grad(x, t):
+    du = np.sqrt(2.0 / np.pi) * (1.0 + 3.0 * 0.044715 * (x * x))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+
+
+def reference_ln_fwd(x, g, b):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc**2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + network.LN_EPS)
+    xhat = xc * inv
+    return g * xhat + b, (xhat, inv)
+
+
+def reference_ln_bwd(dy, cache, g):
+    xhat, inv = cache
+    dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
+    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    dxhat = dy * g
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return inv * (dxhat - m1 - xhat * m2), dg, db
+
+
+def per_chunk_encode(doc, enc, dropout, rng):
+    """_encode_fwd's H with the reference kernels and each block weight product a 3-D
+    ``a @ blk.q``, which numpy runs as one GEMM per chunk; dropout drawn in the same order."""
+    ids, h = doc.chunks, enc.hidden
+    c = ids.shape[1]
+    x = (enc.emb[ids] + enc.pos[np.newaxis, :c, :]) * ((rng.random((len(ids), c, h)) >= dropout)
+                                                       / (1.0 - dropout))
+    key_mask = np.zeros((len(ids), 1, c))
+    key_mask.reshape(-1)[doc.n_real:] = -np.inf
+    for blk in enc.blocks:
+        a, _ = reference_ln_fwd(x, blk.ln1_g, blk.ln1_b)
+        q, k, v = a @ blk.q, a @ blk.k, a @ blk.v
+        scores = (q @ k.transpose(0, 2, 1)) * (1.0 / np.sqrt(h)) + key_mask
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        out = ((e / e.sum(axis=-1, keepdims=True)) @ v) @ blk.o
+        x1 = x + out * ((rng.random(out.shape) >= dropout) / (1.0 - dropout))
+        b2, _ = reference_ln_fwd(x1, blk.ln2_g, blk.ln2_b)
+        x = x1 + reference_gelu_fwd(b2 @ blk.ff1)[0] @ blk.ff2
+    return x.reshape(-1, h)
+
+
+class TestEncoderKernels:
+    """The in-place GELU and LayerNorm kernels and the 2-D weight products give the bytes of
+    the formulas they replaced."""
+
+    def inputs(self, seed):
+        """A (5, 6, 24) array and its (30, 24) view: magnitudes from 1e-8 to 1e3 of both
+        signs, a row of +0.0 and -0.0 mixed, and a row of -0.0 alone."""
+        rng = derive_rng(41, seed)
+        x = 10.0 ** rng.uniform(-8.0, 3.0, size=(5, 6, 24)) * rng.choice([-1.0, 1.0], (5, 6, 24))
+        x[0, 0] = np.where(rng.random(24) < 0.5, 0.0, -0.0)
+        x[1, 2] = -0.0
+        return x, x.reshape(30, 24)
+
+    def test_gelu_matches_the_reference_formulas(self):
+        for x in self.inputs(0):
+            before = x.tobytes()
+            y, t = _gelu_fwd(x)
+            want_y, want_t = reference_gelu_fwd(x)
+            assert y.tobytes() == want_y.tobytes() and t.tobytes() == want_t.tobytes()
+            assert _gelu_grad(x, t).tobytes() == reference_gelu_grad(x, t).tobytes()
+            assert x.tobytes() == before
+
+    def test_layer_norm_matches_the_reference_formulas(self):
+        rng = derive_rng(42)
+        g, b = rng.normal(size=24), rng.normal(size=24)
+        for x, dy in zip(self.inputs(1), self.inputs(2)):
+            before = [t.tobytes() for t in (x, dy, g)]
+            y, cache = _ln_fwd(x, g, b)
+            want_y, want_cache = reference_ln_fwd(x, g, b)
+            assert [t.tobytes() for t in (y,) + cache] == [t.tobytes() for t in (want_y,) + want_cache]
+            got = _ln_bwd(dy, cache, g)
+            assert [t.tobytes() for t in got] == [t.tobytes() for t in reference_ln_bwd(dy, cache, g)]
+            assert [t.tobytes() for t in (x, dy, g)] == before
+
+    def test_encoder_matches_the_per_chunk_products(self):
+        """A 2-layer model with dropout, at the benchmark's c = 16 and h = 64, on a document
+        whose last chunk is partly filled: H is the per-chunk reference's bytes, so a
+        checkpoint written by the per-chunk encoder evaluates to the same scores."""
+        rng = derive_rng(43)
+        enc = init_level_model(60, 16, 64, 1, 2, 0, rng).enc
+        doc = make_doc(rng, 60, c=16, s=8, t=16 * 5 + 7)
+        assert doc.chunks.shape == (6, 16)
+        H, _ = _encode_fwd(doc, enc, 0.1, derive_rng(44))
+        assert H.tobytes() == per_chunk_encode(doc, enc, 0.1, derive_rng(44)).tobytes()
+
+    def test_traced_peak_memory_per_document(self):
+        """One 2-layer document's forward_backward stays below 19 (chunks, c, 4h) float64
+        arrays and its forward_probs below 12 (18.3 and 11.4 here; 22.3 and 13.2 with
+        per-chunk products and out-of-place kernels)."""
+        n_labels, h, c, s = 81, 64, 16, 8
+        rng = derive_rng(45)
+        model = init_level_model(40, c, h, n_labels, 2, 0, rng)
+        doc = make_doc(rng, 40, c, s, t=c * s - 5)
+        gold = (rng.random(n_labels) < 0.2).astype(np.float64)
+        grads = zero_grads(model)
+        unit = doc.chunks.shape[0] * c * 4 * h * 8
+        peaks = []
+        for call in (lambda: forward_backward(doc, model.enc, model.head, gold, None,
+                                              LossConfig(), dropout=0.1, rng=derive_rng(46),
+                                              grads=grads),
+                     lambda: forward_probs(doc, model.enc, model.head)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1] / unit)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 19.0 and peaks[1] < 12.0, peaks
 
 
 class TestLabelAttention:
