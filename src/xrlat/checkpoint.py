@@ -24,37 +24,33 @@ import numpy as np
 
 from .hyperbolic import BALL_EPS, PoincareEmbeddings, flatten_tree, outside_ball
 from .network import LevelModel, level_layout
-from .util import ParseError, atomic_write_bytes
+from .util import ParseError, atomic_write
 
 MAGIC = b"XRLT"
 VERSION = 1
 MAX_RANK = 64  # numpy's limit on the number of array dimensions
 
 
-def _pack_str(buf: io.BytesIO, s: str) -> None:
+def _packed_str(s: str) -> bytes:
     raw = s.encode("utf-8")
-    buf.write(struct.pack("<I", len(raw)))
-    buf.write(raw)
+    return struct.pack("<I", len(raw)) + raw
+
+
+def _container_chunks(metadata: dict, tensors: dict):
+    yield MAGIC + struct.pack("<II", VERSION, len(metadata))
+    for key, value in metadata.items():
+        yield _packed_str(str(key)) + _packed_str(str(value))
+    yield struct.pack("<I", len(tensors))
+    for name, tensor in tensors.items():
+        arr = np.asarray(tensor, dtype="<f8", order="C")  # no copy of a model's own tensors
+        yield _packed_str(name) + struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape)
+        yield arr.reshape(-1).view(np.uint8)
 
 
 def write_container(path: str, metadata: dict, tensors: dict) -> None:
-    """Serialize string metadata and named float64 tensors; atomic on disk."""
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<I", VERSION))
-    buf.write(struct.pack("<I", len(metadata)))
-    for key, value in metadata.items():
-        _pack_str(buf, str(key))
-        _pack_str(buf, str(value))
-    buf.write(struct.pack("<I", len(tensors)))
-    for name, tensor in tensors.items():
-        arr = np.asarray(tensor, dtype=np.float64)
-        _pack_str(buf, name)
-        buf.write(struct.pack("<I", arr.ndim))
-        for dim in arr.shape:
-            buf.write(struct.pack("<I", dim))
-        buf.write(arr.astype("<f8").tobytes())  # tobytes writes C (row-major) order
-    atomic_write_bytes(path, buf.getvalue())
+    """Serialize string metadata and named float64 tensors, streamed to disk without a
+    copy of the payload; atomic on disk."""
+    atomic_write(path, _container_chunks(metadata, tensors))
 
 
 class _Reader:

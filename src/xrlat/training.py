@@ -54,6 +54,9 @@ ADAM_EPS = 1e-8
 CLIP_NORM = 1.0  # global L2 bound on each step's averaged gradient
 MAX_HIDDEN = 1024  # largest hidden_size, the same bound as hyperbolic.MAX_DIM
 WARMUP_SHARE = 0.05  # the learning rate warms up over this share of max_steps
+# AdamW updates each tensor in blocks of this many elements (whole rows, at least one),
+# small enough that a block's gradient, weights, moments and scratch stay in L2 cache
+BLOCK_ELEMENTS = 1 << 14
 
 # tensors with one row per label: under masks a step writes only its documents' rows
 HEAD_ROWS = ("W_la", "W_cl", "b_cl")
@@ -203,13 +206,17 @@ def inference_mask(p_parent, T: IndexingMatrix, threshold: float) -> np.ndarray:
 # optimizer and schedule
 
 
-def _rows_of(name: str, rows):
-    """Index selecting the label rows ``rows`` of a HEAD_ROWS tensor, or all of any other."""
-    return rows if name in HEAD_ROWS else slice(None)
-
-
 class AdamW:
     """Adaptive-moment optimizer with decoupled weight decay, beta 0.9/0.999, eps 1e-8.
+
+    Each step sweeps every tensor once, in blocks of whole rows, about BLOCK_ELEMENTS
+    elements, whose gradient, weights, moments and one scratch buffer stay in cache.
+    Within a block it gathers g, scales it by ``scale`` before squaring it (so a
+    gradient whose norm overflowed, scale 0, squares to 0), updates m and v in place,
+    builds sqrt(v) * (1 / sqrt(bc2)) + eps in the scratch buffer, divides m by it, scales
+    that by lr / bc1, decays theta by (1 - lr * weight_decay) and subtracts. Every
+    element goes through the same operations whatever the block size, so the
+    blocking changes no byte. The gradient is zero when the step returns.
 
     The first step fixes the layout for the optimizer's life. A first step over
     every row (``rows`` = slice(None)) updates every tensor in place from then
@@ -217,9 +224,9 @@ class AdamW:
     updated row-sparse: ``step`` is given the rows its gradient may be nonzero
     in, and the optimizer keeps the union of rows touched so far (``rows``, in
     first-touch order), with their moments compact in the leading rows of m and
-    v. Each step gathers theta and g at those rows, updates the moments in place
-    and scatters theta back. A row never touched has m = v = 0, so its exact
-    update is the decay term alone, applied in one pass over the tensor.
+    v. Each block of those rows is gathered, updated and scattered back. A row
+    never touched has m = v = 0, so its exact update is the decay alone, applied
+    to every row in one pass before the blocks.
     """
 
     def __init__(self, model: LevelModel, weight_decay: float = 0.0):
@@ -230,12 +237,15 @@ class AdamW:
         self.touched = np.zeros(model.n_labels, dtype=bool)
         self.rows = None  # the gathered rows once a masked first step has run
 
-    def step(self, model: LevelModel, grads: dict, lr: float, rows=slice(None)) -> None:
-        """One update; ``rows`` (sorted label indices, or slice(None) if the first step's
-        was) bounds the HEAD_ROWS rows where ``grads`` may be nonzero."""
+    def step(self, model: LevelModel, grads: dict, lr: float, rows=slice(None),
+             scale: float = 1.0) -> None:
+        """One update from the gradient ``scale * grads``, which is zero on return;
+        ``rows`` (sorted label indices, or slice(None) if the first step's was) bounds
+        the HEAD_ROWS rows where ``grads`` may be nonzero."""
         self.t += 1
-        bc1 = 1.0 - ADAM_BETA1**self.t
-        bc2 = 1.0 - ADAM_BETA2**self.t
+        step_size = lr / (1.0 - ADAM_BETA1**self.t)
+        inv_sqrt_bc2 = 1.0 / math.sqrt(1.0 - ADAM_BETA2**self.t)
+        decay = 1.0 - lr * self.weight_decay
         if self.t == 1 and not isinstance(rows, slice):
             self.rows = np.empty(0, dtype=np.intp)
         if self.rows is not None:
@@ -243,23 +253,40 @@ class AdamW:
             self.touched[new] = True
             self.rows = np.concatenate([self.rows, new])
         for name, theta in model.trainable():
-            idx = _rows_of(name, slice(None) if self.rows is None else self.rows)
-            gathered = not isinstance(idx, slice)
-            g = grads[name][idx]
-            th = theta[idx]
-            m = self.m[name][: len(th)]  # gathered rows' moments lead, in first-touch order
-            v = self.v[name][: len(th)]
-            if gathered and self.weight_decay != 0.0:
-                # untouched rows: update = 0 exactly, so theta -= lr * (0 + decay)
-                theta -= lr * (0.0 + self.weight_decay * theta)
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            th -= lr * (update + self.weight_decay * th)
+            gathered = self.rows is not None and name in HEAD_ROWS
+            n = len(self.rows) if gathered else len(theta)
+            per = max(1, BLOCK_ELEMENTS // math.prod(theta.shape[1:]))
+            scratch = np.empty((min(per, n),) + theta.shape[1:])
+            if gathered and decay != 1.0:
+                theta *= decay  # the blocks below then only subtract their update
+            G, M, V = grads[name], self.m[name], self.v[name]
+            for a in range(0, n, per):
+                b = min(a + per, n)
+                idx = self.rows[a:b] if gathered else slice(a, b)
+                g = G[idx]  # a copy when gathered, a view otherwise
+                m, v, buf = M[a:b], V[a:b], scratch[: b - a]  # gathered: first-touch order
+                g *= scale
+                m *= ADAM_BETA1
+                np.multiply(g, 1.0 - ADAM_BETA1, out=buf)
+                m += buf
+                v *= ADAM_BETA2
+                g *= g
+                g *= 1.0 - ADAM_BETA2
+                v += g
+                np.sqrt(v, out=buf)
+                buf *= inv_sqrt_bc2
+                buf += ADAM_EPS
+                np.divide(m, buf, out=buf)
+                buf *= step_size
+                if gathered:
+                    theta[idx] -= buf  # gathers the rows, subtracts and scatters them back
+                else:
+                    th = theta[idx]
+                    th *= decay
+                    th -= buf
+                    g.fill(0.0)
             if gathered:
-                theta[idx] = th
+                G[rows] = 0.0  # of the rows read, only the step's own can be nonzero
 
 
 def lr_at(step: int, peak: float, max_steps: int) -> float:
@@ -273,19 +300,23 @@ def lr_at(step: int, peak: float, max_steps: int) -> float:
     return peak * max(0, max_steps - step) / (max_steps - warmup)
 
 
-def clip_gradients(grads: dict, max_norm: float, rows=slice(None)) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm; returns the norm.
+def clip_gradients(grads: dict, n_docs: int, max_norm: float, rows=slice(None)):
+    """(norm, factor) for ``grads``, the sum of ``n_docs`` documents' gradients: the L2
+    norm of their mean, and the factor taking the sum to that mean clipped to norm
+    ``max_norm``, (1 / n_docs) * min(1, max_norm / norm). Reads each tensor once and
+    writes nothing.
 
-    Only the label rows ``rows`` of HEAD_ROWS tensors are read and scaled; their
-    other rows must be zero.
+    Only the label rows ``rows`` of HEAD_ROWS tensors are read; their other rows must
+    be zero. A norm that overflows to inf gives factor 0.
     """
-    total = np.sqrt(sum(float(np.square(g[_rows_of(name, rows)]).sum())
-                        for name, g in grads.items()))
-    if total > max_norm:
-        factor = max_norm / total
+    total = 0.0
+    with np.errstate(over="ignore"):
         for name, g in grads.items():
-            g[_rows_of(name, rows)] *= factor
-    return total
+            flat = g[rows if name in HEAD_ROWS else slice(None)].reshape(-1)
+            total += float(np.dot(flat, flat))
+    inv = 1.0 / n_docs
+    norm = math.sqrt(total) * inv
+    return norm, (inv if norm <= max_norm else inv * (max_norm / norm))
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +358,11 @@ def _train_level(docs, label_rows, masks, model: LevelModel, cfg: TrainConfig,
 
     ``masks`` is either None (all labels active) or one uint8 row per
     document. Each step adds its documents' gradients, in batch order, into
-    one buffer, and zeroes the rows it wrote once AdamW has read them. Under
-    masks a step writes only the HEAD_ROWS rows in the union of its documents'
-    masks, so only those rows are zeroed, scaled and clipped, and AdamW is told
-    which they are.
+    one buffer; clip_gradients reads it once for the factor that takes the sum
+    to the clipped batch mean, and AdamW applies that factor in its one sweep,
+    zeroing the rows it read. Under masks a step writes only the HEAD_ROWS rows
+    in the union of its documents' masks, so only those rows are read for the
+    norm, and AdamW is told which they are.
     """
     n_docs = len(docs)
     if n_docs == 0:
@@ -365,14 +397,9 @@ def _train_level(docs, label_rows, masks, model: LevelModel, cfg: TrainConfig,
         except NumericsError as exc:
             raise NumericsError(f"{exc} at step {step}", tensor=exc.tensor, step=step) from None
         batch_loss = float(np.mean(losses))
-        inv = 1.0 / len(batch)
-        for name, g in grads.items():
-            g[_rows_of(name, rows)] *= inv
-        clip_gradients(grads, CLIP_NORM, rows)
+        _, scale = clip_gradients(grads, len(batch), CLIP_NORM, rows)
         lr = lr_at(step, cfg.learning_rate, cfg.max_steps)
-        opt.step(model, grads, lr, rows)
-        for name, g in grads.items():
-            g[_rows_of(name, rows)] = 0.0
+        opt.step(model, grads, lr, rows, scale)
         history.append((step, lr, batch_loss))
     if log_path is not None:
         atomic_write_text(log_path, "".join(

@@ -98,14 +98,16 @@ def keep_freed_memory() -> None:
     mallopt(_M_ARENA_MAX, 1)
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path`` via a temp file + rename so readers never see partial files."""
+def atomic_write(path: str, chunks) -> None:
+    """Write the bytes-like ``chunks`` to ``path`` one after another, via a temp file +
+    rename so readers never see partial files."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for data in chunks:
+                fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -114,4 +116,4 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write(path, (text.encode("utf-8"),))

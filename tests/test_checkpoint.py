@@ -1,5 +1,6 @@
 import os
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,25 @@ class TestContainer:
         write_container(b, {}, {"t": np.ascontiguousarray(t)})
         assert Path(a).read_bytes() == Path(b).read_bytes()
         assert np.array_equal(read_container(a)[1]["t"], t)
+
+    def test_streams_each_tensor_without_a_copy(self, tmp_path):
+        """A contiguous float64 tensor's own bytes go to the file: writing a 4 MB tensor
+        allocates less than a quarter of it, and the file equals the container built field
+        by field, zero-size and integer tensors included."""
+        tensors = {"big": derive_rng(2).normal(size=(1024, 512)), "empty": np.zeros((0, 3)),
+                   "ints": np.arange(6).reshape(2, 3), "row": derive_rng(3).normal(size=5)}
+        path = str(tmp_path / "x.ckpt")
+        tracemalloc.start()
+        try:
+            write_container(path, {"kind": "test"}, tensors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tensors["big"].nbytes // 4
+        assert Path(path).read_bytes() == container_bytes(
+            [(b"kind", b"test")],
+            [(n.encode(), t.shape, np.asarray(t, dtype=np.float64).tobytes())
+             for n, t in tensors.items()])
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"

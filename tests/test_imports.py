@@ -78,7 +78,7 @@ def _callers(callees):
 def test_only_the_two_readers_call_open():
     """Text inputs read through util.text_lines, which numbers lines and rejects bytes that
     are not UTF-8, and checkpoints through checkpoint.read_container; no other code in the
-    package calls open() (writes go through os.fdopen in util.atomic_write_bytes)."""
+    package calls open() (writes go through os.fdopen in util.atomic_write)."""
     assert _callers(["open"]) == {"open": {"util.text_lines", "checkpoint.read_container"}}
 
 
