@@ -280,7 +280,7 @@ def _cmd_eval(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         atomic_write_text(os.path.join(args.out, "metrics.txt"), text)
         if args.topk > 0:
-            leaf_names = tree.level(4).names
+            leaf_names = tree.levels[-1].names
             top = metrics.top_codes(scores, args.topk)
             lines = [
                 doc_id + "\t" + ";".join(f"{leaf_names[j]}:{scores[i, j]:.4f}" for j in top[i])

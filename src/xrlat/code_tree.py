@@ -21,28 +21,21 @@ LEVEL_NAMES = ("chapter", "block", "category", "code")
 
 
 @dataclass(frozen=True)
-class IndexingMatrix:
-    """Sparse binary child-to-parent matrix, one 1 per row.
+class TreeLevel:
+    """One level's nodes in deterministic (lexicographic) order and its indexing matrix T.
 
-    Stored as the parent column index of each row. Row r corresponds to the
-    r-th node of the child level, column c to the c-th node of the parent
-    level.
+    T is the sparse binary child-to-parent matrix, one 1 per row, stored as the
+    parent column index of each row: row r is the r-th node of this level, column
+    c the c-th node of the level above (the virtual root, one column, at level 1).
     """
 
+    names: tuple[str, ...]
     parent_index: np.ndarray  # shape (rows,), int64, values in [0, n_cols)
     n_cols: int
 
-    def __post_init__(self):
-        pi = np.asarray(self.parent_index, dtype=np.int64)
-        object.__setattr__(self, "parent_index", pi)
-        if pi.ndim != 1:
-            raise DataError("parent_index must be one-dimensional")
-        if pi.size and (pi.min() < 0 or pi.max() >= self.n_cols):
-            raise DataError("parent index out of range")
-
     @property
     def rows(self) -> int:
-        return int(self.parent_index.shape[0])
+        return len(self.names)
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.rows, self.n_cols), dtype=np.uint8)
@@ -51,49 +44,24 @@ class IndexingMatrix:
 
 
 @dataclass(frozen=True)
-class TreeLevel:
-    """Nodes of one level in deterministic (lexicographic) order."""
-
-    names: tuple[str, ...]
-    parents: np.ndarray  # index into the level above (all zeros at level 1)
-
-    @property
-    def size(self) -> int:
-        return len(self.names)
-
-
-@dataclass(frozen=True)
 class CodeTree:
     """The 4-level hierarchy below a virtual root (level 0, a single node)."""
 
     levels: tuple[TreeLevel, ...]
-    # T of levels 1..4, built once: the cascade asks for one per document and level
-    _matrices: tuple[IndexingMatrix, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.levels) != N_LEVELS:
-            raise DataError(f"tree must have exactly {N_LEVELS} levels")
-        n_cols = (1,) + self.nodes_per_level[:-1]
-        object.__setattr__(self, "_matrices", tuple(
-            IndexingMatrix(lvl.parents, n) for lvl, n in zip(self.levels, n_cols)))
 
     @property
     def nodes_per_level(self) -> tuple[int, ...]:
-        return tuple(lvl.size for lvl in self.levels)
+        return tuple(lvl.rows for lvl in self.levels)
 
-    def level(self, k: int) -> TreeLevel:
-        """Level k, 1-based (1=chapter .. 4=code)."""
+    def indexing_matrix(self, k: int) -> TreeLevel:
+        """Level k, 1-based (1=chapter .. 4=code), whose T maps its nodes to their
+        level-(k-1) parents."""
         if not 1 <= k <= N_LEVELS:
             raise DataError(f"level must be in 1..{N_LEVELS}, got {k}")
         return self.levels[k - 1]
 
-    def indexing_matrix(self, k: int) -> IndexingMatrix:
-        """T at level k: maps level-k nodes to their level-(k-1) parents."""
-        self.level(k)  # checks k
-        return self._matrices[k - 1]
-
     def leaf_index(self) -> dict[str, int]:
-        names = self.level(N_LEVELS).names
+        names = self.levels[-1].names
         return dict(zip(names, range(len(names))))
 
 
@@ -139,7 +107,8 @@ def _parse_numbered(numbered, path: str | None) -> CodeTree:
     """parse_hierarchy over (line number, line) pairs of the file ``path``; errors name
     ``<path>:<line number>``, or ``line <line number>`` when path is None."""
     where = "line " if path is None else f"{path}:"
-    # parent_of[k][name] = the name of the parent of the level-(k + 1) node ``name``
+    # parent_of[k][name] = the name of the parent of the level-(k + 1) node ``name``;
+    # None, the virtual root, for a chapter
     parent_of: list[dict] = [dict() for _ in range(N_LEVELS)]
     chapters, blocks, categories, leaves = parent_of
 
@@ -175,16 +144,13 @@ def _parse_numbered(numbered, path: str | None) -> CodeTree:
         raise ParseError(f"{source}hierarchy is empty (no data lines)")
 
     levels = []
-    index_of_prev: dict[str, int] = {}
+    index_of_prev: dict[str | None, int] = {None: 0}  # level 1's parent: the virtual root
     for k in range(N_LEVELS):
         names = tuple(sorted(parent_of[k]))
-        if k == 0:
-            parents = np.zeros(len(names), dtype=np.int64)
-        else:
-            parent_names = map(parent_of[k].__getitem__, names)
-            parents = np.fromiter(map(index_of_prev.__getitem__, parent_names),
-                                  dtype=np.int64, count=len(names))
-        levels.append(TreeLevel(names, parents))
+        parent_names = map(parent_of[k].__getitem__, names)
+        parents = np.fromiter(map(index_of_prev.__getitem__, parent_names),
+                              dtype=np.int64, count=len(names))
+        levels.append(TreeLevel(names, parents, len(index_of_prev)))
         index_of_prev = dict(zip(names, range(len(names))))
     return CodeTree(tuple(levels))
 
@@ -211,14 +177,14 @@ def hierarchy_lines(tree: CodeTree) -> list[str]:
     chapters, blocks, cats, codes = tree.levels
     out = []
     for i, code in enumerate(codes.names):
-        c = codes.parents[i]
-        b = cats.parents[c]
-        ch = blocks.parents[b]
+        c = codes.parent_index[i]
+        b = cats.parent_index[c]
+        ch = blocks.parent_index[b]
         out.append(f"{chapters.names[ch]}/{blocks.names[b]}/{cats.names[c]}/{code}")
     return sorted(out)
 
 
-def propagate_labels(labels: LabelMatrix, T: IndexingMatrix) -> LabelMatrix:
+def propagate_labels(labels: LabelMatrix, T: TreeLevel) -> LabelMatrix:
     """Lift a level-k label matrix to level k-1.
 
     A parent is positive iff at least one of its children is positive, i.e.

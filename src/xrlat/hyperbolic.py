@@ -46,10 +46,9 @@ class FlatTree:
 def flatten_tree(tree: CodeTree) -> FlatTree:
     names, parents, level_slices = ["<root>"], [np.array([-1])], []
     above = 0  # flat index of the level above's first node: the root for level 1
-    for k in range(1, N_LEVELS + 1):
-        lvl = tree.level(k)
-        level_slices.append(slice(len(names), len(names) + lvl.size))
-        parents.append(lvl.parents + above)  # level 1's parents are all 0
+    for lvl in tree.levels:
+        level_slices.append(slice(len(names), len(names) + lvl.rows))
+        parents.append(lvl.parent_index + above)  # level 1's parents are all 0
         above = len(names)
         names.extend(lvl.names)
     return FlatTree(names, np.concatenate(parents).astype(np.int64), level_slices)

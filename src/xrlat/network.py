@@ -273,7 +273,7 @@ def _softmax_last(scores):
 
 
 def _dropout_mask(shape, p, rng):
-    if p <= 0.0 or rng is None:
+    if p <= 0.0:
         return None
     return (rng.random(shape) >= p) / (1.0 - p)
 
@@ -507,6 +507,8 @@ def _loss(doc: ChunkedDocument, model: LevelModel, gold, mask, loss_cfg: LossCon
           dropout: float, rng: Optional[np.random.Generator]):
     """forward_backward's forward half, which check_gradients also runs alone: _forward
     over the unmasked labels, then the loss. Returns (loss, dL/dp, _forward's result)."""
+    if dropout > 0.0 and rng is None:
+        raise DataError(f"dropout {dropout} needs a generator to draw its masks from")
     active = slice(None) if mask is None else np.flatnonzero(np.asarray(mask))
     if mask is not None and active.size == 0:
         raise DataError("no unmasked labels to compute a loss over")

@@ -224,7 +224,7 @@ def synth_corpus(
 
 def write_dataset(path: str, docs, tree: CodeTree) -> None:
     """Write documents in the dataset file format (see module docstring)."""
-    leaf_names = tree.level(4).names
+    leaf_names = tree.levels[-1].names
     lines = [DATASET_HEADER]
     for doc in docs:
         codes = ";".join(leaf_names[int(c)] for c in doc.codes)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import checkpoint
-from .code_tree import CodeTree, IndexingMatrix, LabelMatrix, propagate_labels
+from .code_tree import CodeTree, LabelMatrix, TreeLevel, propagate_labels
 from .hyperbolic import PoincareEmbeddings
 from .losses import LossConfig
 from .network import (
@@ -132,7 +132,7 @@ class TrainConfig:
 # bootstrapping
 
 
-def bootstrap_equal(parent: LevelModel, T: IndexingMatrix) -> LevelModel:
+def bootstrap_equal(parent: LevelModel, T: TreeLevel) -> LevelModel:
     """Child init: encoder copied verbatim, head rows gathered from each parent row."""
     if T.n_cols != parent.n_labels:
         raise DataError(
@@ -148,7 +148,7 @@ def bootstrap_equal(parent: LevelModel, T: IndexingMatrix) -> LevelModel:
     return LevelModel(copy.deepcopy(parent.enc), head, parent.level + 1, "bootstrap-equal")
 
 
-def bootstrap_hyperc(parent: LevelModel, T: IndexingMatrix, E_child: np.ndarray,
+def bootstrap_hyperc(parent: LevelModel, T: TreeLevel, E_child: np.ndarray,
                      f: Optional[CorrectionLayer] = None) -> LevelModel:
     """Child init like bootstrap_equal plus a per-label additive correction f(E).
 
@@ -177,7 +177,7 @@ def bootstrap_hyperc(parent: LevelModel, T: IndexingMatrix, E_child: np.ndarray,
 # dynamic negative sampling
 
 
-def training_mask(p_parent, gold_parent, T: IndexingMatrix, threshold: float) -> np.ndarray:
+def training_mask(p_parent, gold_parent, T: TreeLevel, threshold: float) -> np.ndarray:
     """Child labels whose parent is gold or predicted positive, for the parent
     probabilities ``p_parent`` and the parent's sorted gold label indices ``gold_parent``.
 
@@ -193,7 +193,7 @@ def training_mask(p_parent, gold_parent, T: IndexingMatrix, threshold: float) ->
     return inference_mask(p, T, threshold)
 
 
-def inference_mask(p_parent, T: IndexingMatrix, threshold: float) -> np.ndarray:
+def inference_mask(p_parent, T: TreeLevel, threshold: float) -> np.ndarray:
     """Children of predicted-positive parents: binary(p) gathered by T."""
     p_parent = np.asarray(p_parent, dtype=np.float64)
     if p_parent.shape[0] != T.n_cols:
@@ -424,7 +424,7 @@ def _level_probs(model: LevelModel, doc: ChunkedDocument, mask) -> np.ndarray:
                          corr=model.corr, corr_inputs=model.corr_inputs)
 
 
-def _child_masks(model: LevelModel, docs, masks, T: IndexingMatrix, threshold: float,
+def _child_masks(model: LevelModel, docs, masks, T: TreeLevel, threshold: float,
                  gold_rows=None) -> np.ndarray:
     """The cascade step: each document's mask for the level below ``model``, keeping the
     children of the labels that score at or above ``threshold`` under the document's mask

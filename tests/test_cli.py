@@ -554,7 +554,7 @@ class TestEvalCommand:
         from xrlat.code_tree import build_tree
 
         tree = build_tree(demo_tree_path)
-        leaves = tree.level(4).names
+        leaves = tree.levels[3].names
         rng = np.random.default_rng(21)
         ds = str(tmp_path / "oracle.tsv")
         scores_path = str(tmp_path / "scores.tsv")
@@ -583,7 +583,7 @@ class TestEvalCommand:
         """Evaluate a dataset (one document per id) against the given score lines."""
         from xrlat.code_tree import build_tree
 
-        leaves = build_tree(demo_tree_path).level(4).names
+        leaves = build_tree(demo_tree_path).levels[3].names
         ds = str(tmp_path / "two.tsv")
         with open(ds, "w") as fh:
             fh.write("# xrlat-dataset v1\n")
@@ -621,7 +621,7 @@ class TestEvalCommand:
         from xrlat.code_tree import build_tree
         from xrlat.metrics import PredictionSet, precision_at_k, top_codes
 
-        leaves = build_tree(demo_tree_path).level(4).names
+        leaves = build_tree(demo_tree_path).levels[3].names
         scores = np.full((2, 81), 0.5)
         scores[0, 7] = 0.9  # one clear winner, then ties among all the rest
         scores[1, :] = 0.1

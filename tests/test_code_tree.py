@@ -27,8 +27,8 @@ class TestParsing:
 
     def test_ordering_is_lexicographic(self):
         tree = parse_hierarchy(["B/B1/B11/B111", "A/A1/A11/A111"])
-        assert tree.level(1).names == ("A", "B")
-        assert tree.level(4).names == ("A111", "B111")
+        assert tree.levels[0].names == ("A", "B")
+        assert tree.levels[3].names == ("A111", "B111")
 
     def test_comments_and_blanks_ignored(self):
         tree = parse_hierarchy(["# header", "", "A/A1/A11/A111"])
@@ -57,7 +57,7 @@ class TestParsing:
 
     def test_separator_in_an_inner_level_accepted(self):
         tree = parse_hierarchy(["a;1/b\t1/c;1/d1"])
-        assert tree.level(2).names == ("b\t1",)
+        assert tree.levels[1].names == ("b\t1",)
 
     def test_empty_file_rejected(self):
         with pytest.raises(ParseError, match=r"^hierarchy is empty \(no data lines\)$"):
@@ -67,6 +67,15 @@ class TestParsing:
         T1 = demo_tree.indexing_matrix(1)
         assert T1.n_cols == 1
         assert np.all(T1.parent_index == 0)
+
+    def test_indexing_matrix_is_the_level(self, demo_tree):
+        for k in range(1, 5):
+            assert demo_tree.indexing_matrix(k) is demo_tree.levels[k - 1]
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_indexing_matrix_rejects_a_level_outside_1_to_4(self, demo_tree, k):
+        with pytest.raises(DataError, match=f"level must be in 1..4, got {k}"):
+            demo_tree.indexing_matrix(k)
 
 
 class TestDemoTree:
@@ -290,5 +299,5 @@ def test_parser_matches_full_ancestry_parser(lines, path):
     tree = _parse_numbered(enumerate(lines, start=1), path)
     for level, (names, parents) in zip(tree.levels, expected):
         assert level.names == names
-        assert level.parents.dtype == parents.dtype
-        assert level.parents.tolist() == parents.tolist()
+        assert level.parent_index.dtype == parents.dtype
+        assert level.parent_index.tolist() == parents.tolist()

@@ -1,7 +1,7 @@
 """The package binds no names, every import sits at module top, the modules import no cycle,
 only the two input readers open files, one cascade step builds the chain's masks, one
-level loop trains and saves every model, only chunk builds a document, and one helper
-multiplies activations with the encoder's block weights."""
+level loop trains and saves every model, only chunk builds a document, only the parser
+builds a tree, and one helper multiplies activations with the encoder's block weights."""
 
 import ast
 import os
@@ -110,6 +110,16 @@ def test_only_chunk_builds_a_document():
     chunk's tail, is the one constructor of ChunkedDocument in the package, so every
     document's every chunk holds a real token."""
     assert _callers(["ChunkedDocument"]) == {"ChunkedDocument": {"textproc.chunk"}}
+
+
+def test_only_the_parser_builds_a_tree():
+    """code_tree._parse_numbered, which gives every level n_cols = the size of the level
+    above and parent indices into that level, is the one constructor of TreeLevel and
+    CodeTree in the package, so each level's indexing matrix is in range without a check."""
+    assert _callers(["TreeLevel", "CodeTree"]) == {
+        "TreeLevel": {"code_tree._parse_numbered"},
+        "CodeTree": {"code_tree._parse_numbered"},
+    }
 
 
 def test_block_weights_multiply_only_in_project():

@@ -517,6 +517,12 @@ class TestForwardBackward:
                                  dropout=0.2, rng=derive_rng(56))
         assert l1 != l3
 
+    def test_dropout_without_a_generator_is_rejected(self):
+        """Dropout with no generator raises instead of training with every unit kept."""
+        _, enc, head, doc = self._setup(seed=6)
+        with pytest.raises(DataError, match="dropout 0.2 needs a generator"):
+            forward_backward(doc, enc, head, np.zeros(6), None, LossConfig(), dropout=0.2)
+
 
 class TestPaddedDocument:
     """forward_backward on padding as training meets it: c=4, s=3 and five tokens make a

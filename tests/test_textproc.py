@@ -248,7 +248,7 @@ class TestDatasetIO:
             read_dataset(str(path), demo_tree)
 
     def test_duplicate_doc_id_rejected(self, demo_tree, tmp_path):
-        leaf = demo_tree.level(4).names[0]
+        leaf = demo_tree.levels[3].names[0]
         path = tmp_path / "dup.tsv"
         path.write_text(f"# xrlat-dataset v1\nd0\t{leaf}\ta\nd1\t{leaf}\tb\nd0\t{leaf}\tc\n")
         with pytest.raises(ParseError, match=r"dup.tsv:4: duplicate doc_id 'd0'"):
