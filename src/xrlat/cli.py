@@ -17,7 +17,7 @@ import numpy as np
 from . import checkpoint, code_tree, hyperbolic, metrics, textproc, training
 from .config import resolve_config
 from .losses import LossConfig
-from .network import gradcheck
+from .network import GRADCHECK_ASL, gradcheck
 from .util import ConfigError, DataError, NumericsError, ParseError, atomic_write_text, text_lines
 
 
@@ -291,9 +291,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    loss = LossConfig() if args.loss == "bce" else LossConfig(
-        kind="asl", gamma_pos=1.0, gamma_neg=2.0, margin=0.0
-    )
+    loss = LossConfig() if args.loss == "bce" else GRADCHECK_ASL
     report = gradcheck(n_layers=args.layers, loss=loss, seed=args.seed)
     sys.stdout.write(report.to_text())
     return 0 if report.ok() else 1

@@ -1,12 +1,12 @@
-"""Multi-label losses over per-label probabilities: BCE and asymmetric loss.
+"""The multi-label loss over per-label probabilities: the asymmetric loss (ASL), whose
+default (gamma_pos, gamma_neg, margin) = (0, 0, 0) is BCE.
 
-Both losses average over the unmasked labels of an instance, so the loss
-scale stays stable as mask sizes vary across hierarchy levels.
+The loss averages over the unmasked labels of an instance, so the loss scale stays
+stable as mask sizes vary across hierarchy levels.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,30 +18,25 @@ P_CLAMP = 1e-12
 
 @dataclass(frozen=True)
 class LossConfig:
-    kind: str = "bce"  # "bce" | "asl"
-    gamma_pos: float = 1.0
-    gamma_neg: float = 4.0
-    margin: float = 0.05
+    """ASL's focusing exponents and negative margin; TrainConfig checks their ranges."""
 
-    def __post_init__(self):
-        if self.kind not in ("bce", "asl"):
-            raise DataError(f"unknown loss kind {self.kind!r}")
-        for name in ("gamma_pos", "gamma_neg"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise DataError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
-        if not 0.0 <= self.margin < 1.0:
-            raise DataError(f"margin must be in [0, 1), got {self.margin!r}")
+    gamma_pos: float = 0.0
+    gamma_neg: float = 0.0
+    margin: float = 0.0
 
 
-def _asl_terms(p, y, cfg: LossConfig):
-    """(mean loss, d mean loss / dp) for ASL on already-selected labels.
+def loss_and_grad(p_active: np.ndarray, y_active: np.ndarray, cfg: LossConfig):
+    """(mean loss, d mean loss / dp) over the already-unmasked label subset.
 
     Positive term (1-p)^g+ * log p; negative term uses the margin-shifted
     probability p_m = max(p - margin, 0): p_m^g- * log(1 - p_m). The
-    convention 0^0 = 1 makes (g+=0, g-=0, margin=0) coincide with BCE.
+    convention 0^0 = 1 makes (g+=0, g-=0, margin=0) BCE, bit for bit on 0/1 gold.
     """
-    pc = np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
-    n = p.size
+    if p_active.size == 0:
+        raise DataError("no unmasked labels to compute a loss over")
+    y = np.asarray(y_active, dtype=np.float64)
+    pc = np.clip(p_active, P_CLAMP, 1.0 - P_CLAMP)
+    n = pc.size
     gp, gn, m = cfg.gamma_pos, cfg.gamma_neg, cfg.margin
 
     one_minus = 1.0 - pc
@@ -71,25 +66,3 @@ def _asl_terms(p, y, cfg: LossConfig):
         )
     dp = (y * dpos + (1.0 - y) * dneg) / n
     return loss, dp
-
-
-def _bce_terms(p, y):
-    pc = np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
-    n = p.size
-    loss = -np.mean(y * np.log(pc) + (1.0 - y) * np.log1p(-pc))
-    dp = (-y / pc + (1.0 - y) / (1.0 - pc)) / n
-    return loss, dp
-
-
-def loss_and_grad(p_active: np.ndarray, y_active: np.ndarray, cfg: LossConfig):
-    """Loss value and exact gradient w.r.t. the active probabilities.
-
-    Operates on the already-unmasked label subset; the mean runs over that
-    subset.
-    """
-    if p_active.size == 0:
-        raise DataError("no unmasked labels to compute a loss over")
-    y_active = np.asarray(y_active, dtype=np.float64)
-    if cfg.kind == "bce":
-        return _bce_terms(p_active, y_active)
-    return _asl_terms(p_active, y_active, cfg)

@@ -593,7 +593,8 @@ def forward_backward(doc: ChunkedDocument, params: EncoderParams, head: HeadPara
 # gradient checking
 
 
-# gradcheck's model and document shape, finite-difference step and pass bound
+# gradcheck's model and document shape, finite-difference step, pass bound and --loss asl
+# setting (--loss bce is LossConfig())
 GRADCHECK_HIDDEN = 8
 GRADCHECK_VOCAB = 50
 GRADCHECK_C = 8
@@ -601,6 +602,7 @@ GRADCHECK_S = 2
 GRADCHECK_LABELS = 20
 GRADCHECK_EPS = 1e-5
 GRADCHECK_TOL = 1e-4
+GRADCHECK_ASL = LossConfig(gamma_pos=1.0, gamma_neg=2.0, margin=0.0)
 
 
 @dataclass

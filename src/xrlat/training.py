@@ -105,6 +105,9 @@ class TrainConfig:
             ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
             ("max_steps", self.max_steps >= 0, ">= 0"),
             ("seed", self.seed >= 0, ">= 0"),
+            ("asl_gamma_pos", 0.0 <= self.asl_gamma_pos < math.inf, "finite and >= 0"),
+            ("asl_gamma_neg", 0.0 <= self.asl_gamma_neg < math.inf, "finite and >= 0"),
+            ("asl_margin", 0.0 <= self.asl_margin < 1.0, "in [0, 1)"),
             ("binary_threshold", 0.0 < self.binary_threshold < 1.0, "in (0, 1)"),
             ("hidden_size", 1 <= self.hidden_size <= MAX_HIDDEN, f"in [1, {MAX_HIDDEN}]"),
             ("n_layers", self.n_layers in (0, 1, 2), "0, 1 or 2"),
@@ -114,18 +117,12 @@ class TrainConfig:
             if not ok:
                 raise ConfigError(f"{key} must be {accepted}, got {getattr(self, key)!r}")
         check_chunk_geometry(self.c, self.s)
-        try:
-            self.loss_config()
-        except DataError as exc:  # names a LossConfig field; its config key is asl_<field>
-            raise ConfigError(f"asl_{exc}") from None
 
     def loss_config(self) -> LossConfig:
-        return LossConfig(
-            kind=self.loss,
-            gamma_pos=self.asl_gamma_pos,
-            gamma_neg=self.asl_gamma_neg,
-            margin=self.asl_margin,
-        )
+        """BCE is ASL at LossConfig()'s (0, 0, 0); the asl_* keys apply under loss = asl."""
+        if self.loss == "bce":
+            return LossConfig()
+        return LossConfig(self.asl_gamma_pos, self.asl_gamma_neg, self.asl_margin)
 
 
 # ---------------------------------------------------------------------------

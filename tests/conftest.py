@@ -1,6 +1,7 @@
 import os
 import struct
 
+import numpy as np
 import pytest
 
 from xrlat import network
@@ -46,6 +47,13 @@ def random_tree(rng, max_per_level=(4, 8, 16, 32)):
         a = parents[1][b]
         lines.append(f"{names[0][a]}/{names[1][b]}/{names[2][c]}/{names[3][i]}")
     return parse_hierarchy(lines)
+
+
+def bce_reference(p, y):
+    """Mean BCE over p in (0, 1) and its gradient d loss / dp, from the textbook formula:
+    what losses.loss_and_grad must give at LossConfig()'s (0, 0, 0)."""
+    loss = -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+    return loss, (-y / p + (1.0 - y) / (1.0 - p)) / p.size
 
 
 def corrupt_head_dW_cl(monkeypatch):

@@ -333,7 +333,8 @@ class TestTrainCommand:
         ("learning_rate", "-1e-3"), ("learning_rate", "inf"), ("weight_decay", "-0.1"),
         ("weight_decay", "nan"), ("n_layers", "3"), ("c", "0"), ("s", "0"), ("s", "513"),
         ("min_frequency", "0"), ("asl_gamma_pos", "-1"), ("asl_gamma_neg", "-2"),
-        ("asl_margin", "1.0"), ("max_steps", "-1"),
+        ("asl_margin", "1.0"), ("asl_margin", "nan"), ("asl_gamma_neg", "inf"),
+        ("max_steps", "-1"),
     ])
     def test_bad_numeric_key_exit_1_before_config_echo(self, tmp_path, demo_tree_path,
                                                        small_dataset, capsys, key, value):

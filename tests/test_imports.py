@@ -1,7 +1,8 @@
 """The package binds no names, every import sits at module top, the modules import no cycle,
 only the two input readers open files, one cascade step builds the chain's masks, one
 level loop trains and saves every model, only chunk builds a document, only the parser
-builds a tree, and one helper multiplies activations with the encoder's block weights."""
+builds a tree, one helper multiplies activations with the encoder's block weights, and one
+kernel computes the loss."""
 
 import ast
 import os
@@ -152,3 +153,13 @@ def test_block_weights_multiply_only_in_project():
             found.append(f"network.py:{node.lineno}")
     assert found == []
     assert _callers(["_project"]) == {"_project": {"network._encode_fwd", "network._encode_bwd"}}
+
+
+def test_one_loss_kernel():
+    """BCE is the asymmetric loss at LossConfig()'s (0, 0, 0): losses.py defines one
+    function, loss_and_grad, and only network._loss calls it, so a second loss kernel
+    cannot come back."""
+    losses = dict(_modules())["losses"]
+    assert [node.name for node in ast.walk(losses)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))] == ["loss_and_grad"]
+    assert _callers(["loss_and_grad"]) == {"loss_and_grad": {"network._loss"}}

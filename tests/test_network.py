@@ -35,7 +35,7 @@ from xrlat.util import DataError, derive_rng
 
 from conftest import corrupt_head_dW_cl
 
-ASL = LossConfig(kind="asl", gamma_pos=1.0, gamma_neg=2.0, margin=0.0)  # as gradcheck --loss asl
+ASL = network.GRADCHECK_ASL
 
 
 def make_doc(rng, vocab_size, c, s, t=None):
