@@ -147,9 +147,7 @@ def _cmd_data(args) -> int:
 def _load_or_build_vocab(run, raw_docs):
     if run.vocab and os.path.exists(run.vocab):
         return textproc.Vocabulary.load(run.vocab)
-    vocab = textproc.build_vocab(
-        (textproc.clean_text(d.text) for d in raw_docs), run.train.min_frequency
-    )
+    vocab = textproc.build_vocab((d.text for d in raw_docs), run.train.min_frequency)
     path = run.vocab or os.path.join(run.out_dir, "vocab.txt")
     vocab.save(path)
     return vocab

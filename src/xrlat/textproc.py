@@ -146,8 +146,9 @@ def chunk(tokens, c: int, s: int) -> ChunkedDocument:
     if tokens.size == 0:
         raise DataError("cannot chunk a document with no tokens")
     n = min(tokens.size, c * s)
-    flat = np.zeros(-(-n // c) * c, dtype=np.int64)
+    flat = np.empty(-(-n // c) * c, dtype=np.int64)
     flat[:n] = tokens[:n]
+    flat[n:] = PAD_ID
     return ChunkedDocument(flat.reshape(-1, c), n)
 
 
@@ -155,7 +156,7 @@ def chunk(tokens, c: int, s: int) -> ChunkedDocument:
 class RawDocument:
     doc_id: str
     codes: np.ndarray  # sorted leaf indices
-    text: str
+    text: str  # cleaned when read_dataset builds it
 
 
 def trigger_tokens(leaf_index: int) -> tuple[str, str]:
@@ -233,7 +234,8 @@ def write_dataset(path: str, docs, tree: CodeTree) -> None:
 
 
 def read_dataset(path: str, tree: CodeTree) -> list[RawDocument]:
-    """Parse a dataset file, resolving code names through the tree's leaves.
+    """Parse a dataset file, resolving code names through the tree's leaves; each
+    document's text is stored cleaned (clean_text), the one cleaning it gets.
 
     Every document must carry at least one known leaf code and a doc_id that
     no earlier line used.
@@ -258,5 +260,5 @@ def read_dataset(path: str, tree: CodeTree) -> list[RawDocument]:
             codes = np.array(sorted({leaf_of[n] for n in names}), dtype=np.int64)
         except KeyError as exc:
             raise DataError(f"{path}:{lineno}: unknown code {exc.args[0]!r}") from None
-        docs.append(RawDocument(doc_id, codes, text))
+        docs.append(RawDocument(doc_id, codes, clean_text(text)))
     return docs

@@ -31,14 +31,7 @@ from .network import (
     init_level_model,
     zero_grads,
 )
-from .textproc import (
-    ChunkedDocument,
-    Vocabulary,
-    check_chunk_geometry,
-    chunk,
-    clean_text,
-    tokenize,
-)
+from .textproc import ChunkedDocument, Vocabulary, check_chunk_geometry, chunk, tokenize
 from .util import (
     ConfigError,
     DataError,
@@ -94,11 +87,9 @@ class TrainConfig:
     decision_threshold = 0.5
 
     def __post_init__(self):
-        if self.loss not in ("bce", "asl"):
-            raise ConfigError(f"loss must be 'bce' or 'asl', got {self.loss!r}")
-        if self.bootstrap not in BOOTSTRAP_MODES:
-            raise ConfigError(f"bootstrap must be one of {BOOTSTRAP_MODES}, got {self.bootstrap!r}")
         for key, ok, accepted in (
+            ("loss", self.loss in ("bce", "asl"), "'bce' or 'asl'"),
+            ("bootstrap", self.bootstrap in BOOTSTRAP_MODES, f"one of {BOOTSTRAP_MODES}"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("learning_rate", 0.0 <= self.learning_rate < math.inf, "finite and >= 0"),
             ("weight_decay", 0.0 <= self.weight_decay < math.inf, "finite and >= 0"),
@@ -330,9 +321,10 @@ class PreparedDataset:
 
 
 def prepare_dataset(raw_docs, vocab: Vocabulary, tree: CodeTree, c: int, s: int) -> PreparedDataset:
+    """Tokenize and chunk each document's text as it stands: read_dataset has cleaned it."""
     docs, rows = [], []
     for raw in raw_docs:
-        ids = tokenize(clean_text(raw.text), vocab)
+        ids = tokenize(raw.text, vocab)
         if ids.size == 0:
             raise DataError(f"document {raw.doc_id!r} has no tokens after cleaning")
         docs.append(chunk(ids, c, s))

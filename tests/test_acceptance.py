@@ -1,8 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a PASS/FAIL line.
 
-The end-to-end criteria train on the shipped synthetic generator (demo
-3/9/27/81 tree, 2000 train / 400 test documents, trigger probability 0.9,
-document length 128, chunks 16x8) with configurations frozen in configs/.
+The end-to-end criteria run README's workflow through `xrlat`: `data synth` on the
+demo 3/9/27/81 tree (2000 train / 400 test documents, trigger probability 0.9,
+document length 128), then `train` with the shipped configs/accept_*.cfg recipes
+and `eval`.
 """
 
 import hashlib
@@ -19,21 +20,18 @@ from xrlat.hyperbolic import edge_set, poincare_distance, train_poincare
 from xrlat.losses import LossConfig, loss_and_grad
 from xrlat.metrics import (
     PredictionSet,
-    auc,
-    compute_metrics,
     macro_f1,
     macro_micro_auc,
     micro_f1,
     precision_at_k,
 )
 from xrlat.network import GRADCHECK_ASL, CorrectionLayer, gradcheck, init_level_model
-from xrlat.textproc import build_vocab, clean_text, synth_corpus
+from xrlat.textproc import build_vocab, synth_corpus
 from xrlat.training import (
     TrainConfig,
     bootstrap_equal,
     bootstrap_hyperc,
     inference_mask,
-    predict_dataset,
     prepare_dataset,
     train_flat,
     train_xr_lat,
@@ -41,7 +39,7 @@ from xrlat.training import (
 )
 from xrlat.util import derive_rng
 
-from conftest import bce_reference, random_tree
+from conftest import REPO_ROOT, bce_reference, random_tree
 
 
 def report(num, desc, ok, detail=""):
@@ -192,7 +190,7 @@ def test_criterion_3_bootstrap_algebra():
 
 def test_criterion_4_ablation_degeneracy(demo_tree):
     docs, _ = synth_corpus(demo_tree, 64, codes_per_doc_mean=2.0, doc_len=32, seed=41)
-    vocab = build_vocab((clean_text(d.text) for d in docs), 1)
+    vocab = build_vocab((d.text for d in docs), 1)
     cfg = TrainConfig(
         max_steps=220, learning_rate=1e-3, batch_size=8, c=8, s=4, hidden_size=8,
         n_layers=1, bootstrap="none", negative_sampling=False, seed=2022,
@@ -246,36 +244,38 @@ def test_criterion_5_poincare(demo_tree):
 
 
 @pytest.fixture(scope="module")
-def e2e_corpus(demo_tree):
-    train_docs, _ = synth_corpus(demo_tree, 2000, codes_per_doc_mean=3.0,
-                                 trigger_prob=0.9, doc_len=128, seed=7)
-    test_docs, _ = synth_corpus(demo_tree, 400, codes_per_doc_mean=3.0,
-                                trigger_prob=0.9, doc_len=128, seed=8)
-    vocab = build_vocab((clean_text(d.text) for d in train_docs), 1)
-    cfg = TrainConfig(c=16, s=8)
-    train = prepare_dataset(train_docs, vocab, demo_tree, cfg.c, cfg.s)
-    test = prepare_dataset(test_docs, vocab, demo_tree, cfg.c, cfg.s)
-    return train, test
+def e2e_data(tmp_path_factory, demo_tree_path):
+    """README's `xrlat data synth` commands: 2000 train and 400 test documents."""
+    root = tmp_path_factory.mktemp("e2e")
+    splits = []
+    for split, n_docs, seed in (("train", 2000, 7), ("test", 400, 8)):
+        splits.append(str(root / f"{split}.tsv"))
+        assert cli_main(["data", "synth", "--tree", demo_tree_path, "--out", splits[-1],
+                         "--n-docs", str(n_docs), "--seed", str(seed)]) == 0
+    return root, *splits
 
 
-def _flat_cfg():
-    # mirrors configs/accept_flat.cfg
-    return TrainConfig(
-        max_steps=5000, learning_rate=3e-3, weight_decay=0.01, batch_size=8,
-        c=16, s=8, hidden_size=64, n_layers=0, seed=2022, log_interval=1000,
-    )
+def _train_and_eval(e2e_data, demo_tree_path, command, recipe):
+    """`xrlat train <command> --config configs/<recipe>.cfg` on the train split, then
+    `xrlat eval` on the test split; returns (metrics.txt as {name: value}, train seconds)."""
+    root, train, test = e2e_data
+    out = str(root / recipe)
+    started = time.time()
+    assert cli_main(["train", command, "--config", os.path.join(REPO_ROOT, "configs", recipe),
+                     "--set", f"tree={demo_tree_path}", "--set", f"dataset={train}",
+                     "--set", f"out_dir={out}"]) == 0
+    elapsed = time.time() - started
+    flat = os.path.join(out, "flat.ckpt")
+    model = ["--ckpt", flat] if command == "plm-icd" else ["--chain", out]
+    assert cli_main(["eval", *model, "--tree", demo_tree_path, "--dataset", test,
+                     "--vocab", os.path.join(out, "vocab.txt"), "--out", out]) == 0
+    lines = Path(out, "metrics.txt").read_text().splitlines()
+    return {name: float(value) for name, value in (line.split("\t") for line in lines)}, elapsed
 
 
 @pytest.fixture(scope="module")
-def e2e_flat(demo_tree, e2e_corpus):
-    train, test = e2e_corpus
-    cfg = _flat_cfg()
-    started = time.time()
-    model, _ = train_flat(train, demo_tree, cfg)
-    elapsed = time.time() - started
-    scores = predict_dataset(model, test, demo_tree, cfg)
-    rep = compute_metrics(scores, test.labels.to_dense())
-    return rep, elapsed
+def e2e_flat(e2e_data, demo_tree_path):
+    return _train_and_eval(e2e_data, demo_tree_path, "plm-icd", "accept_flat.cfg")
 
 
 @pytest.mark.slow
@@ -284,48 +284,32 @@ def test_criterion_6a_flat_learnability(e2e_flat):
     report(
         "6a",
         "flat micro-F1 >= 0.90 within 20 epochs, < 15 min",
-        rep.micro_f1 >= 0.90 and elapsed < 900.0,
-        f"micro_f1={rep.micro_f1:.4f}, {elapsed:.0f}s train",
+        rep["micro_f1"] >= 0.90 and elapsed < 900.0,
+        f"micro_f1={rep['micro_f1']:.4f}, {elapsed:.0f}s train",
     )
 
 
 @pytest.mark.slow
-def test_criterion_6b_xr_lat_within_5_points(demo_tree, e2e_corpus, e2e_flat):
-    train, test = e2e_corpus
+def test_criterion_6b_xr_lat_within_5_points(e2e_data, demo_tree_path, e2e_flat):
     flat_rep, _ = e2e_flat
-    cfg = TrainConfig(
-        bootstrap="equal", negative_sampling=True, max_steps=10000,
-        learning_rate=1e-2, weight_decay=0.0, batch_size=8, c=16, s=8,
-        hidden_size=64, n_layers=0, seed=2022, log_interval=2000,
-    )  # mirrors configs/accept_xrlat.cfg
-    models, _ = train_xr_lat(train, demo_tree, cfg)
-    scores = predict_dataset(models, test, demo_tree, cfg)
-    rep = compute_metrics(scores, test.labels.to_dense())
+    rep, _ = _train_and_eval(e2e_data, demo_tree_path, "xr-lat", "accept_xrlat.cfg")
     report(
         "6b",
         "full XR-LAT micro-F1 within 5 points of flat",
-        rep.micro_f1 >= flat_rep.micro_f1 - 0.05,
-        f"xr-lat {rep.micro_f1:.4f} vs flat {flat_rep.micro_f1:.4f}",
+        rep["micro_f1"] >= flat_rep["micro_f1"] - 0.05,
+        f"xr-lat {rep['micro_f1']:.4f} vs flat {flat_rep['micro_f1']:.4f}",
     )
 
 
 @pytest.mark.slow
-def test_criterion_6c_bootstrap_lifts_macro_auc(demo_tree, e2e_corpus, e2e_flat):
-    train, test = e2e_corpus
+def test_criterion_6c_bootstrap_lifts_macro_auc(e2e_data, demo_tree_path, e2e_flat):
     flat_rep, _ = e2e_flat
-    cfg = TrainConfig(
-        bootstrap="equal", negative_sampling=False, max_steps=5000,
-        learning_rate=3e-3, weight_decay=0.01, batch_size=8, c=16, s=8,
-        hidden_size=64, n_layers=0, seed=2022, log_interval=1000,
-    )  # mirrors configs/accept_bootstrap_equal.cfg
-    models, _ = train_xr_lat(train, demo_tree, cfg)
-    scores = predict_dataset(models, test, demo_tree, cfg)
-    rep = compute_metrics(scores, test.labels.to_dense())
+    rep, _ = _train_and_eval(e2e_data, demo_tree_path, "xr-lat", "accept_bootstrap_equal.cfg")
     report(
         "6c",
         "bootstrap-equal (sampling off) macro-AUC >= flat - 0.02",
-        rep.macro_auc >= flat_rep.macro_auc - 0.02,
-        f"bootstrap {rep.macro_auc:.4f} vs flat {flat_rep.macro_auc:.4f}",
+        rep["macro_auc"] >= flat_rep["macro_auc"] - 0.02,
+        f"bootstrap {rep['macro_auc']:.4f} vs flat {flat_rep['macro_auc']:.4f}",
     )
 
 

@@ -22,7 +22,7 @@ from xrlat.network import HEAD_TILE
 from xrlat.training import TrainConfig
 from xrlat.util import ConfigError
 
-from conftest import MALFORMED_CONTAINERS, container_bytes, corrupt_head_dW_cl
+from conftest import MALFORMED_CONTAINERS, REPO_ROOT, container_bytes, corrupt_head_dW_cl
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -334,7 +334,7 @@ class TestTrainCommand:
         ("weight_decay", "nan"), ("n_layers", "3"), ("c", "0"), ("s", "0"), ("s", "513"),
         ("min_frequency", "0"), ("asl_gamma_pos", "-1"), ("asl_gamma_neg", "-2"),
         ("asl_margin", "1.0"), ("asl_margin", "nan"), ("asl_gamma_neg", "inf"),
-        ("max_steps", "-1"),
+        ("max_steps", "-1"), ("loss", "mse"), ("bootstrap", "full"),
     ])
     def test_bad_numeric_key_exit_1_before_config_echo(self, tmp_path, demo_tree_path,
                                                        small_dataset, capsys, key, value):
@@ -867,6 +867,14 @@ class TestLabelTiles:
 
 
 class TestConfigParsing:
+    @pytest.mark.parametrize("name",
+                             sorted(p.name for p in Path(REPO_ROOT, "configs").glob("*.cfg")))
+    def test_shipped_config_resolves(self, name):
+        """Every shipped recipe resolves (no unknown key, every value in range) and names a
+        tree that exists relative to the repo root, without the slow run that trains it."""
+        run = resolve_config(os.path.join(REPO_ROOT, "configs", name))
+        assert os.path.isfile(os.path.join(REPO_ROOT, run.tree))
+
     def test_unknown_key_rejected(self, tmp_path):
         for key in ("nonsense", "decision_threshold"):
             path = write_config(tmp_path / "c.cfg", **{key: "0.5"})

@@ -1,8 +1,8 @@
 """The package binds no names, every import sits at module top, the modules import no cycle,
-only the two input readers open files, one cascade step builds the chain's masks, one
-level loop trains and saves every model, only chunk builds a document, only the parser
-builds a tree, one helper multiplies activations with the encoder's block weights, and one
-kernel computes the loss."""
+only the two input readers open files, the dataset reader cleans each text once, one cascade
+step builds the chain's masks, one level loop trains and saves every model, only chunk builds
+a document, only the parser builds a tree, one helper multiplies activations with the
+encoder's block weights, and one kernel computes the loss."""
 
 import ast
 import os
@@ -81,6 +81,13 @@ def test_only_the_two_readers_call_open():
     are not UTF-8, and checkpoints through checkpoint.read_container; no other code in the
     package calls open() (writes go through os.fdopen in util.atomic_write)."""
     assert _callers(["open"]) == {"open": {"util.text_lines", "checkpoint.read_container"}}
+
+
+def test_the_dataset_reader_cleans_each_text_once():
+    """textproc.read_dataset stores each document's text cleaned, and the vocabulary and
+    the tokenizer read that text as it stands: only the reader and `data clean`
+    (cli._cmd_data) call clean_text, so a second cleaning pass cannot come back."""
+    assert _callers(["clean_text"]) == {"clean_text": {"textproc.read_dataset", "cli._cmd_data"}}
 
 
 def test_one_cascade_step_builds_the_masks():

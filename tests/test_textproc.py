@@ -235,6 +235,12 @@ class TestDatasetIO:
         assert all(a.codes.tolist() == b.codes.tolist() for a, b in zip(loaded, docs))
         assert [d.text for d in loaded] == [d.text for d in docs]
 
+    def test_reader_stores_cleaned_text(self, demo_tree, tmp_path):
+        raw = "seen on [**2151-7-16**] at ==  [**Hospital 1807**]"
+        path = tmp_path / "ds.tsv"
+        path.write_text(f"d1\t{demo_tree.levels[-1].names[0]}\t{raw}\n")
+        assert read_dataset(str(path), demo_tree)[0].text == clean_text(raw) == "seen on at"
+
     def test_unknown_code_rejected(self, demo_tree, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("d1\tnosuchcode\tsome text\n")

@@ -19,7 +19,7 @@ from xrlat.network import (
     init_level_model,
     zero_grads,
 )
-from xrlat.textproc import build_vocab, clean_text, synth_corpus
+from xrlat.textproc import build_vocab, synth_corpus
 from xrlat.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -499,7 +499,7 @@ class TestOptimizerAndSchedule:
 @pytest.fixture(scope="module")
 def tiny_setup(demo_tree):
     docs, _ = synth_corpus(demo_tree, 48, codes_per_doc_mean=2.0, doc_len=24, seed=13)
-    vocab = build_vocab((clean_text(d.text) for d in docs), 1)
+    vocab = build_vocab((d.text for d in docs), 1)
     cfg = TrainConfig(max_steps=30, learning_rate=1e-3, c=6, s=4, hidden_size=8,
                       n_layers=1, batch_size=8, log_interval=10, seed=77)
     data = prepare_dataset(docs, vocab, demo_tree, cfg.c, cfg.s)

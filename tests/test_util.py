@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xrlat.textproc import build_vocab, clean_text, synth_corpus
+from xrlat.textproc import build_vocab, synth_corpus
 from xrlat.training import TrainConfig, prepare_dataset
 from xrlat.util import (NumericsError, ParseError, atomic_write_text, derive_rng, stable_seed,
                         text_lines)
@@ -55,7 +55,7 @@ class TestNumericsErrors:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_surfaces_tensor_and_step(self, demo_tree):
         docs, _ = synth_corpus(demo_tree, 16, codes_per_doc_mean=2.0, doc_len=24, seed=23)
-        vocab = build_vocab((clean_text(d.text) for d in docs), 1)
+        vocab = build_vocab((d.text for d in docs), 1)
         cfg = TrainConfig(max_steps=4, learning_rate=1e-3, c=6, s=4, hidden_size=8,
                           n_layers=0, batch_size=8, seed=5, log_interval=100)
         data = prepare_dataset(docs, vocab, demo_tree, cfg.c, cfg.s)
