@@ -25,18 +25,21 @@ class LossConfig:
     margin: float = 0.0
 
 
-def loss_and_grad(p_active: np.ndarray, y_active: np.ndarray, cfg: LossConfig):
-    """(mean loss, d mean loss / dp) over the already-unmasked label subset.
+def loss_and_grad(p_active: np.ndarray, y_active: np.ndarray, cfg: LossConfig, n: int):
+    """(terms, dL/dp) for some of an instance's n unmasked labels, where the instance
+    loss L is -mean of all n labels' terms.
 
-    Positive term (1-p)^g+ * log p; negative term uses the margin-shifted
-    probability p_m = max(p - margin, 0): p_m^g- * log(1 - p_m). The
+    A label's term is (1-p)^g+ * log p if it is gold, and otherwise uses the
+    margin-shifted probability p_m = max(p - margin, 0): p_m^g- * log(1 - p_m). The
     convention 0^0 = 1 makes (g+=0, g-=0, margin=0) BCE, bit for bit on 0/1 gold.
+    dL/dp is divided by n, so the labels may come in parts (the head's tiles): each
+    part's terms and gradient are those of the whole, and L is -mean of the parts'
+    terms concatenated in order.
     """
     if p_active.size == 0:
         raise DataError("no unmasked labels to compute a loss over")
     y = np.asarray(y_active, dtype=np.float64)
     pc = np.clip(p_active, P_CLAMP, 1.0 - P_CLAMP)
-    n = pc.size
     gp, gn, m = cfg.gamma_pos, cfg.gamma_neg, cfg.margin
 
     one_minus = 1.0 - pc
@@ -49,7 +52,7 @@ def loss_and_grad(p_active: np.ndarray, y_active: np.ndarray, cfg: LossConfig):
     log_1pm = np.log1p(-pm)
     neg_term = neg_focus * log_1pm
 
-    loss = -np.mean(y * pos_term + (1.0 - y) * neg_term)
+    terms = y * pos_term + (1.0 - y) * neg_term
 
     # d(-pos_term)/dp = gp (1-p)^(gp-1) log p - (1-p)^gp / p; finite at gp = 0 as 1-p >= P_CLAMP
     dpos = gp * np.power(one_minus, gp - 1.0) * log_p - pos_focus / pc
@@ -65,4 +68,4 @@ def loss_and_grad(p_active: np.ndarray, y_active: np.ndarray, cfg: LossConfig):
             0.0,
         )
     dp = (y * dpos + (1.0 - y) * dneg) / n
-    return loss, dp
+    return terms, dp

@@ -8,7 +8,9 @@ blocks and a single attention head; the chunk encodings are concatenated
 into the document representation H. The label-wise attention head attends
 each active label over H's r real-token rows, in tiles of HEAD_TILE labels;
 a tile's A scores per token are kept token-major, as an (r, A) array, and its
-softmax normalizes the (A, h) label vectors, not the scores.
+softmax normalizes the (A, h) label vectors, not the scores. Each tile runs its
+forward, and in training its loss gradient and backward, in one pass, so its
+(r, A) arrays are freed before the worker takes the next tile.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
-from functools import reduce
+from functools import partial, reduce
 from typing import Optional
 
 import numpy as np
@@ -410,12 +412,13 @@ def _head_fwd(Hr, W_la_eff, W_cl, b_cl):
     """Label attention over the r real-token rows Hr, then per-label sigmoid classifiers.
 
     d_j = sum_t alpha_tj h_t with alpha_tj = e_tj / z_j, e_tj = exp(s_tj - max_t s_tj)
-    for the scores s_tj = h_t . W_la_eff[j], and z_j = sum_t e_tj. The callers pass
-    H[:n_real], at least one row since chunk rejects an empty document, so padding rows
-    never enter the result. The scores are token-major, (r, A): every reduction and broadcast runs
-    along contiguous rows of A labels. They are exponentiated in place, the forward's
-    only (r, A) array, and alpha is never formed: d is (e.T @ Hr) scaled by 1 / z.
-    Returns (p, cache); the cache holds ``e`` (r, A), ``inv_z`` (A,) and ``d`` (A, h).
+    for the scores s_tj = h_t . W_la_eff[j], and z_j = sum_t e_tj. Its one caller,
+    _head_tile, passes H[:n_real], at least one row since chunk rejects an empty
+    document, so padding rows never enter the result. The scores are token-major, (r, A):
+    every reduction and broadcast runs along contiguous rows of A labels. They are
+    exponentiated in place, the forward's only (r, A) array, and alpha is never formed:
+    d is (e.T @ Hr) scaled by 1 / z. Returns (p, cache); the cache holds ``e`` (r, A),
+    ``inv_z`` (A,) and ``d`` (A, h), and dies with the tile's pass.
     """
     e = Hr @ W_la_eff.T  # (r, A)
     e -= e.max(axis=0)
@@ -475,7 +478,8 @@ def _run_tiles(fn, items) -> list:
     several run on a pool with one worker per CPU the process may use (numpy's GEMMs and
     ufuncs release the GIL). When items raise, the first one's exception in item order
     reaches the caller unchanged, and only once every item has finished, so that no
-    tile still writes gradients after this returns."""
+    tile still writes gradients after this returns; the items that did not raise have
+    written theirs, so the gradients then hold a partial sum."""
     global _tile_pool
     if len(items) == 1:
         return [fn(items[0])]
@@ -488,46 +492,67 @@ def _run_tiles(fn, items) -> list:
     return [f.result() for f in futures]
 
 
-def _forward(doc: ChunkedDocument, model: LevelModel, active, dropout=0.0, rng=None):
-    """The encoder, then the head tiles over the ``active`` labels and H's real-token rows.
-    Returns (H, encoder cache, tiles, each tile's (W_eff, E_act, W_cl, head cache))."""
-    H, enc_cache = _encode_fwd(doc, model.enc, dropout, rng)
-    Hr, head = H[:doc.n_real], model.head
+def _head_tile(model: LevelModel, H, n_real: int, tile, probs=None, y=None,
+               loss_cfg: Optional[LossConfig] = None, grads: Optional[dict] = None):
+    """One pass of the head over one tile's (positions, rows) of the active labels: the
+    tile's forward over H's n_real real-token rows, then what the caller's pass needs.
 
-    def tile_fwd(tile):
-        W_eff, E_act = _effective_w_la(model, tile[1])
-        W_cl = head.W_cl[tile[1]]
-        return W_eff, E_act, W_cl, _head_fwd(Hr, W_eff, W_cl, head.b_cl[tile[1]])[1]
+    Evaluation (``y`` None) writes the tile's probabilities into probs[rows]. Otherwise
+    ``y`` holds the gold values of all the document's active labels, and the tile
+    returns (terms,): its loss terms, from loss_and_grad over y.size labels. With
+    ``grads`` it also runs its backward, adds its own head gradient rows into ``grads``
+    and returns (terms, dHr) or, with a correction layer, (terms, dHr, dcorr.W, dcorr.b):
+    its partial gradients of H's real rows and of the correction layer. The tile's
+    (r, A) arrays die when it returns.
 
-    tiles = _label_tiles(active, model.n_labels)
-    return H, enc_cache, tiles, _run_tiles(tile_fwd, tiles)
+    A non-finite loss term or logit raises NumericsError naming the first non-finite
+    tensor of H, the tile's attention scores, label vectors, logits and probabilities.
+    """
+    pos, rows = tile
+    head, Hr = model.head, H[:n_real]
+    W_eff, E_act = _effective_w_la(model, rows)
+    W_cl = head.W_cl[rows]
+    p, hc = _head_fwd(Hr, W_eff, W_cl, head.b_cl[rows])
+    if y is None:
+        probs[rows] = p
+        return None
+    terms, dp = loss_and_grad(p, y[pos], loss_cfg, y.size)
+
+    # An inf logit saturates p and keeps the loss finite, yet makes NaN gradients.
+    if not (np.all(np.isfinite(terms)) and np.all(np.isfinite(hc["logits"]))):
+        # the softmax overwrote the scores; only this error path recomputes them
+        for name, t in (("H", H), ("attention_scores", Hr @ W_eff.T), ("label_vectors", hc["d"]),
+                        ("logits", hc["logits"]), ("probabilities", p)):
+            if not np.all(np.isfinite(t)):
+                raise NumericsError(f"non-finite values in {name}", tensor=name)
+        raise NumericsError("non-finite loss", tensor="loss")
+    if grads is None:
+        return (terms,)
+    dW_la, dW_cl, db_cl, dHr = _head_bwd(dp, hc, W_eff, W_cl)
+    grads["W_la"][rows] += dW_la
+    grads["W_cl"][rows] += dW_cl
+    grads["b_cl"][rows] += db_cl
+    return (terms, dHr) if model.corr is None else (terms, dHr, E_act.T @ dW_la,
+                                                    dW_la.sum(axis=0))
 
 
 def _loss(doc: ChunkedDocument, model: LevelModel, gold, mask, loss_cfg: LossConfig,
-          dropout: float, rng: Optional[np.random.Generator]):
-    """forward_backward's forward half, which check_gradients also runs alone: _forward
-    over the unmasked labels, then the loss. Returns (loss, dL/dp, _forward's result)."""
+          dropout: float, rng: Optional[np.random.Generator], grads: Optional[dict] = None):
+    """The document's loss over the unmasked labels: the encoder, then one _head_tile
+    pass per tile, which runs the tile's backward only when ``grads`` is given.
+    check_gradients' numeric side runs it without. Returns (loss, H, the encoder cache,
+    each tile's partial gradients); the loss is -mean of the tiles' terms in tile order."""
     if dropout > 0.0 and rng is None:
         raise DataError(f"dropout {dropout} needs a generator to draw its masks from")
     active = slice(None) if mask is None else np.flatnonzero(np.asarray(mask))
     if mask is not None and active.size == 0:
         raise DataError("no unmasked labels to compute a loss over")
-    H, enc_cache, tiles, fwd = _forward(doc, model, active, dropout, rng)
-    p = np.concatenate([hc["p"] for *_, hc in fwd])
-    loss, dp = loss_and_grad(p, np.asarray(gold)[active], loss_cfg)
-
-    # An inf logit saturates p and keeps the loss finite, yet makes NaN gradients.
-    if not (np.isfinite(loss) and all(np.all(np.isfinite(hc["logits"])) for *_, hc in fwd)):
-        # the softmax overwrote the scores; only this error path recomputes them
-        for name, parts in (("H", [H]),
-                            ("attention_scores", (hc["Hr"] @ W_eff.T for W_eff, *_, hc in fwd)),
-                            ("label_vectors", (hc["d"] for *_, hc in fwd)),
-                            ("logits", (hc["logits"] for *_, hc in fwd)),
-                            ("probabilities", [p])):
-            if not all(np.all(np.isfinite(t)) for t in parts):
-                raise NumericsError(f"non-finite values in {name}", tensor=name)
-        raise NumericsError("non-finite loss", tensor="loss")
-    return loss, dp, (H, enc_cache, tiles, fwd)
+    H, enc_cache = _encode_fwd(doc, model.enc, dropout, rng)
+    tile = partial(_head_tile, model, H, doc.n_real, y=np.asarray(gold)[active],
+                   loss_cfg=loss_cfg, grads=grads)
+    outs = _run_tiles(tile, _label_tiles(active, model.n_labels))
+    loss = -np.mean(np.concatenate([out[0] for out in outs]))
+    return loss, H, enc_cache, [out[1:] for out in outs]
 
 
 def forward_probs(doc: ChunkedDocument, enc: EncoderParams, head: HeadParams,
@@ -540,9 +565,9 @@ def forward_probs(doc: ChunkedDocument, enc: EncoderParams, head: HeadParams,
     if mask is not None and active.size == 0:
         return probs
     model = LevelModel(enc, head, 0, corr=corr, corr_inputs=corr_inputs)
-    _, _, tiles, fwd = _forward(doc, model, active)
-    for (_, rows), (*_, hc) in zip(tiles, fwd):
-        probs[rows] = hc["p"]
+    H = _encode_fwd(doc, enc)[0]
+    _run_tiles(partial(_head_tile, model, H, doc.n_real, probs=probs),
+               _label_tiles(active, head.n_labels))
     return probs
 
 
@@ -560,26 +585,19 @@ def forward_backward(doc: ChunkedDocument, params: EncoderParams, head: HeadPara
     into ``grads`` (one array per trainable tensor, as from zero_grads); when
     it is omitted a zeroed dict is allocated. Returns (loss, grads).
 
-    The head runs per tile of HEAD_TILE active labels (see _run_tiles). Each tile
-    writes its own head gradient rows; its partial gradients of H and of the
+    The head runs one pass per tile of HEAD_TILE active labels (see _head_tile and
+    _run_tiles): each tile's forward, loss gradient and backward, after which it
+    writes its own head gradient rows. Its partial gradients of H and of the
     correction layer are added in tile order on the calling thread, so the result
-    does not depend on the number of workers.
+    does not depend on the number of workers. After a NumericsError, ``grads`` holds
+    a partial sum: the head rows of the tiles that finished, and no encoder gradient.
     """
     model = LevelModel(enc=params, head=head, level=0, corr=corr, corr_inputs=corr_inputs)
-    loss, dp, (H, enc_cache, tiles, fwd) = _loss(doc, model, gold, mask, loss_cfg, dropout, rng)
     if grads is None:
         grads = zero_grads(model)
-
-    def tile_bwd(item):
-        (pos, rows), (W_eff, E_act, W_cl, hc) = item
-        dW_la, dW_cl, db_cl, dHr = _head_bwd(dp[pos], hc, W_eff, W_cl)
-        grads["W_la"][rows] += dW_la
-        grads["W_cl"][rows] += dW_cl
-        grads["b_cl"][rows] += db_cl
-        return (dHr,) if corr is None else (dHr, E_act.T @ dW_la, dW_la.sum(axis=0))
-
+    loss, H, enc_cache, parts = _loss(doc, model, gold, mask, loss_cfg, dropout, rng, grads)
     # each partial gradient summed over the tiles, in tile order
-    sums = [reduce(np.add, parts) for parts in zip(*_run_tiles(tile_bwd, list(zip(tiles, fwd))))]
+    sums = [reduce(np.add, tile_parts) for tile_parts in zip(*parts)]
     dH = np.zeros_like(H)
     dH[:doc.n_real] = sums[0]
     if corr is not None:
@@ -628,7 +646,7 @@ def check_gradients(model: LevelModel, doc: ChunkedDocument, gold: np.ndarray,
                     loss: LossConfig, mask: Optional[np.ndarray] = None,
                     dropout: float = 0.0) -> GradcheckReport:
     """Compare forward_backward's gradients with central differences of its own loss,
-    evaluated by its forward half (_loss) alone, with no backward.
+    evaluated by _loss without gradient buffers, so with no backward.
 
     Checks every coordinate of ``model.trainable()`` under the label ``mask``; every
     call draws the same dropout masks, from a generator rebuilt for each call.

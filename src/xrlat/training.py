@@ -187,7 +187,7 @@ def inference_mask(p_parent, T: TreeLevel, threshold: float) -> np.ndarray:
     if p_parent.shape[0] != T.n_cols:
         raise DataError(f"expected a parent vector of length {T.n_cols}, got {p_parent.shape}")
     parent_on = p_parent >= threshold
-    return parent_on[T.parent_index].astype(np.uint8)
+    return parent_on[T.parent_index]
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +345,7 @@ def _train_level(docs, label_rows, masks, model: LevelModel, cfg: TrainConfig,
     s mod B of epoch s div B; each epoch is a fresh permutation of the documents,
     drawn at its first batch from derive_rng(seed, "data", level).
 
-    ``masks`` is either None (all labels active) or one uint8 row per
+    ``masks`` is either None (all labels active) or one bool row per
     document. Each step adds its documents' gradients, in batch order, into
     one buffer; clip_gradients reads it once for the factor that takes the sum
     to the clipped batch mean, and AdamW applies that factor in its one sweep,
@@ -421,7 +421,7 @@ def _child_masks(model: LevelModel, docs, masks, T: TreeLevel, threshold: float,
 
     The masks are the rows of one array: a small array per document, alive across the
     forwards between them, fragments the heap and raises the peak resident size."""
-    out = np.empty((len(docs), T.rows), dtype=np.uint8)
+    out = np.empty((len(docs), T.rows), dtype=bool)
     for i, doc in enumerate(docs):
         p = _level_probs(model, doc, None if masks is None else masks[i])
         if gold_rows is None:

@@ -2,7 +2,7 @@
 only the two input readers open files, the dataset reader cleans each text once, one cascade
 step builds the chain's masks, one level loop trains and saves every model, only chunk builds
 a document, only the parser builds a tree, one helper multiplies activations with the
-encoder's block weights, and one kernel computes the loss."""
+encoder's block weights, one kernel computes the loss, and one tile pass runs the head."""
 
 import ast
 import os
@@ -164,9 +164,24 @@ def test_block_weights_multiply_only_in_project():
 
 def test_one_loss_kernel():
     """BCE is the asymmetric loss at LossConfig()'s (0, 0, 0): losses.py defines one
-    function, loss_and_grad, and only network._loss calls it, so a second loss kernel
-    cannot come back."""
+    function, loss_and_grad, and only the head's tile pass (network._head_tile) calls
+    it, so a second loss kernel cannot come back."""
     losses = dict(_modules())["losses"]
     assert [node.name for node in ast.walk(losses)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))] == ["loss_and_grad"]
-    assert _callers(["loss_and_grad"]) == {"loss_and_grad": {"network._loss"}}
+    assert _callers(["loss_and_grad"]) == {"loss_and_grad": {"network._head_tile"}}
+
+
+def test_one_tile_pass_runs_the_head():
+    """Every head pass is one pass per label tile: only network._head_tile runs the head's
+    forward, its loss and its backward, and only the document's loss (network._loss, for
+    training and gradcheck) and forward_probs run the encoder and the tiles, so a second
+    forward path, or a round of tiles that keeps every tile's arrays, cannot come back."""
+    assert _callers(["_head_fwd", "_head_bwd", "loss_and_grad", "_encode_fwd",
+                     "_run_tiles"]) == {
+        "_head_fwd": {"network._head_tile"},
+        "_head_bwd": {"network._head_tile"},
+        "loss_and_grad": {"network._head_tile"},
+        "_encode_fwd": {"network._loss", "network.forward_probs"},
+        "_run_tiles": {"network._loss", "network.forward_probs"},
+    }

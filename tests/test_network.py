@@ -574,18 +574,20 @@ class TestPaddedDocument:
 
     def test_gradcheck_numeric_side_runs_no_backward(self, monkeypatch):
         """check_gradients runs the head and encoder backward once, for its analytic side.
-        Each finite-difference loss comes from forward_backward's forward half (_loss)
-        alone, which at the unperturbed point gives forward_backward's loss bit for bit."""
+        Each finite-difference loss comes from _loss without gradient buffers, whose one
+        head tile runs its forward and loss alone; at the unperturbed point it gives
+        forward_backward's loss bit for bit."""
         model, doc, gold = self.model_doc_gold(1, with_corr=True)
-        calls = dict.fromkeys(("_head_bwd", "_encode_bwd", "_loss"), 0)
+        calls = dict.fromkeys(("_head_bwd", "_encode_bwd", "_loss", "_head_tile"), 0)
         for name in calls:
-            def counted(*args, _fn=getattr(network, name), _name=name):
+            def counted(*args, _fn=getattr(network, name), _name=name, **kwargs):
                 calls[_name] += 1
-                return _fn(*args)
+                return _fn(*args, **kwargs)
             monkeypatch.setattr(network, name, counted)
         assert check_gradients(model, doc, gold, ASL, self.MASK, dropout=0.1).ok()
         n_coords = sum(t.size for _, t in model.trainable())
-        assert calls == {"_head_bwd": 1, "_encode_bwd": 1, "_loss": 1 + 2 * n_coords}
+        assert calls == {"_head_bwd": 1, "_encode_bwd": 1, "_loss": 1 + 2 * n_coords,
+                         "_head_tile": 1 + 2 * n_coords}
         train_loss, _ = forward_backward(doc, model.enc, model.head, gold, self.MASK, ASL,
                                          model.corr, model.corr_inputs, 0.1,
                                          derive_rng("gradcheck", "dropout"))
@@ -607,10 +609,11 @@ class TestPaddedDocument:
         active = slice(None) if mask is None else mask == 1
         probs = forward_probs(doc, model.enc, model.head, mask, corr=model.corr,
                               corr_inputs=model.corr_inputs)
+        p, y = probs[active], gold[active]
         for loss in (LossConfig(), ASL):
             train_loss, _ = forward_backward(doc, model.enc, model.head, gold, mask, loss,
                                              corr=model.corr, corr_inputs=model.corr_inputs)
-            assert loss_and_grad(probs[active], gold[active], loss)[0] == train_loss
+            assert -np.mean(loss_and_grad(p, y, loss, p.size)[0]) == train_loss
 
     @pytest.mark.parametrize("n_layers", [0, 1, 2])
     def test_s_past_the_real_chunks_builds_the_same_document(self, n_layers):
@@ -685,6 +688,35 @@ class TestLabelTiles:
                 assert g.tobytes() == first[2][name].tobytes(), name
             else:  # the tiles' partial sums of dH and corr.* add in another order
                 assert np.max(np.abs(g - first[2][name])) <= 1e-12 * np.max(np.abs(g)), name
+
+    def test_head_holds_about_one_tile_per_worker(self, monkeypatch):
+        """Each tile runs its forward, loss gradient and backward in one pass and its
+        (r, HEAD_TILE) arrays die before its worker takes the next tile. Over 8 tiles on
+        2 workers, the traced peak of a training document stays below ten of one tile's
+        (r, HEAD_TILE) float64 arrays, and of an evaluation document below five; a head
+        that kept every tile's arrays until the loss is known peaks near 13 and 11."""
+        n_labels, h, c, s = 2000, 16, 16, 8
+        monkeypatch.setattr(network, "HEAD_TILE", 256)
+        rng = derive_rng(22)
+        model = init_level_model(40, c, h, n_labels, 1, 0, rng)
+        enc, head = model.enc, model.head
+        doc = make_doc(rng, 40, c, s, t=c * s - 5)
+        gold = (rng.random(n_labels) < 0.01).astype(np.float64)
+        grads = zero_grads(model)
+        tile_bytes = network.HEAD_TILE * doc.n_real * 8
+        peaks = []
+        with ThreadPoolExecutor(2) as pool:
+            monkeypatch.setattr(network, "_tile_pool", pool)
+            for call in (lambda: forward_backward(doc, enc, head, gold, None, LossConfig(),
+                                                  grads=grads),
+                         lambda: forward_probs(doc, enc, head)):
+                tracemalloc.start()
+                try:
+                    call()
+                    peaks.append(tracemalloc.get_traced_memory()[1] / tile_bytes)
+                finally:
+                    tracemalloc.stop()
+        assert peaks[0] < 10.0 and peaks[1] < 5.0, peaks
 
     def test_worker_errors_reach_the_caller_unchanged(self, monkeypatch):
         """A tile's exception reaches the caller as raised, once every other tile of the

@@ -49,7 +49,8 @@ BCE = LossConfig()
 
 
 def loss_of(p, y, cfg=BCE):
-    return loss_and_grad(np.asarray(p, dtype=np.float64), y, cfg)[0]
+    p = np.asarray(p, dtype=np.float64)
+    return -np.mean(loss_and_grad(p, y, cfg, p.size)[0])
 
 
 def dense_adamw_step(model, m, v, t, grads, lr, weight_decay, scale=1.0):
@@ -138,8 +139,8 @@ class TestAslLoss:
         for _ in range(50):
             p = rng.uniform(0.01, 0.99, size=8)
             y = (rng.random(8) < 0.5).astype(float)
-            a, da = loss_and_grad(p, y, BCE)
-            b, db = bce_reference(p, y)
+            _, da = loss_and_grad(p, y, BCE, p.size)
+            a, (b, db) = loss_of(p, y), bce_reference(p, y)
             assert abs(a - b) < 1e-12
             assert np.max(np.abs(da - db)) < 1e-12
 
@@ -156,13 +157,13 @@ class TestAslLoss:
         cfg = LossConfig(gamma_pos=2.0, gamma_neg=3.0, margin=0.1)
         p = rng.uniform(0.15, 0.95, size=10)  # away from the margin kink
         y = (rng.random(10) < 0.5).astype(float)
-        _, dp = loss_and_grad(p, y, cfg)
+        _, dp = loss_and_grad(p, y, cfg, p.size)
         eps = 1e-7
         for j in range(10):
             pp, pm = p.copy(), p.copy()
             pp[j] += eps
             pm[j] -= eps
-            num = (loss_and_grad(pp, y, cfg)[0] - loss_and_grad(pm, y, cfg)[0]) / (2 * eps)
+            num = (loss_of(pp, y, cfg) - loss_of(pm, y, cfg)) / (2 * eps)
             assert dp[j] == pytest.approx(num, rel=1e-5, abs=1e-9)
 
 
@@ -232,9 +233,9 @@ class TestMasks:
         p[rng.random(T.n_cols) < 0.2] = threshold  # scores exactly at the threshold pass
         y = {"empty": np.zeros(T.n_cols), "all": np.ones(T.n_cols),
              "random": (rng.random(T.n_cols) < 0.3).astype(float)}[gold]
-        want = ((p + y) >= threshold)[T.parent_index].astype(np.uint8)
+        want = ((p + y) >= threshold)[T.parent_index]
         got = training_mask(p, np.flatnonzero(y), T, threshold)
-        assert got.dtype == np.uint8 and got.tobytes() == want.tobytes()
+        assert got.dtype == bool and got.tobytes() == want.tobytes()
 
     def test_dimension_mismatch(self):
         tree = parse_hierarchy(["A/A1/A11/x1"])
@@ -745,13 +746,13 @@ class TestChainMasks:
                 on = p >= thr
                 scored_in += int(on.sum()) - int(on[gold[k - 1][i]].sum())
                 on[gold[k - 1][i]] = True
-                want.append(on[parent_index].astype(np.uint8))
+                want.append(on[parent_index])
                 if masks[i] is not None:
                     unmasked = level_probs(models[k - 2], doc, None)
                     hidden_would_pass += int(np.sum((unmasked >= thr) & (masks[i] == 0)))
             assert len(recorded[k - 1]) == len(data.docs)
             for i, (got, w) in enumerate(zip(recorded[k - 1], want)):
-                assert got.dtype == np.uint8 and got.tobytes() == w.tobytes(), (k, i)
+                assert got.dtype == bool and got.tobytes() == w.tobytes(), (k, i)
             masks = want
         assert scored_in > 0 and hidden_would_pass > 0
 

@@ -81,13 +81,15 @@ class TestNumericsErrors:
         """The softmax overwrites the scores in place, yet an inf in a W_la row still
         names the attention scores. A single inf in W_cl names the logits although it
         only saturates p and leaves the loss finite; a NaN there makes the loss NaN.
-        The same holds when the row sits in the last of several label tiles."""
+        The same holds when the row sits in the last of several label tiles, and in
+        the middle one of three, while the other two run their backward and write
+        their head gradient rows: the gradients are then a partial sum."""
         from xrlat import network
         from xrlat.losses import LossConfig
-        from xrlat.network import forward_backward, init_level_model
+        from xrlat.network import forward_backward, init_level_model, zero_grads
         from xrlat.textproc import chunk
 
-        for head_tile, row in ((network.HEAD_TILE, 3), (2, 5)):
+        for head_tile, row in ((network.HEAD_TILE, 3), (2, 5), (2, 3)):
             monkeypatch.setattr(network, "HEAD_TILE", head_tile)
             rng = derive_rng(31)
             model = init_level_model(20, 4, 8, 6, 1, 0, rng)
@@ -99,6 +101,11 @@ class TestNumericsErrors:
                 head.W_cl[row, 0] = value
             gold = np.zeros(6)
             gold[1] = 1.0
+            grads = zero_grads(model)
             with pytest.raises(NumericsError) as exc:
-                forward_backward(doc, enc, head, gold, None, LossConfig())
+                forward_backward(doc, enc, head, gold, None, LossConfig(), grads=grads)
             assert exc.value.tensor == tensor
+            if (head_tile, row) == (2, 3):
+                written = np.any(grads["W_cl"] != 0.0, axis=1)
+                assert written.tolist() == [True, True, False, False, True, True]
+                assert not np.any(grads["emb"]) and not np.any(grads["blk0.q"])
